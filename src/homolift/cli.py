@@ -11,6 +11,7 @@ error, 2 usage error, 3 search exhausted its bounds without a certificate.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -165,23 +166,27 @@ def _human_analysis(report):
     return lines
 
 
+# command-line flag -> the SearchConfig field it sets, which gives its default
+CONFIG_FLAGS = {
+    "--max-power": "max_power",
+    "--max-order": "max_character_order",
+    "--max-lattice-index": "max_lattice_index",
+    "--max-tower-depth": "max_tower_depth",
+    "--max-degree": "max_cover_degree",
+    "--cycle-cap": "cycle_cap",
+}
+
+
 def _add_config_flags(p):
-    p.add_argument("--max-power", type=int, default=8)
-    p.add_argument("--max-order", type=int, default=12)
-    p.add_argument("--max-lattice-index", type=int, default=64)
-    p.add_argument("--max-tower-depth", type=int, default=3)
-    p.add_argument("--max-degree", type=int, default=2000)
-    p.add_argument("--cycle-cap", type=int, default=10 ** 6)
+    for flag, name in CONFIG_FLAGS.items():
+        p.add_argument(flag, type=int, dest=name,
+                       metavar=flag[2:].upper().replace("-", "_"),
+                       default=getattr(SearchConfig, name))
 
 
 def _config_from(args):
-    return SearchConfig(
-        max_power=args.max_power,
-        max_character_order=args.max_order,
-        max_lattice_index=args.max_lattice_index,
-        max_tower_depth=args.max_tower_depth,
-        max_cover_degree=args.max_degree,
-        cycle_cap=args.cycle_cap)
+    return SearchConfig(**{name: getattr(args, name)
+                           for name in CONFIG_FLAGS.values()})
 
 
 def build_parser():
@@ -302,14 +307,8 @@ def _dispatch(args, out, err):
         diagnostics = []
         cert = tower_search(f, cfg, diagnostics)
         if cert is None:
-            report = {"result": "none_within_bounds",
-                      "bounds": {
-                          "max_power": cfg.max_power,
-                          "max_character_order": cfg.max_character_order,
-                          "max_lattice_index": cfg.max_lattice_index,
-                          "max_tower_depth": cfg.max_tower_depth,
-                          "max_cover_degree": cfg.max_cover_degree,
-                      },
+            bounds = {k: v for k, v in asdict(cfg).items() if k != "cycle_cap"}
+            report = {"result": "none_within_bounds", "bounds": bounds,
                       "diagnostics": diagnostics}
             _emit(report, args.json,
                   ["no certificate within the configured bounds"]

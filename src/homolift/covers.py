@@ -389,8 +389,6 @@ def cover_chain_action_check(lm, chi, base_magnus):
 
     cover = lm.cover
     q = cover.quotient
-    if not chi.is_exact:
-        raise ValidationError("chain check needs an exact character")
     for row in q.basis:
         if chi.value_exponent(row) != 0:
             raise ValidationError("character incompatible with the cover quotient")

@@ -89,11 +89,6 @@ def affine_dimension(points):
     return linalg.mat_rank_rational(diffs)
 
 
-def integral_points(points):
-    return [tuple(int(x) for x in p) for p in points
-            if all(Fraction(x).denominator == 1 for x in p)]
-
-
 def lattice_points_in_hull(translate, basis_rows, hull_points):
     """All points of (translate + Z-span(basis_rows)) inside conv(hull_points).
 

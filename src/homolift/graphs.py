@@ -70,12 +70,6 @@ class Graph:
     def edge_by_name(self):
         return {e.name: e for e in self.edges}
 
-    def edge_index(self, name):
-        for i, e in enumerate(self.edges):
-            if e.name == name:
-                return i
-        raise KeyError(name)
-
     def step_endpoints(self, step):
         """(start, end) of a single traversal (edge name, direction)."""
         name, direction = step

@@ -156,32 +156,21 @@ class LaurentElement:
 
 @dataclass(frozen=True)
 class Character:
-    """A homomorphism Z^d -> C^x.
+    """A homomorphism Z^d -> C^x with values among roots of unity.
 
-    Exact mode stores a common order n and exponents (a_1..a_d): the i-th
-    value is exp(2*pi*i*a_i/n).  Float mode stores complex values directly
-    and is only meant for dense torus scans.
+    A common order n and exponents (a_1..a_d): the i-th value is
+    exp(2*pi*i*a_i/n).
     """
 
     dim: int
-    order: int = None
-    exponents: tuple = None
-    float_values: tuple = None
+    order: int
+    exponents: tuple
 
     def __post_init__(self):
-        if self.float_values is None:
-            if self.order is None or self.exponents is None:
-                raise ValidationError("exact character needs order and exponents")
-            if len(self.exponents) != self.dim:
-                raise DimensionMismatchError("wrong number of exponents")
-            object.__setattr__(self, "exponents",
-                               tuple(a % self.order for a in self.exponents))
-        elif len(self.float_values) != self.dim:
-            raise DimensionMismatchError("wrong number of values")
-
-    @property
-    def is_exact(self):
-        return self.float_values is None
+        if len(self.exponents) != self.dim:
+            raise DimensionMismatchError("wrong number of exponents")
+        object.__setattr__(self, "exponents",
+                           tuple(a % self.order for a in self.exponents))
 
     def exact_order(self):
         """Order of the image group (lcm of component orders)."""
@@ -196,18 +185,11 @@ class Character:
         return sum(a * x for a, x in zip(self.exponents, vec)) % self.order
 
     def eval(self, vec):
-        if self.is_exact:
-            return Cyclotomic.root_of_unity(self.order, self.value_exponent(vec))
-        out = 1.0 + 0j
-        for z, x in zip(self.float_values, vec):
-            out *= z ** x
-        return out
+        return Cyclotomic.root_of_unity(self.order, self.value_exponent(vec))
 
     def inverse(self):
-        if self.is_exact:
-            return Character(self.dim, self.order,
-                             tuple(-a % self.order for a in self.exponents))
-        return Character(self.dim, float_values=tuple(1 / z for z in self.float_values))
+        return Character(self.dim, self.order,
+                         tuple(-a % self.order for a in self.exponents))
 
 
 @dataclass(frozen=True)
@@ -288,12 +270,9 @@ class Lattice:
 
 
 def specialize(t, chi):
-    """Value of the element at the character, exact when the character is."""
+    """Exact (cyclotomic) value of the element at the character."""
     if t.dim != chi.dim:
         raise DimensionMismatchError("element and character dimensions differ")
-    if not chi.is_exact:
-        return sum((complex(c) * chi.eval(v) for v, c in t.terms.items()),
-                   0.0 + 0j)
     n = chi.order
     acc = [0] * n
     for v, c in t.terms.items():

@@ -9,6 +9,8 @@ are lists of coefficients, lowest degree first, with no trailing zeros
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ResourceLimitError
+
 
 # ---------------------------------------------------------------------------
 # basic matrix helpers
@@ -40,18 +42,6 @@ def mat_vec(a, v):
 def vec_mat(v, a):
     m = len(a[0]) if a else 0
     return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(m)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a, b):
-    return a == b
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def mat_rank_rational(a):
@@ -259,17 +249,6 @@ def poly_trim(p):
     return p
 
 
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_divmod_monic(p, q):
     """Divide p by q where q is monic with integer coefficients."""
     if not q or q[-1] != 1:
@@ -284,13 +263,6 @@ def poly_divmod_monic(p, q):
             for j in range(dq + 1):
                 rem[i - dq + j] -= c * q[j]
     return poly_trim(quo), poly_trim(rem)
-
-
-def poly_eval(p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -447,7 +419,7 @@ def charpoly_int(rows):
         if modulus > 2 * bound + 1:
             break
     else:
-        raise ResourceWarning("charpoly: prime pool exhausted")
+        raise ResourceLimitError("charpoly: prime pool exhausted")
     coeffs = []
     for i in range(n + 1):
         x = 0

@@ -93,16 +93,6 @@ def mat_mul(a, b):
     return matrix_from_rows(a.edge_order, a.dim, out)
 
 
-def mat_pow(a, k):
-    """k-th power; successive powers are cached on the matrix."""
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
-    powers = a._cache.setdefault("powers", [a])
-    while len(powers) < k:
-        powers.append(mat_mul(powers[-1], a))
-    return powers[k - 1]
-
-
 def trace(a):
     acc = LaurentElement.zero(a.dim)
     for i in range(a.size):
@@ -111,7 +101,21 @@ def trace(a):
 
 
 def trace_power(a, k):
-    return trace(mat_pow(a, k))
+    """trace(A^k) from the matrix's one trace sequence, extended on demand.
+
+    The cache keeps the traces of A^1..A^n and only the latest power A^n, so
+    a matrix held across a search costs one power, not all of them.
+    """
+    if k < 1:
+        raise ValueError("exponent must be >= 1")
+    traces = a._cache.get("traces")
+    if traces is None:
+        traces = a._cache["traces"] = [trace(a)]
+        a._cache["power"] = a
+    while len(traces) < k:
+        power = a._cache["power"] = mat_mul(a._cache["power"], a)
+        traces.append(trace(power))
+    return traces[k - 1]
 
 
 def specialize_matrix(a, chi):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import sqrt
 
 from . import linalg, magnus
-from .covers import (CoverCertificate, TowerStep, abelian_cover,
+from .covers import (CoverCertificate, LiftedMap, TowerStep, abelian_cover,
                      h1_action_on_cover, lift_map, unit_circle_test)
 from .errors import CertificateError, ResourceLimitError, ValidationError
 from .geometry import lattice_points_in_hull
@@ -38,7 +38,6 @@ class SearchConfig:
     max_tower_depth: int = 3
     max_cover_degree: int = 2000
     cycle_cap: int = 10 ** 6
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("max_power", "max_character_order", "max_lattice_index",
@@ -118,10 +117,8 @@ def check_direct(f, analysis=None):
 def check_l2(a, cfg):
     """First power whose trace has squared coefficient norm above size^2."""
     m = a.size
-    power = None
     for k in range(1, cfg.max_power + 1):
-        power = a if k == 1 else magnus.mat_mul(power, a)
-        n2 = l2_norm_squared(magnus.trace(power))
+        n2 = l2_norm_squared(magnus.trace_power(a, k))
         if n2 > m * m:
             return Finding("l2", power=k, value=str(sqrt(n2)))
     return None
@@ -137,10 +134,8 @@ def check_anchored(a, cfg):
     while d > 0 and j ** d <= cfg.max_lattice_index:
         js.append(j)
         j += 1
-    power = None
     for k in range(1, cfg.max_power + 1):
-        power = a if k == 1 else magnus.mat_mul(power, a)
-        t = magnus.trace(power)
+        t = magnus.trace_power(a, k)
         translates = [(0,) * d]
         translates += [v for v in t.support() if v != (0,) * d]
         for j in js:
@@ -171,11 +166,7 @@ def character_scan(a, cfg):
     decided in exact cyclotomic arithmetic."""
     m = a.size
     d = a.dim
-    traces = []
-    power = None
-    for k in range(1, cfg.max_power + 1):
-        power = a if k == 1 else magnus.mat_mul(power, a)
-        traces.append(magnus.trace(power))
+    traces = [magnus.trace_power(a, k) for k in range(1, cfg.max_power + 1)]
     # |t(chi)| <= l1 norm, so powers with small l1 mass cannot fire
     viable = [sum(abs(c) for c in t.terms.values()) > m for t in traces]
     if not any(viable):
@@ -262,54 +253,81 @@ def lattice_from_polytope(poly, preferred_vertex=None):
 # converting findings into certificates
 
 
-def _locate_character(an, finding, cfg):
-    """A concrete root-of-unity character with |trace(A^k)| above the size,
-    extracted from an averaging or Parseval argument.
+METHODS = {"direct": "direct", "l2": "l2trace", "anchored": "anchoring",
+           "character": "character"}
+
+
+def _order_bound(degree, d, cap):
+    """Largest order B with degree * B**d <= cap: the character orders whose
+    H_f/B H_f cover still fits under the cap at this tower level.  With
+    d = 0 every order fits, and the cap stands in for B."""
+    if d == 0:
+        return cap
+    b = max(1, int((cap / degree) ** (1 / d)))
+    while degree * (b + 1) ** d <= cap:
+        b += 1
+    while b > 1 and degree * b ** d > cap:
+        b -= 1
+    return b
+
+
+def _locate_character(an, finding, bound):
+    """A concrete root-of-unity character of exact order at most ``bound``
+    with |trace(A^k)| above the size, extracted from an averaging or
+    Parseval argument.
 
     Existence is guaranteed inside the annihilator set (anchored) or the
     Parseval grid (l2); smaller-order characters are tried first so the
-    certifying cover is as small as the evidence allows.
+    certifying cover is as small as the evidence allows.  When the bound
+    removed candidates and none of the rest fires, the cap is to blame and
+    ResourceLimitError is raised.
     """
     a = an.matrix
     m = a.size
     k = finding.power
-    t = magnus.trace_power(a, k)
     if finding.kind == "character":
-        return finding.character, k
+        return finding.character
+    t = magnus.trace_power(a, k)
     if finding.kind == "anchored":
-        chars = annihilator_characters(
+        found = annihilator_characters(
             Lattice(finding.lattice.dim, finding.lattice.basis))
+        chars = [chi for chi in found if chi.exact_order() <= bound]
+        cut = len(chars) < len(found)
     else:  # l2: a grid finer than the support width carries exact Parseval
-        if a.dim == 0:
-            chars = character_grid(0, 1)
-        else:
-            support = t.support()
-            width = 0
-            for i in range(a.dim):
-                coords = [v[i] for v in support]
-                width = max(width, max(coords) - min(coords))
-            chars = []
-            for q in range(1, width + 2):
-                chars.extend(character_grid(a.dim, q))
-    chars = sorted(chars, key=lambda c: (c.exact_order(), c.order, c.exponents))
+        support = t.support()
+        width = max((max(v[i] for v in support) - min(v[i] for v in support)
+                     for i in range(a.dim)), default=0)
+        top = min(width + 1, bound)
+        chars = [chi for q in range(1, top + 1)
+                 for chi in character_grid(a.dim, q)]
+        cut = top < width + 1
+    chars.sort(key=lambda c: (c.exact_order(), c.order, c.exponents))
     for chi in chars:
         z = specialize(t, chi)
         if z.magnitude_squared().compare(Fraction(m * m)) > 0:
-            return chi, k
+            return chi
+    if cut:
+        raise ResourceLimitError(
+            f"no character of order at most {bound} is above the threshold "
+            f"at power {k}; higher orders exceed the cover degree cap")
     raise CertificateError(
         f"{finding.kind} finding at power {k} produced no character above "
         f"the threshold; this contradicts the averaging identity")
 
 
-def _certificate_from_tower(f, tower, method, finding, cfg, power=1):
+def _h1_matrix(level):
+    """Integer H1 action of a tower level: the lifted map's on the cover,
+    or the base map's own."""
+    if isinstance(level, LiftedMap):
+        return h1_action_on_cover(level)
+    return [list(r) for r in
+            homology_action(level, spanning_tree(level.graph)).matrix]
+
+
+def _certificate_from_tower(f, tower, method, finding):
     """Assemble and exactly re-verify a certificate for the given tower."""
-    final_map, total_degree = rebuild_tower(f, tower, cfg)
-    if tower:
-        matrix = h1_action_on_cover(final_map)
-    else:
-        st = spanning_tree(f.graph)
-        matrix = [list(r) for r in homology_action(f, st).matrix]
-    cp = linalg.charpoly_int(matrix)
+    final_map, total_degree = rebuild_tower(f, tower)
+    cp = linalg.charpoly_int(_h1_matrix(final_map))
     verdict = unit_circle_test(cp)
     if verdict.all_on_circle:
         raise CertificateError(
@@ -318,7 +336,7 @@ def _certificate_from_tower(f, tower, method, finding, cfg, power=1):
     cert = CoverCertificate(
         input_digest=input_digest(f),
         input_text=serialize_graph_map(f),
-        power=power,
+        power=1,
         tower=tuple(tower),
         degree=total_degree,
         charpoly=tuple(cp),
@@ -335,29 +353,31 @@ def _certificate_from_tower(f, tower, method, finding, cfg, power=1):
     return cert
 
 
+def _certify(base_map, tower, degree, an, finding, cfg):
+    """Turn a finding on the tower level ``an`` (reached from the base map
+    through ``tower``, of total ``degree``) into a verified certificate:
+    the level itself for the direct check or a trivial character, else one
+    more H_f/nH_f step with n the located character's exact order."""
+    method = "tower" if tower else METHODS[finding.kind]
+    if finding.kind != "direct":
+        d = an.quotient.rank
+        bound = _order_bound(degree, d, cfg.max_cover_degree)
+        order = _locate_character(an, finding, bound).exact_order()
+        if order > bound:  # only a character-scan hit comes unbounded
+            raise ResourceLimitError(
+                f"conversion cover degree {degree * order ** d} exceeds cap "
+                f"{cfg.max_cover_degree}")
+        if order > 1:
+            tower = tower + (TowerStep(f"H_f/{order}H_f", order ** d,
+                                       modulus=order),)
+    return _certificate_from_tower(base_map, tower, method, finding)
+
+
 def build_certificate(f, finding, cfg=None):
     """Convert a criterion hit into an exactly verified cover certificate."""
-    cfg = cfg or SearchConfig()
     if finding is None:
         raise ValidationError("no finding to convert")
-    an = Analysis.of(f)
-    method = {"direct": "direct", "l2": "l2trace",
-              "anchored": "anchoring", "character": "character"}[finding.kind]
-    if finding.kind == "direct":
-        return _certificate_from_tower(f, (), "direct", finding, cfg)
-    chi, _k = _locate_character(an, finding, cfg)
-    order = chi.exact_order()
-    if order == 1:
-        # trivial character: the augmentation already certifies the base
-        return _certificate_from_tower(f, (), method, finding, cfg)
-    d = an.quotient.rank
-    degree = order ** d
-    if degree > cfg.max_cover_degree:
-        raise ResourceLimitError(
-            f"certificate cover degree {degree} exceeds cap "
-            f"{cfg.max_cover_degree}")
-    step = TowerStep(f"H_f/{order}H_f", degree, modulus=order)
-    return _certificate_from_tower(f, (step,), method, finding, cfg)
+    return _certify(f, (), 1, Analysis.of(f), finding, cfg or SearchConfig())
 
 
 def rebuild_tower(f, tower, cfg=None):
@@ -433,12 +453,7 @@ def verify_certificate(cert, cfg=None):
         final_map, total = rebuild_tower(f, cert.tower, cfg)
         check("tower-degree", total == cert.degree,
               f"rebuilt total degree {total}, stored {cert.degree}")
-        if cert.tower:
-            matrix = h1_action_on_cover(final_map)
-        else:
-            st = spanning_tree(f.graph)
-            matrix = [list(r) for r in homology_action(f, st).matrix]
-        rebuilt = linalg.charpoly_int(matrix)
+        rebuilt = linalg.charpoly_int(_h1_matrix(final_map))
         check("charpoly-rebuild", rebuilt == cp,
               "characteristic polynomial of the rebuilt tower differs")
     except CertificateError as exc:
@@ -454,22 +469,19 @@ def brute_force_oracle(f, max_degree, cfg=None):
     """Enumerate reduction-mod-k covers in order and certify the first whose
     lifted homology action leaves the unit circle; independent of the
     criteria machinery."""
-    cfg = cfg or SearchConfig()
     an = Analysis.of(f)
     d = an.quotient.rank
     k = 1
     while (k ** d if d else 1) <= max_degree:
         if k == 1:
-            matrix = [list(r) for r in an.action.matrix]
-            tower = ()
+            level, tower = f, ()
         else:
             cover = abelian_cover(f.graph, an.quotient, k)
-            lifted = lift_map(f, cover)
-            matrix = h1_action_on_cover(lifted)
+            level = lift_map(f, cover)
             tower = (TowerStep(f"H_f/{k}H_f", cover.degree, modulus=k),)
-        verdict = unit_circle_test(linalg.charpoly_int(matrix))
+        verdict = unit_circle_test(linalg.charpoly_int(_h1_matrix(level)))
         if not verdict.all_on_circle:
-            return _certificate_from_tower(f, tower, "brute-force", None, cfg)
+            return _certificate_from_tower(f, tower, "brute-force", None)
         if d == 0:
             break
         k += 1
@@ -495,32 +507,14 @@ def _tower_search(base_map, current, tower, degree, depth, cfg, diagnostics):
 
     finding = check_direct(current, an)
     if finding is not None:
-        method = "direct" if not tower else "tower"
-        return _certificate_from_tower(base_map, tower, method, finding, cfg)
+        return _certify(base_map, tower, degree, an, finding, cfg)
 
     for criterion in (check_l2, check_anchored, character_scan):
         finding = criterion(an.matrix, cfg)
         if finding is None:
             continue
         try:
-            chi, _ = _locate_character(an, finding, cfg)
-            order = chi.exact_order()
-            if order > 1:
-                d = an.quotient.rank
-                step_degree = order ** d
-                if degree * step_degree > cfg.max_cover_degree:
-                    raise ResourceLimitError(
-                        f"conversion cover degree {degree * step_degree} "
-                        f"exceeds cap {cfg.max_cover_degree}")
-                candidate = tower + (TowerStep(f"H_f/{order}H_f", step_degree,
-                                               modulus=order),)
-            else:
-                candidate = tower
-            method = ({"l2": "l2trace", "anchored": "anchoring",
-                       "character": "character"}[finding.kind]
-                      if not tower else "tower")
-            return _certificate_from_tower(base_map, candidate, method,
-                                           finding, cfg)
+            return _certify(base_map, tower, degree, an, finding, cfg)
         except (CertificateError, ResourceLimitError) as exc:
             diagnostics.append(
                 f"depth {depth}: {finding.kind} finding did not convert: {exc}")
@@ -530,8 +524,7 @@ def _tower_search(base_map, current, tower, degree, depth, cfg, diagnostics):
     d = an.quotient.rank
     if d == 0:
         return None
-    k = 2
-    while degree * (k ** d) <= cfg.max_cover_degree:
+    for k in range(2, _order_bound(degree, d, cfg.max_cover_degree) + 1):
         cover = abelian_cover(current.graph, an.quotient, k)
         lifted = lift_map(current, cover)
         step = TowerStep(f"H_f/{k}H_f", cover.degree, modulus=k)
@@ -540,5 +533,4 @@ def _tower_search(base_map, current, tower, degree, depth, cfg, diagnostics):
                               diagnostics)
         if found is not None:
             return found
-        k += 1
     return None

@@ -47,12 +47,6 @@ class TransitionGraph:
     quotient: object
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def arcs_from(self, i):
-        return [a for a in self.arcs if a.source == i]
-
-    def node_index(self, name):
-        return self.nodes.index(name)
-
 
 def transition_graph(f, st, q):
     g = f.graph
@@ -292,13 +286,8 @@ def is_stable(matrix):
     Over a characteristic-zero integral domain, vanishing of the first m
     power traces forces nilpotency, so this test is exact.
     """
-    power = matrix
-    for k in range(1, matrix.size + 1):
-        if k > 1:
-            power = magnus.mat_mul(power, matrix)
-        if not magnus.trace(power).is_zero():
-            return True
-    return False
+    return any(not magnus.trace_power(matrix, k).is_zero()
+               for k in range(1, matrix.size + 1))
 
 
 def dilatation(transition):
@@ -328,19 +317,14 @@ def positive_power(vertex_matrices, vertices, bound):
     for mat in vertex_matrices:
         if not is_stable(mat):
             raise ValidationError("positive_power requires stable vertices")
-    powers = list(vertex_matrices)
+    def positive_monomial(mat, v, k):
+        tr = magnus.trace_power(mat, k)
+        return len(tr.terms) == 1 and tr.coefficient(
+            tuple(k * x for x in v)) > 0
+
     for k in range(1, bound + 1):
-        if k > 1:
-            powers = [magnus.mat_mul(p, a)
-                      for p, a in zip(powers, vertex_matrices)]
-        ok = True
-        for mat_k, v in zip(powers, vertices):
-            tr = magnus.trace(mat_k)
-            target = tuple(k * x for x in v)
-            if not (len(tr.terms) == 1 and tr.coefficient(target) > 0):
-                ok = False
-                break
-        if ok:
+        if all(positive_monomial(mat, v, k)
+               for mat, v in zip(vertex_matrices, vertices)):
             return k
     return None
 

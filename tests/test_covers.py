@@ -8,7 +8,7 @@ from homolift.covers import (abelian_cover, chain_action_matrix,
                              cover_chain_action_check, deck_action_on_quotient,
                              deck_commutes, h1_action_on_cover, lift_map,
                              spectral_radius, unit_circle_test)
-from homolift.errors import ValidationError
+from homolift.errors import ResourceLimitError, ValidationError
 from homolift.graphs import parse_graph_map
 from homolift.homology import (equivariant_quotient, homology_action,
                                spanning_tree)
@@ -102,6 +102,12 @@ def test_s3_cover_action_roots_of_unity(analyses):
     assert len(matrix) == 5
     verdict = unit_circle_test(linalg.charpoly_int(matrix))
     assert verdict.all_on_circle
+
+
+def test_charpoly_prime_pool_exhausted_is_resource_limit():
+    # the coefficient bound 2^5000 is beyond the 64 primes of 62 bits
+    with pytest.raises(ResourceLimitError, match="prime pool"):
+        linalg.charpoly_int([[2 ** 5000]])
 
 
 def test_unit_circle_examples():

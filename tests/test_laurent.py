@@ -54,11 +54,6 @@ def test_specialize_examples():
     assert abs(v.to_complex() - (1 - 1j)) < 1e-12
 
 
-def test_specialize_float_mode():
-    chi = Character(2, float_values=(1j, 1.0))
-    assert abs(specialize(ONE - X, chi) - (1 - 1j)) < 1e-12
-
-
 @settings(max_examples=40)
 @given(laurent_elements(2, exp_bound=2), laurent_elements(2, exp_bound=2),
        st.integers(1, 6), st.tuples(st.integers(0, 5), st.integers(0, 5)))

@@ -171,8 +171,11 @@ def test_newton_identities(analyses):
             assert ps[k] == rhs
 
 
-def test_mat_pow_cache_consistency(analyses):
-    a = analyses["example_s3"].matrix
-    p3 = magnus.mat_pow(a, 3)
+def test_trace_power_cache_consistency(analyses):
+    a = magnus.magnus_matrix(analyses["example_s3"].transition)  # fresh cache
     direct = magnus.mat_mul(magnus.mat_mul(a, a), a)
-    assert p3 == direct
+    assert magnus.trace_power(a, 3) == magnus.trace(direct)
+    # read back out of order from the cache, which keeps only the latest power
+    assert magnus.trace_power(a, 2) == magnus.trace(magnus.mat_mul(a, a))
+    assert magnus.trace_power(a, 1) == magnus.trace(a)
+    assert a._cache["power"] == direct

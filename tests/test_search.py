@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from homolift import magnus
+from homolift import magnus, search
 from homolift.covers import CoverCertificate
-from homolift.errors import ValidationError
+from homolift.errors import (CertificateError, ResourceLimitError,
+                             ValidationError)
 from homolift.laurent import (Lattice, LaurentElement, annihilator_characters,
                               lattice_restriction)
 from homolift.search import (Analysis, Finding, SearchConfig,
@@ -142,6 +143,58 @@ def test_criterion_to_certificate_on_corpus(analyses):
             if fnd is not None:
                 cert = build_certificate(an.graph_map, fnd, CFG)
                 assert verify_certificate(cert)["ok"]
+
+
+def test_criteria_share_one_trace_sequence(analyses, monkeypatch):
+    calls = []
+    mul = magnus.mat_mul
+    monkeypatch.setattr(magnus, "mat_mul",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    for an in analyses.values():
+        a = magnus.magnus_matrix(an.transition)  # fresh trace cache
+        calls.clear()
+        for crit in (check_l2, check_anchored, character_scan):
+            crit(a, CFG)
+        assert len(calls) <= CFG.max_power - 1
+
+
+def test_conversion_cap_bounds_the_character_grid(analyses, monkeypatch):
+    # silver's l2 hit needs a degree-2 cover; under cap 1 only the trivial
+    # character may be tried, and the cap is reported, not a contradiction
+    orders = []
+    grid = search.character_grid
+    monkeypatch.setattr(search, "character_grid",
+                        lambda d, q: orders.append(q) or grid(d, q))
+    an = analyses["unipotent_silver"]
+    with pytest.raises(ResourceLimitError):
+        build_certificate(an.graph_map, check_l2(an.matrix, CFG),
+                          SearchConfig(max_cover_degree=1))
+    assert orders == [1]
+
+
+def test_build_certificate_matches_tower_search(analyses):
+    # one conversion path: the first finding that converts on the base
+    # level gives the same certificate bytes either way
+    cfg = SearchConfig(max_tower_depth=1)
+    converted = 0
+    for an in analyses.values():
+        f = an.graph_map
+        findings = [check_direct(f, an)] + [
+            crit(an.matrix, cfg)
+            for crit in (check_l2, check_anchored, character_scan)]
+        for fnd in findings:
+            if fnd is None:
+                continue
+            try:
+                cert = build_certificate(f, fnd, cfg)
+            except (CertificateError, ResourceLimitError):
+                continue
+            found = tower_search(f, cfg)
+            assert (json.dumps(found.to_json(), sort_keys=True)
+                    == json.dumps(cert.to_json(), sort_keys=True))
+            converted += 1
+            break
+    assert converted == 3  # golden_mean, unipotent_silver, unipotent_rank2
 
 
 def test_oracle_golden(golden):
