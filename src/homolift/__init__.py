@@ -27,8 +27,7 @@ from .covers import (CoverCertificate, CoverGraph, FiniteQuotient, LiftedMap,
                      spectral_radius, unit_circle_test)
 from .search import (Analysis, Finding, SearchConfig, brute_force_oracle,
                      build_certificate, character_scan, check_anchored,
-                     check_direct, check_l2, input_digest,
-                     lattice_from_polytope, rebuild_tower, tower_search,
-                     verify_certificate)
+                     check_direct, check_l2, input_digest, rebuild_tower,
+                     tower_search, verify_certificate)
 
 __version__ = "0.1.0"

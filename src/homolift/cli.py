@@ -15,13 +15,13 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from . import corpus, magnus
+from . import corpus
 from .covers import CoverCertificate
 from .errors import HomoliftError
 from .graphs import check_immersion, parse_graph_map
-from .search import (Analysis, SearchConfig, brute_force_oracle,
-                     character_scan, check_anchored, check_direct, check_l2,
-                     input_digest, tower_search, verify_certificate)
+from .search import (Analysis, SearchConfig, character_scan, check_anchored,
+                     check_direct, check_l2, input_digest, tower_search,
+                     verify_certificate)
 from .transition import (dilatation, dimension_diagnostic, is_stable, shadow,
                          simple_cycles, subgraph_matrix, vertex_subgraph)
 
@@ -100,7 +100,7 @@ def _finding_json(finding):
 def _analysis_report(spec, an, cfg):
     f = an.graph_map
     poly_report, poly = _shadow_report(an, cfg.cycle_cap)
-    diag = dimension_diagnostic(f, poly, an.quotient)
+    diag = dimension_diagnostic(an.transition, poly)
     report = {
         "input": {
             "source": spec,

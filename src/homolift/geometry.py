@@ -7,7 +7,6 @@ not convex combinations of the others.
 """
 
 from fractions import Fraction
-from itertools import product
 
 from . import linalg
 
@@ -87,49 +86,3 @@ def affine_dimension(points):
     if not diffs:
         return 0
     return linalg.mat_rank_rational(diffs)
-
-
-def lattice_points_in_hull(translate, basis_rows, hull_points):
-    """All points of (translate + Z-span(basis_rows)) inside conv(hull_points).
-
-    basis_rows must have full rank equal to the ambient dimension; the hull
-    is compact so the search is a finite box in lattice coordinates.
-    """
-    d = len(translate)
-    if d == 0:
-        return [()] if hull_points else []
-    binv = _rational_inverse(basis_rows)
-    corners = []
-    for p in hull_points:
-        diff = [Fraction(x) - Fraction(w) for x, w in zip(p, translate)]
-        corners.append([sum(diff[i] * binv[i][j] for i in range(d))
-                        for j in range(d)])
-    los = [min(c[j] for c in corners) for j in range(d)]
-    his = [max(c[j] for c in corners) for j in range(d)]
-    out = []
-    ranges = [range(int(lo.__floor__()), int((-(-hi).__floor__())) + 1)
-              for lo, hi in zip(los, his)]
-    for ys in product(*ranges):
-        x = tuple(translate[j] + sum(ys[i] * basis_rows[i][j] for i in range(d))
-                  for j in range(d))
-        if in_convex_hull([Fraction(v) for v in x], hull_points):
-            out.append(x)
-    return sorted(out)
-
-
-def _rational_inverse(rows):
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("singular basis")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]

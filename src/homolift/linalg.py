@@ -224,21 +224,6 @@ def hermite_row_form(mat):
     return h, u
 
 
-def saturation_complement(rows, dim):
-    """Basis rows of a complement of the saturation of span(rows) in Z^dim.
-
-    The returned (dim - rank) x dim matrix, stacked under a basis of the
-    saturation, is unimodular.
-    """
-    if not rows:
-        return identity_matrix(dim)
-    s, d, t = smith_normal_form([list(r) for r in rows])
-    rank = sum(1 for x in smith_diagonal(d) if x)
-    tinv = int_matrix_inverse(t)
-    # span's saturation is spanned by the first `rank` rows of T^-1
-    return tinv[rank:]
-
-
 # ---------------------------------------------------------------------------
 # integer polynomials (lists, lowest degree first)
 

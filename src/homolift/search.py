@@ -15,18 +15,18 @@ cover group is solvable).
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import sqrt
 
 from . import linalg, magnus
-from .covers import (CoverCertificate, LiftedMap, TowerStep, abelian_cover,
-                     h1_action_on_cover, lift_map, unit_circle_test)
+from .covers import (CoverCertificate, TowerStep, abelian_cover, lift_map,
+                     unit_circle_test)
 from .errors import CertificateError, ResourceLimitError, ValidationError
-from .geometry import lattice_points_in_hull
 from .graphs import parse_graph_map, serialize_graph_map
 from .homology import equivariant_quotient, homology_action, spanning_tree
 from .laurent import (Lattice, annihilator_characters, character_grid,
                       l2_norm_squared, lattice_restriction, specialize)
-from .linalg import saturation_complement
+from .linalg import charpoly_int
 from .transition import transition_graph
 
 
@@ -74,25 +74,56 @@ class Finding:
         return out
 
 
-@dataclass
 class Analysis:
-    """Shared pipeline products for one graph map."""
+    """One tower level: a graph map (the base map or a lift to a cover)
+    and its pipeline products, each computed once, on first use."""
 
-    graph_map: object
-    tree: object
-    action: object
-    quotient: object
-    transition: object
-    matrix: object
+    def __init__(self, graph_map):
+        self.graph_map = graph_map
 
     @staticmethod
     def of(f):
-        st = spanning_tree(f.graph)
-        fa = homology_action(f, st)
-        q = equivariant_quotient(fa, st)
-        t = transition_graph(f, st, q)
-        a = magnus.magnus_matrix(t)
-        return Analysis(f, st, fa, q, t, a)
+        return Analysis(f)
+
+    @cached_property
+    def tree(self):
+        return spanning_tree(self.graph_map.graph)
+
+    @cached_property
+    def action(self):
+        return homology_action(self.graph_map, self.tree)
+
+    @cached_property
+    def quotient(self):
+        return equivariant_quotient(self.action, self.tree)
+
+    @cached_property
+    def transition(self):
+        return transition_graph(self.graph_map, self.tree, self.quotient)
+
+    @cached_property
+    def matrix(self):
+        return magnus.magnus_matrix(self.transition)
+
+    @cached_property
+    def charpoly(self):
+        """Integer characteristic polynomial of the H1 action, ascending."""
+        return charpoly_int(self.action.matrix)
+
+    @cached_property
+    def verdict(self):
+        return unit_circle_test(self.charpoly)
+
+    def cover(self, spec):
+        """The next tower level: the cover of this level's graph given by a
+        finite quotient of its dynamical quotient (a modulus k for H_f/kH_f,
+        or a basis matrix), with the lifted map.  Returns that level and
+        the tower step recording it."""
+        cover = abelian_cover(self.graph_map.graph, self.quotient, spec)
+        q = cover.quotient
+        step = TowerStep(q.describe(), cover.degree, modulus=q.modulus,
+                         basis=None if q.modulus is not None else q.basis)
+        return Analysis.of(lift_map(self.graph_map, cover).map), step
 
 
 def input_digest(f):
@@ -105,9 +136,7 @@ def input_digest(f):
 
 def check_direct(f, analysis=None):
     """Off-circle eigenvalue of the homology action itself."""
-    an = analysis or Analysis.of(f)
-    matrix = [list(r) for r in an.action.matrix]
-    verdict = unit_circle_test(linalg.charpoly_int(matrix))
+    verdict = (analysis or Analysis.of(f)).verdict
     if verdict.all_on_circle:
         return None
     return Finding("direct", value=f"{verdict.modulus:.9f}",
@@ -189,67 +218,6 @@ def character_scan(a, cfg):
 
 
 # ---------------------------------------------------------------------------
-# polytope -> lattice construction
-
-
-def lattice_from_polytope(poly, preferred_vertex=None):
-    """A translated lattice meeting the polytope in at least dim+1 points,
-    all of them vertices, spanning the polytope's affine hull.
-
-    Implemented as a verified search over lattices generated by vertex
-    differences (the shape the inductive construction produces), with every
-    candidate checked exactly by lattice point enumeration.
-    """
-    verts = [tuple(v) for v in poly.vertices]
-    if not verts:
-        raise ValidationError("empty polytope")
-    for v in verts:
-        for x in v:
-            if Fraction(x).denominator != 1:
-                raise ValidationError(
-                    "polytope has non-integral vertices; analyze a power of "
-                    "the map so the vertices become integral")
-    iverts = [tuple(int(x) for x in v) for v in verts]
-    d = poly.ambient_dim
-    if preferred_vertex is not None:
-        pv = tuple(int(x) for x in preferred_vertex)
-        if pv not in iverts:
-            raise ValidationError(f"{pv} is not a vertex of the polytope")
-    else:
-        pv = min(iverts)
-    if poly.dim == 0 or len(iverts) == 1:
-        return Lattice(d, (), pv)
-
-    diffs = sorted(tuple(a - b for a, b in zip(u, pv))
-                   for u in iverts if u != pv)
-
-    def candidate_sets():
-        yield diffs
-        from itertools import combinations
-        for size in range(poly.dim, len(diffs)):
-            for subset in combinations(diffs, size):
-                yield list(subset)
-
-    hull = [tuple(Fraction(x) for x in v) for v in iverts]
-    for gens in candidate_sets():
-        if linalg.mat_rank_rational([list(g) for g in gens]) != poly.dim:
-            continue
-        h, _u = linalg.hermite_row_form([list(g) for g in gens])
-        rows = [r for r in h if any(r)]
-        comp = saturation_complement(rows, d)
-        basis = [tuple(r) for r in rows] + [tuple(r) for r in comp]
-        pts = lattice_points_in_hull(pv, basis, hull)
-        if (len(pts) >= poly.dim + 1 and all(p in iverts for p in pts)
-                and pv in pts):
-            from .geometry import affine_dimension
-            if affine_dimension([tuple(Fraction(x) for x in p)
-                                 for p in pts]) == poly.dim:
-                return Lattice(d, tuple(basis), pv)
-    raise ResourceLimitError("no suitable lattice found among vertex-difference "
-                             "candidates")
-
-
-# ---------------------------------------------------------------------------
 # converting findings into certificates
 
 
@@ -315,31 +283,22 @@ def _locate_character(an, finding, bound):
         f"the threshold; this contradicts the averaging identity")
 
 
-def _h1_matrix(level):
-    """Integer H1 action of a tower level: the lifted map's on the cover,
-    or the base map's own."""
-    if isinstance(level, LiftedMap):
-        return h1_action_on_cover(level)
-    return [list(r) for r in
-            homology_action(level, spanning_tree(level.graph)).matrix]
-
-
-def _certificate_from_tower(f, tower, method, finding):
-    """Assemble and exactly re-verify a certificate for the given tower."""
-    final_map, total_degree = rebuild_tower(f, tower)
-    cp = linalg.charpoly_int(_h1_matrix(final_map))
-    verdict = unit_circle_test(cp)
+def _certificate(base_map, tower, degree, level, method, finding):
+    """Assemble the certificate for ``level``, the final level of ``tower``
+    (total ``degree``) held by the caller, and check it with
+    verify_certificate, the one replay of the tower."""
+    verdict = level.verdict
     if verdict.all_on_circle:
         raise CertificateError(
             f"finding did not convert: tower {[s.quotient for s in tower]} has "
             f"all eigenvalues on the unit circle (method {method})")
     cert = CoverCertificate(
-        input_digest=input_digest(f),
-        input_text=serialize_graph_map(f),
+        input_digest=input_digest(base_map),
+        input_text=serialize_graph_map(base_map),
         power=1,
-        tower=tuple(tower),
-        degree=total_degree,
-        charpoly=tuple(cp),
+        tower=tower,
+        degree=degree,
+        charpoly=tuple(level.charpoly),
         verdict=verdict.tag,
         witness_factor=verdict.witness,
         modulus=verdict.modulus,
@@ -368,9 +327,10 @@ def _certify(base_map, tower, degree, an, finding, cfg):
                 f"conversion cover degree {degree * order ** d} exceeds cap "
                 f"{cfg.max_cover_degree}")
         if order > 1:
-            tower = tower + (TowerStep(f"H_f/{order}H_f", order ** d,
-                                       modulus=order),)
-    return _certificate_from_tower(base_map, tower, method, finding)
+            an, step = an.cover(order)
+            tower += (step,)
+            degree *= step.degree
+    return _certificate(base_map, tower, degree, an, method, finding)
 
 
 def build_certificate(f, finding, cfg=None):
@@ -380,40 +340,32 @@ def build_certificate(f, finding, cfg=None):
     return _certify(f, (), 1, Analysis.of(f), finding, cfg or SearchConfig())
 
 
-def rebuild_tower(f, tower, cfg=None):
+def rebuild_tower(f, tower):
     """Replay a tower of abelian covers from the base map.
 
-    Returns (final lifted map or the base map for an empty tower, total
-    degree).  Each step's quotient is taken of the current level's own
-    dynamical quotient.
+    Returns (the final level's Analysis, total degree).  Each step's
+    quotient is taken of the current level's own dynamical quotient.
     """
-    current = f
-    lifted = None
+    level = Analysis.of(f)
     total = 1
     for step in tower:
-        st = spanning_tree(current.graph)
-        fa = homology_action(current, st)
-        q = equivariant_quotient(fa, st)
         if step.modulus is not None:
             spec = step.modulus
         elif step.basis is not None:
             spec = [list(r) for r in step.basis]
         else:
             raise CertificateError(f"tower step {step.quotient} not rebuildable")
-        cover = abelian_cover(current.graph, q, spec)
-        if cover.degree != step.degree:
+        level, rebuilt = level.cover(spec)
+        if rebuilt.degree != step.degree:
             raise CertificateError(
-                f"tower step {step.quotient}: rebuilt degree {cover.degree} "
+                f"tower step {step.quotient}: rebuilt degree {rebuilt.degree} "
                 f"!= recorded {step.degree}")
-        lifted = lift_map(current, cover)
-        current = lifted.map
-        total *= cover.degree
-    return (lifted if tower else f), total
+        total *= rebuilt.degree
+    return level, total
 
 
-def verify_certificate(cert, cfg=None):
+def verify_certificate(cert):
     """Re-derive the verdict from the stored tower; everything exact."""
-    cfg = cfg or SearchConfig()
     failures = []
     checks = []
 
@@ -450,11 +402,10 @@ def verify_certificate(cert, cfg=None):
           "certificate does not claim an off-circle eigenvalue")
 
     try:
-        final_map, total = rebuild_tower(f, cert.tower, cfg)
+        level, total = rebuild_tower(f, cert.tower)
         check("tower-degree", total == cert.degree,
               f"rebuilt total degree {total}, stored {cert.degree}")
-        rebuilt = linalg.charpoly_int(_h1_matrix(final_map))
-        check("charpoly-rebuild", rebuilt == cp,
+        check("charpoly-rebuild", level.charpoly == cp,
               "characteristic polynomial of the rebuilt tower differs")
     except CertificateError as exc:
         check("tower-rebuild", False, str(exc))
@@ -465,23 +416,21 @@ def verify_certificate(cert, cfg=None):
 # oracle and tower search
 
 
-def brute_force_oracle(f, max_degree, cfg=None):
+def brute_force_oracle(f, max_degree):
     """Enumerate reduction-mod-k covers in order and certify the first whose
     lifted homology action leaves the unit circle; independent of the
     criteria machinery."""
-    an = Analysis.of(f)
-    d = an.quotient.rank
+    base = Analysis.of(f)
+    d = base.quotient.rank
     k = 1
     while (k ** d if d else 1) <= max_degree:
         if k == 1:
-            level, tower = f, ()
+            level, tower, degree = base, (), 1
         else:
-            cover = abelian_cover(f.graph, an.quotient, k)
-            level = lift_map(f, cover)
-            tower = (TowerStep(f"H_f/{k}H_f", cover.degree, modulus=k),)
-        verdict = unit_circle_test(linalg.charpoly_int(_h1_matrix(level)))
-        if not verdict.all_on_circle:
-            return _certificate_from_tower(f, tower, "brute-force", None)
+            level, step = base.cover(k)
+            tower, degree = (step,), step.degree
+        if not level.verdict.all_on_circle:
+            return _certificate(f, tower, degree, level, "brute-force", None)
         if d == 0:
             break
         k += 1
@@ -499,13 +448,11 @@ def tower_search(f, cfg=None, diagnostics=None):
     cfg = cfg or SearchConfig()
     if diagnostics is None:
         diagnostics = []
-    return _tower_search(f, f, (), 1, 0, cfg, diagnostics)
+    return _tower_search(f, Analysis.of(f), (), 1, 0, cfg, diagnostics)
 
 
-def _tower_search(base_map, current, tower, degree, depth, cfg, diagnostics):
-    an = Analysis.of(current)
-
-    finding = check_direct(current, an)
+def _tower_search(base_map, an, tower, degree, depth, cfg, diagnostics):
+    finding = check_direct(an.graph_map, an)
     if finding is not None:
         return _certify(base_map, tower, degree, an, finding, cfg)
 
@@ -525,11 +472,9 @@ def _tower_search(base_map, current, tower, degree, depth, cfg, diagnostics):
     if d == 0:
         return None
     for k in range(2, _order_bound(degree, d, cfg.max_cover_degree) + 1):
-        cover = abelian_cover(current.graph, an.quotient, k)
-        lifted = lift_map(current, cover)
-        step = TowerStep(f"H_f/{k}H_f", cover.degree, modulus=k)
-        found = _tower_search(base_map, lifted.map, tower + (step,),
-                              degree * cover.degree, depth + 1, cfg,
+        level, step = an.cover(k)
+        found = _tower_search(base_map, level, tower + (step,),
+                              degree * step.degree, depth + 1, cfg,
                               diagnostics)
         if found is not None:
             return found

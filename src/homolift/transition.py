@@ -17,10 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry, magnus
+from .covers import unit_circle_test
 from .errors import ResourceLimitError, ValidationError
 from .graphs import EdgePath, empty_path
 from .homology import translate
 from .laurent import LaurentElement
+from .linalg import charpoly_int
 
 DEFAULT_CYCLE_CAP = 10 ** 6
 
@@ -290,25 +292,24 @@ def is_stable(matrix):
                for k in range(1, matrix.size + 1))
 
 
+def _growth_is_one(transition):
+    """Kronecker's exact test that the count matrix has spectral radius 1.
+
+    Every edge image is non-empty, so the radius is at least 1, and it is
+    at most 1 exactly when every eigenvalue is 0 or a root of unity.
+    """
+    return unit_circle_test(charpoly_int(transition.counts)).all_on_circle
+
+
 def dilatation(transition):
-    """Spectral radius of the unsigned traversal count matrix."""
-    counts = np.array(transition.counts, dtype=float)
-    if counts.size == 0:
+    """Spectral radius of the unsigned traversal count matrix; exactly 1.0
+    when the growth is 1."""
+    if not transition.counts:
         return 0.0
-    eigs = np.linalg.eigvals(counts)
+    if _growth_is_one(transition):
+        return 1.0
+    eigs = np.linalg.eigvals(np.array(transition.counts, dtype=float))
     return float(max(abs(eigs)))
-
-
-def count_matrix(f):
-    g = f.graph
-    nodes = [e.name for e in g.edges]
-    index = {name: i for i, name in enumerate(nodes)}
-    m = len(nodes)
-    counts = [[0] * m for _ in range(m)]
-    for e in g.edges:
-        for name, _ in f.edge_image[e.name].steps:
-            counts[index[e.name]][index[name]] += 1
-    return counts
 
 
 def positive_power(vertex_matrices, vertices, bound):
@@ -341,17 +342,16 @@ class DimensionDiagnostic:
     note: str
 
 
-def dimension_diagnostic(f, poly, q):
+def dimension_diagnostic(transition, poly):
     """Compare the polytope dimension against the rank formula; advisory.
 
     Surface mode (boundary count given): expected rank + 1 - b; free mode:
     expected rank.  Inputs with dilatation 1 are flagged as outside the
     formula's hypotheses rather than as mismatches.
     """
-    b = f.boundary_count
-    counts = np.array(count_matrix(f), dtype=float)
-    lam = float(max(abs(np.linalg.eigvals(counts)))) if counts.size else 0.0
-    applicable = lam > 1 + 1e-9
+    b = transition.graph_map.boundary_count
+    q = transition.quotient
+    applicable = not _growth_is_one(transition)
     if b is not None:
         mode = "surface"
         expected = q.rank + 1 - b

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -173,3 +174,66 @@ def test_resource_cap_is_an_error_not_a_miss():
     code, _, err = run("analyze", "corpus:example_s3", "--cycle-cap", "1")
     assert code == 1
     assert "cap" in err
+
+
+# sha256 of the canonical --json output and the exit code, per command line;
+# any change to a corpus report's bytes must show up here
+CLI_DIGESTS = [
+    ("analyze corpus:example_s3 --json", 0,
+     "62274ae8187f8d4e61986ceb3df6e540cdd9c7cd4d52b0ec05d9db6290f052d4"),
+    ("magnus corpus:example_s3 --json", 0,
+     "f3b045d5558e164835d2e33298f26a746750365d9d7761bf8c462983395b78f6"),
+    ("shadow corpus:example_s3 --json", 0,
+     "1cac6e3d19a7f91f114da233313be29fbd55f2e8c9bcf8021b50760a80ac72a6"),
+    ("stability corpus:example_s3 --json", 0,
+     "b03999f33e9f653d815f4751a644ce987ea2ff7c41c0d8119e2c06dfb8f08c45"),
+    ("analyze corpus:golden_mean --json", 0,
+     "f6c1e930f6d7654813e270c11944d83c84934faf67866c9da7bafb2688acda87"),
+    ("magnus corpus:golden_mean --json", 0,
+     "6eb258f17eab513e9fd706a3ae8d021f3f5d4e9cd1e9b72c5939d9d539f3ddd8"),
+    ("shadow corpus:golden_mean --json", 0,
+     "2bf41fc8e6e713075679857fb843aa8f0bb974f3d19e5c125695cf533ca16e5c"),
+    ("stability corpus:golden_mean --json", 0,
+     "5dd167cc36faba2beba12b99cd889b87efcf243de0240f0dad32f2cedbe9d79c"),
+    ("analyze corpus:identity --json", 0,
+     "136b0a7218567e52751c0a2f484d38ac563b37a6c874dbf373f6768ef02baa0f"),
+    ("magnus corpus:identity --json", 0,
+     "3631548f424d305ded0a38bd89166ff871ab7609741600a86a6d5fd5e57d2843"),
+    ("shadow corpus:identity --json", 0,
+     "165a9f001cdde427bd004ffa8f7f73a3729562df9e9131d81a55978d0e2d8274"),
+    ("stability corpus:identity --json", 0,
+     "e703d3c0917763923822a2715855b5c957b0d65291ec3e74867478a4832d2727"),
+    ("analyze corpus:unipotent_rank2 --json", 0,
+     "7f094a4622f2d9b6a9fa3297d198600cf55c320f9950b917b56774e50b4b06a2"),
+    ("magnus corpus:unipotent_rank2 --json", 0,
+     "5ce2770bd7fb436f4ea511cc0d6122a132d2d1a988098caf7dbf719c4e9f0002"),
+    ("shadow corpus:unipotent_rank2 --json", 0,
+     "e0d0cd8ef53d27a7d9b1a8890a30facb2ef0b790dd780898701420bf7945c20b"),
+    ("stability corpus:unipotent_rank2 --json", 0,
+     "2833cbec114461b4b37aad59fad997232b89b3d75ed7841e9526b7bd058cc446"),
+    ("analyze corpus:unipotent_silver --json", 0,
+     "98836049e6e75c4dad4aad78bec162ed5b3290ce4c9d198b5f96c84849644fe2"),
+    ("magnus corpus:unipotent_silver --json", 0,
+     "9e82123fd18dc7a28d349c432e52134c2b5c6d714782f3eaf3bfca42fab3ab6e"),
+    ("shadow corpus:unipotent_silver --json", 0,
+     "8acf333512c7fce687b8fd96835bb8b4cb8ae54413d3c9fdd1888e552946ef16"),
+    ("stability corpus:unipotent_silver --json", 0,
+     "3e04121e992d286cc04971dae17755ef90ef2a314fe5eb479dddfbf5721b259e"),
+    ("search corpus:golden_mean --json", 0,
+     "b1970910b8cc38d59b2ad3da84729b496dda450025f379bcbc5db8586f2e4a7e"),
+    ("search corpus:unipotent_silver --json", 0,
+     "00ac89535e3545713aa448fd778873b0c7ba6e30222929dc654122aff38e698f"),
+    ("search corpus:unipotent_rank2 --json", 0,
+     "62d6431fc6941e50ecbfc34de08720d41e0051232e8b7f730555981c56319b32"),
+    ("search corpus:example_s3 --max-degree 64 --max-tower-depth 2 --json", 3,
+     "c961b8cc3c201f8a61bb2c217dbab8b7a05fc66d8e8ecf4e836c40925d9a2d4b"),
+    ("search corpus:identity --max-degree 64 --max-tower-depth 2 --json", 3,
+     "c961b8cc3c201f8a61bb2c217dbab8b7a05fc66d8e8ecf4e836c40925d9a2d4b"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", CLI_DIGESTS)
+def test_corpus_json_digest(argv, code, digest):
+    got, out, _ = run(*argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

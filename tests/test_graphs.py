@@ -5,7 +5,6 @@ from homolift.errors import ParseError, ValidationError
 from homolift.graphs import (EdgePath, check_immersion, empty_path,
                              iterate_edge_image, parse_graph_map,
                              serialize_graph_map)
-from homolift.transition import count_matrix
 
 
 def steps(word):
@@ -118,9 +117,10 @@ def test_iterate_functoriality(corpus_maps):
                     assert whole.steps == tuple(acc)
 
 
-def test_iterate_length_matches_count_matrix(corpus_maps):
-    for f in corpus_maps.values():
-        counts = count_matrix(f)
+def test_iterate_length_matches_count_matrix(analyses):
+    for an in analyses.values():
+        f = an.graph_map
+        counts = an.transition.counts
         names = [e.name for e in f.graph.edges]
         power = counts
         for k in range(1, 5):

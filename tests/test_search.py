@@ -1,21 +1,18 @@
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from homolift import magnus, search
 from homolift.covers import CoverCertificate
-from homolift.errors import (CertificateError, ResourceLimitError,
-                             ValidationError)
+from homolift.errors import CertificateError, ResourceLimitError
 from homolift.laurent import (Lattice, LaurentElement, annihilator_characters,
                               lattice_restriction)
 from homolift.search import (Analysis, Finding, SearchConfig,
                              brute_force_oracle, build_certificate,
                              character_scan, check_anchored, check_direct,
-                             check_l2, lattice_from_polytope, rebuild_tower,
-                             tower_search, verify_certificate)
-from homolift.transition import ShadowPolytope
+                             check_l2, rebuild_tower, tower_search,
+                             verify_certificate)
 
 CFG = SearchConfig()
 
@@ -74,44 +71,6 @@ def test_s3_anchored_values_bounded(analyses):
             for w in [(0, 0)] + t.support():
                 val = lattice_restriction(t, Lattice.scaled(2, j, w))
                 assert val <= 2
-
-
-def test_lattice_from_polytope_segment():
-    seg = ShadowPolytope(2, 1, ((Fraction(0), Fraction(0)),
-                                (Fraction(0), Fraction(1))), {})
-    lat = lattice_from_polytope(seg)
-    assert lat.is_finite_index()
-    assert lat.contains((0, 0)) and lat.contains((0, 1))
-    # meets the segment only at its endpoints
-    for den in (2, 3):
-        assert not lat.contains((0, Fraction(1, den)))
-
-
-def test_lattice_from_polytope_point():
-    pt = ShadowPolytope(2, 0, ((Fraction(1), Fraction(2)),), {})
-    lat = lattice_from_polytope(pt)
-    assert lat.basis == () and lat.translate == (1, 2)
-
-
-def test_lattice_from_polytope_triangle():
-    tri = ShadowPolytope(
-        2, 2, ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-               (Fraction(0), Fraction(1))), {})
-    lat = lattice_from_polytope(tri)
-    from homolift.geometry import lattice_points_in_hull
-    pts = lattice_points_in_hull(lat.translate, [list(r) for r in lat.basis],
-                                 [(Fraction(0), Fraction(0)),
-                                  (Fraction(1), Fraction(0)),
-                                  (Fraction(0), Fraction(1))])
-    assert sorted(pts) == [(0, 0), (0, 1), (1, 0)]
-    lat2 = lattice_from_polytope(tri, (1, 0))
-    assert lat2.translate == (1, 0)
-
-
-def test_lattice_from_polytope_non_integral():
-    seg = ShadowPolytope(1, 1, ((Fraction(-1, 2),), (Fraction(0),)), {})
-    with pytest.raises(ValidationError, match="power"):
-        lattice_from_polytope(seg)
 
 
 def test_build_certificate_golden(analyses):
@@ -240,6 +199,50 @@ def test_tower_unipotent_matches_oracle(silver, rank2):
         assert verify_certificate(tower)["ok"]
 
 
+RUNS = {
+    "tower_search": lambda f: tower_search(f, CFG),
+    "oracle": lambda f: brute_force_oracle(f, 2000),
+    "build_certificate": lambda f: build_certificate(
+        f, check_l2(Analysis.of(f).matrix, CFG)),
+}
+
+
+@pytest.mark.parametrize("name, run, charpolys, covers", [
+    ("golden_mean", "tower_search", 2, 0),
+    ("golden_mean", "oracle", 2, 0),
+    ("unipotent_silver", "tower_search", 3, 2),
+    ("unipotent_silver", "oracle", 3, 2),
+    ("unipotent_rank2", "oracle", 3, 2),
+    ("unipotent_silver", "build_certificate", 2, 2),
+])
+def test_each_level_is_built_once(corpus_maps, monkeypatch, name, run,
+                                  charpolys, covers):
+    # every level's cover and characteristic polynomial is computed once;
+    # verify_certificate's replay of the tower is the only second build
+    calls = dict.fromkeys(("charpoly_int", "abelian_cover", "rebuild_tower"),
+                          0)
+    for fn in calls:
+        def counted(*args, _fn=fn, _orig=getattr(search, fn)):
+            calls[_fn] += 1
+            return _orig(*args)
+        monkeypatch.setattr(search, fn, counted)
+    assert RUNS[run](corpus_maps[name]) is not None
+    assert calls == {"charpoly_int": charpolys, "abelian_cover": covers,
+                     "rebuild_tower": 1}
+
+
+def test_replay_skips_the_final_quotient(silver, monkeypatch):
+    # the final level of a replay needs only its H1 action: the Smith form
+    # of its dynamical quotient is never computed
+    cert = brute_force_oracle(silver, 2000)
+    calls = []
+    quotient = search.equivariant_quotient
+    monkeypatch.setattr(search, "equivariant_quotient",
+                        lambda *args: calls.append(1) or quotient(*args))
+    assert verify_certificate(cert)["ok"]
+    assert len(calls) == len(cert.tower) == 1
+
+
 def test_certificate_json_roundtrip(golden):
     cert = tower_search(golden, CFG)
     data = cert.to_json()
@@ -270,10 +273,10 @@ def test_certificate_wrong_input_detected(silver, golden):
 
 def test_rebuild_tower_deterministic(silver):
     cert = brute_force_oracle(silver, 2000)
-    lm, deg = rebuild_tower(silver, cert.tower)
+    level, deg = rebuild_tower(silver, cert.tower)
     assert deg == 2
-    lm2, _ = rebuild_tower(silver, cert.tower)
-    assert lm.map.edge_image == lm2.map.edge_image
+    level2, _ = rebuild_tower(silver, cert.tower)
+    assert level.graph_map.edge_image == level2.graph_map.edge_image
 
 
 def test_search_determinism(analyses):

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from homolift import geometry, magnus
+from homolift.cli import main
 from homolift.errors import ValidationError
 from homolift.graphs import parse_graph_map
 from homolift.homology import translate
@@ -212,14 +215,13 @@ def test_positive_power_none_within_bound():
 
 def test_dimension_diagnostic(analyses):
     gm = analyses["golden_mean"]
-    diag = dimension_diagnostic(gm.graph_map, shadow(gm.transition), gm.quotient)
+    diag = dimension_diagnostic(gm.transition, shadow(gm.transition))
     assert diag.mode == "free" and diag.applicable and diag.matches
     s3 = analyses["example_s3"]
-    diag = dimension_diagnostic(s3.graph_map, shadow(s3.transition), s3.quotient)
+    diag = dimension_diagnostic(s3.transition, shadow(s3.transition))
     assert not diag.applicable
     ident = analyses["identity"]
-    diag = dimension_diagnostic(ident.graph_map, shadow(ident.transition),
-                                ident.quotient)
+    diag = dimension_diagnostic(ident.transition, shadow(ident.transition))
     assert diag.shadow_dim == 0 and diag.expected_dim == 2 and not diag.matches
 
 
@@ -233,9 +235,30 @@ map b -> a
 """)
     from homolift.search import Analysis
     an = Analysis.of(f)
-    diag = dimension_diagnostic(f, shadow(an.transition), an.quotient)
+    diag = dimension_diagnostic(an.transition, shadow(an.transition))
     assert diag.mode == "surface"
     assert diag.expected_dim == an.quotient.rank  # b = 1
+
+
+def test_growth_one_is_exact(tmp_path):
+    # the count matrix has characteristic polynomial (x-1)^2 (x+1)^2; a
+    # float spectral radius lands just above 1 and used to pass for growth
+    path = tmp_path / "growth_one.gm"
+    path.write_text("""vertices: v
+edges: a: v -> v ; b: v -> v ; c: v -> v ; d: v -> v
+base: v
+map a -> d
+map b -> c
+map c -> b d
+map d -> a
+""")
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["analyze", str(path), "--json"], out, err) == 0
+    report = json.loads(out.getvalue())
+    assert report["dilatation"] == 1.0
+    diag = report["dimension_diagnostic"]
+    assert not diag["applicable"]
+    assert diag["note"].startswith("growth rate is 1")
 
 
 def test_counting_consistency(analyses):
