@@ -8,19 +8,47 @@ lifted maps unchanged.  Lifts are anchored at the fiber point over the base
 with the zero label; for quotients of the dynamical quotient the lift
 commutes with the whole deck group, which the tests verify.
 
+Characteristic polynomials of tower levels come from the deck group's
+characters, never from a dense H1 matrix.  The lift commutes with the deck
+group G, so its chain maps are matrices over Z[G]: A (edges x edges) on
+1-chains and V (vertices x vertices) on 0-chains, read off the images of
+the lifts at fiber 0.  Modulo a prime q = 1 (mod the exponent of G), and
+q > 2^62 does not divide |G|, every character chi is a ring map
+Z[G] -> F_q, and the chain complex C1 -> C0 splits into blocks
+A(chi) -> V(chi).  In the cover the cycles Z1 = H1 are an invariant
+subspace of C1 with C1/Z1 = B0, the boundaries, and C0 = B0 + (one class
+on which the map is the identity), so
+
+    charpoly(H1) = (x - 1) * prod det(xI - A(chi)) / prod det(xI - V(chi)),
+
+and character by character det(xI - V(chi)) divides det(xI - A(chi)),
+times (x - 1) for the trivial character: the cover is connected, so only
+the trivial character sees H0.  Each block's determinant is a Hessenberg
+characteristic polynomial modulo q; the quotients multiply up a product
+tree, and CRT recombines against C(n, i) * L^i, L the longest edge image,
+which bounds the chain map's spectral radius and so every H1 eigenvalue.
+The base map is the case G = 1.  The dense charpoly of the cover's H1
+matrix stays as the test oracle.
+
 The off-circle decision is Kronecker's: a monic integer polynomial with
 nonzero constant term has all roots on the unit circle exactly when it is a
 product of cyclotomic polynomials, so stripping powers of x and all
-cyclotomic factors leaves 1 or an exact witness.
+cyclotomic factors leaves 1 or an exact witness.  Before dividing by
+Phi_n the polynomial is evaluated at a primitive n-th root of unity w
+modulo a prime q = 1 (mod n).  Phi_n(w) = 0 in F_q, since w is a root of
+x^n - 1 and of no x^d - 1 with d | n, d < n; so Phi_n | p forces p(w) = 0,
+and a nonzero value rules Phi_n out rigorously.  Only the orders that pass
+are confirmed by exact division.
 """
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 
 import numpy as np
 
 from . import linalg
-from .errors import LiftError, ValidationError
+from .errors import CertificateError, LiftError, ValidationError
 from .graphs import Edge, EdgePath, Graph, GraphMap, empty_path
 from .homology import (basis_loop, equivariant_quotient, homology_action,
                        path_class, spanning_tree)
@@ -296,6 +324,83 @@ def deck_commutes(lm):
     return True
 
 
+def _fiber_zero(f, cover):
+    """The level's chain maps as sparse matrices over Z[G]: for each base
+    edge the steps (base edge, element, sign) of the image of its lift at
+    fiber 0, and for each base vertex the (base vertex, element) of the
+    image of its lift at fiber 0.  With no cover, G = 1."""
+    if cover is None:
+        g = f.graph
+        edges = [[(n, (), d) for n, d in f.edge_image[e.name].steps]
+                 for e in g.edges]
+        return g, (), edges, [(f.vertex_image[v], ()) for v in g.vertices]
+    g = cover.base_graph
+    zero = cover.quotient.zero()
+    edges = [[(*cover.edge_info[n], d)
+              for n, d in f.edge_image[_ename(e.name, zero)].steps]
+             for e in g.edges]
+    vertices = [cover.vertex_info[f.vertex_image[_vname(v, zero)]]
+                for v in g.vertices]
+    return g, cover.quotient.diag, edges, vertices
+
+
+def level_charpoly(f, cover=None):
+    """Exact characteristic polynomial (ascending) of the H1 action of a
+    tower level: ``f`` is the lift to ``cover``, or the base map itself
+    when ``cover`` is None.  Computed from the deck group's character
+    blocks (see the module docstring); a disconnected cover, whose deck
+    group is a proper subgroup, is refused with LiftError."""
+    if cover is not None and cover.restricted:
+        raise LiftError(f"cover {cover.quotient.describe()} is disconnected: "
+                        "the cocycle does not generate the deck group")
+    graph, diag, edge_rows, vertex_rows = _fiber_zero(f, cover)
+    eidx = {e.name: i for i, e in enumerate(graph.edges)}
+    vidx = {v: i for i, v in enumerate(graph.vertices)}
+    order = lcm(*diag)
+    scale = [order // d for d in diag]
+    chars = list(product(*[range(d) for d in diag]))
+
+    def exponent(a, x):    # chi_a(x) = w^exponent, w of exact order `order`
+        return sum(ai * xi * s for ai, xi, s in zip(a, x, scale)) % order
+
+    terms = {}
+    for i, row in enumerate(edge_rows):
+        for name, x, d in row:
+            key = (i, eidx[name], x)
+            terms[key] = terms.get(key, 0) + d
+    blocks = [([(i, j, exponent(a, x), c) for (i, j, x), c in terms.items()
+                if c],
+               [(i, vidx[w], exponent(a, y))
+                for i, (w, y) in enumerate(vertex_rows)])
+              for a in chars]
+
+    def residues(q, w):
+        powers = [pow(w, k, q) for k in range(order)]
+        out = []
+        for a, (edge_terms, vertex_terms) in zip(chars, blocks):
+            am = [[0] * len(eidx) for _ in eidx]
+            for i, j, k, c in edge_terms:
+                am[i][j] += c * powers[k]
+            vm = [[0] * len(vidx) for _ in vidx]
+            for i, j, k in vertex_terms:
+                vm[i][j] = powers[k]
+            num = linalg.charpoly_mod(am, q)
+            if not any(a):    # times (x - 1): H0 lies in the trivial part
+                num = [(lo - hi) % q for lo, hi in zip([0] + num, num + [0])]
+            quo, rem = linalg.poly_divmod_monic(
+                num, linalg.charpoly_mod(vm, q), q)
+            if rem:
+                raise LiftError(
+                    "the lift does not commute with the deck group")
+            out.append(quo)
+        return linalg.poly_product_mod(out, q)
+
+    n = len(chars) * (len(eidx) - len(vidx)) + 1
+    longest = max((len(row) for row in edge_rows), default=1)
+    return linalg.multimodular(n, linalg.coefficient_bound(n, longest),
+                               residues, order)
+
+
 def h1_action_on_cover(lm):
     """Integer matrix of the induced homology action on the cover."""
     st = spanning_tree(lm.cover.graph)
@@ -340,6 +445,13 @@ class UnitCircleVerdict:
         return "all_on_unit_circle" if self.all_on_circle else "off_unit_circle"
 
 
+def _value_mod(coeffs, w, q):
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * w + c) % q
+    return value
+
+
 def unit_circle_test(coeffs):
     """Decide whether a monic integer polynomial has all roots on the unit
     circle; exact, no floating point in the verdict."""
@@ -351,17 +463,19 @@ def unit_circle_test(coeffs):
         zero_mult += 1
         coeffs = coeffs[1:]
     factors = []
-    deg = len(coeffs) - 1
-    for n in linalg.cyclotomic_orders_up_to_degree(deg):
-        phi = list(linalg.cyclotomic_polynomial(n))
-        if len(phi) - 1 > len(coeffs) - 1:
+    for n in linalg.cyclotomic_orders_up_to_degree(len(coeffs) - 1):
+        if len(coeffs) == 1:
+            break
+        if linalg.totient(n) > len(coeffs) - 1:
             continue
+        q, w = linalg.prime_root(n, 0)
         mult = 0
-        while len(coeffs) >= len(phi):
-            quo, rem = linalg.poly_divmod_monic(coeffs, phi)
+        while _value_mod(coeffs, w, q) == 0:   # else Phi_n cannot divide
+            quo, rem = linalg.poly_divmod_monic(
+                coeffs, list(linalg.cyclotomic_polynomial(n)))
             if rem:
                 break
-            coeffs = quo if quo else [1]
+            coeffs = quo
             mult += 1
         if mult:
             factors.append((n, mult))
@@ -466,8 +580,24 @@ class TowerStep:
 
     @staticmethod
     def from_json(obj):
+        def is_int(x):
+            return isinstance(x, int) and not isinstance(x, bool)
+
+        degree, modulus = obj["degree"], obj.get("modulus")
         basis = obj.get("basis")
-        return TowerStep(obj["quotient"], obj["degree"], obj.get("modulus"),
+        if not is_int(degree):
+            raise CertificateError(
+                f"tower step degree {degree!r} is not an integer")
+        if modulus is not None and not is_int(modulus):
+            raise CertificateError(
+                f"tower step modulus {modulus!r} is not an integer")
+        if basis is not None and not (
+                isinstance(basis, list)
+                and all(isinstance(r, list) and all(map(is_int, r))
+                        for r in basis)):
+            raise CertificateError(
+                f"tower step basis {basis!r} is not an integer matrix")
+        return TowerStep(obj["quotient"], degree, modulus,
                          tuple(tuple(r) for r in basis) if basis else None)
 
 

@@ -48,6 +48,8 @@ class Graph:
             raise ValidationError(f"undeclared base vertex {self.base}")
         if not self._is_connected():
             raise ValidationError("graph is not connected")
+        object.__setattr__(self, "_edge_by_name",
+                           {e.name: e for e in self.edges})
 
     def _is_connected(self):
         if len(self.vertices) <= 1:
@@ -68,7 +70,9 @@ class Graph:
 
     @property
     def edge_by_name(self):
-        return {e.name: e for e in self.edges}
+        # built once in __post_init__; a property, not a field, so it stays
+        # out of the dataclass's equality and repr
+        return self._edge_by_name
 
     def step_endpoints(self, step):
         """(start, end) of a single traversal (edge name, direction)."""

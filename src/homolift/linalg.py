@@ -234,35 +234,74 @@ def poly_trim(p):
     return p
 
 
-def poly_divmod_monic(p, q):
-    """Divide p by q where q is monic with integer coefficients."""
+def poly_divmod_monic(p, q, modulus=None):
+    """Divide p by q where q is monic with integer coefficients; with a
+    ``modulus``, divide in (Z/modulus)[x] and reduce the results."""
     if not q or q[-1] != 1:
         raise ValueError("divisor must be monic")
     rem = list(p)
     dq = len(q) - 1
     quo = [0] * max(0, len(p) - dq)
     for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i]
+        c = rem[i] % modulus if modulus else rem[i]
         if c:
             quo[i - dq] = c
             for j in range(dq + 1):
                 rem[i - dq + j] -= c * q[j]
+    if modulus:
+        rem = [c % modulus for c in rem]
     return poly_trim(quo), poly_trim(rem)
+
+
+def poly_mul_mod(a, b, q):
+    """Product of two polynomials modulo q (coefficients in [0, q)), by
+    Kronecker substitution: one big-integer product, each coefficient in
+    its own slot wide enough for a sum of min(len) products below q^2."""
+    if not a or not b:
+        return []
+    width = (2 * q.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+
+    def pack(p):
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in p),
+                              "little")
+
+    size = len(a) + len(b) - 1
+    data = (pack(a) * pack(b)).to_bytes(width * size, "little")
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little") % q
+            for i in range(size)]
+
+
+def poly_product_mod(polys, q):
+    """Product of many polynomials modulo q, multiplied pairwise up a
+    balanced tree so the large products are few."""
+    polys = list(polys) or [[1]]
+    while len(polys) > 1:
+        polys = [poly_mul_mod(polys[i], polys[i + 1], q)
+                 if i + 1 < len(polys) else polys[i]
+                 for i in range(0, len(polys), 2)]
+    return polys[0]
+
+
+def prime_factors(n):
+    """The distinct primes dividing n, ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @lru_cache(maxsize=None)
 def totient(n):
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -294,12 +333,14 @@ def cyclotomic_orders_up_to_degree(deg):
 
 
 # ---------------------------------------------------------------------------
-# exact characteristic polynomial of an integer matrix
+# exact characteristic polynomials, multimodularly
 #
-# Computed modulo several word-size primes via Hessenberg reduction and
-# recombined by CRT against a Gershgorin-type coefficient bound.  This keeps
-# the cost at O(n^3) per prime instead of the O(n^4) of division-free
-# methods.
+# Residues modulo word-size primes are recombined by CRT against an a priori
+# coefficient bound.  One prime source serves every caller: primes
+# q = 1 (mod n) above 2^62, each with a primitive n-th root of unity in F_q.
+
+
+CRT_PRIME_CAP = 64   # primes one reconstruction may use: 3968 bits
 
 
 def _is_probable_prime(n):
@@ -327,18 +368,72 @@ def _is_probable_prime(n):
     return True
 
 
-@lru_cache(maxsize=1)
-def _crt_primes():
-    primes = []
-    n = (1 << 62) + 1
-    while len(primes) < 64:
-        if _is_probable_prime(n):
-            primes.append(n)
-        n += 2
-    return tuple(primes)
+@lru_cache(maxsize=None)
+def prime_root(n, i):
+    """(q, w): the i-th prime q = 1 (mod n) above 2^62, ascending, and a
+    primitive n-th root of unity w modulo q (the smallest-base power
+    g^((q-1)/n) of exact order n).  Generated on demand and cached; for
+    n = 1 these are simply the primes above 2^62, with w = 1."""
+    step = n if n % 2 == 0 else 2 * n      # q odd
+    if i == 0:
+        q = (1 << 62) // step * step + 1
+        if q <= 1 << 62:
+            q += step
+    else:
+        q = prime_root(n, i - 1)[0] + step
+    while not _is_probable_prime(q):
+        q += step
+    factors = prime_factors(n)
+    g = 2
+    while True:
+        w = pow(g, (q - 1) // n, q)
+        if all(pow(w, n // p, q) != 1 for p in factors):
+            return q, w
+        g += 1
 
 
-def _charpoly_mod(rows, p):
+def coefficient_bound(n, radius):
+    """Bound on |e_i| for a monic degree-n polynomial whose roots all have
+    modulus at most ``radius``: max_i C(n, i) * radius^i."""
+    bound = binom = power = 1
+    for i in range(1, n + 1):
+        binom = binom * (n - i + 1) // i
+        power *= radius
+        bound = max(bound, binom * power)
+    return bound
+
+
+def multimodular(n, bound, residues, order=1):
+    """The integer polynomial of degree n (ascending, n + 1 coefficients)
+    whose coefficients are at most ``bound`` in absolute value, from
+    ``residues(q, w)``: its coefficients modulo each prime q of
+    ``prime_root(order, .)``, w the primitive root there.
+
+    The primes needed are counted before any residue is computed;
+    ResourceLimitError when more than CRT_PRIME_CAP are.
+    """
+    roots = []
+    modulus = 1
+    while modulus <= 2 * bound + 1:
+        if len(roots) == CRT_PRIME_CAP:
+            raise ResourceLimitError("charpoly: prime pool exhausted")
+        roots.append(prime_root(order, len(roots)))
+        modulus *= roots[-1][0]
+    coeffs = [0] * (n + 1)
+    for q, w in roots:
+        res = residues(q, w)
+        rest = modulus // q
+        lift = rest * pow(rest, -1, q)   # 1 mod q, 0 mod the other primes
+        for k in range(n + 1):
+            coeffs[k] += res[k] * lift
+    out = []
+    for c in coeffs:
+        c %= modulus
+        out.append(c - modulus if c > modulus // 2 else c)
+    return out
+
+
+def charpoly_mod(rows, p):
     """char poly of an integer matrix mod prime p, monic, ascending coeffs."""
     n = len(rows)
     h = [[x % p for x in row] for row in rows]
@@ -381,38 +476,12 @@ def _charpoly_mod(rows, p):
 
 
 def charpoly_int(rows):
-    """Exact characteristic polynomial det(xI - M), ascending coefficients."""
+    """Exact characteristic polynomial det(xI - M), ascending coefficients:
+    the dense path, used for the transition graph's count matrix and as the
+    test oracle of the cover levels' block path."""
     n = len(rows)
     if n == 0:
         return [1]
     norm = max(1, max(sum(abs(x) for x in row) for row in rows))
-    # |e_i(eigenvalues)| <= C(n, i) * norm^i
-    bound = 1
-    binom = 1
-    power = 1
-    for i in range(1, n + 1):
-        binom = binom * (n - i + 1) // i
-        power *= norm
-        bound = max(bound, binom * power)
-    residues = []
-    primes = []
-    modulus = 1
-    for p in _crt_primes():
-        residues.append(_charpoly_mod(rows, p))
-        primes.append(p)
-        modulus *= p
-        if modulus > 2 * bound + 1:
-            break
-    else:
-        raise ResourceLimitError("charpoly: prime pool exhausted")
-    coeffs = []
-    for i in range(n + 1):
-        x = 0
-        for res, p in zip(residues, primes):
-            q = modulus // p
-            x += res[i] * q * pow(q, p - 2, p)
-        x %= modulus
-        if x > modulus // 2:
-            x -= modulus
-        coeffs.append(x)
-    return coeffs
+    return multimodular(n, coefficient_bound(n, norm),
+                        lambda q, _w: charpoly_mod(rows, q))

@@ -19,14 +19,13 @@ from functools import cached_property
 from math import sqrt
 
 from . import linalg, magnus
-from .covers import (CoverCertificate, TowerStep, abelian_cover, lift_map,
-                     unit_circle_test)
+from .covers import (CoverCertificate, TowerStep, abelian_cover,
+                     level_charpoly, lift_map, unit_circle_test)
 from .errors import CertificateError, ResourceLimitError, ValidationError
 from .graphs import parse_graph_map, serialize_graph_map
 from .homology import equivariant_quotient, homology_action, spanning_tree
 from .laurent import (Lattice, annihilator_characters, character_grid,
                       l2_norm_squared, lattice_restriction, specialize)
-from .linalg import charpoly_int
 from .transition import transition_graph
 
 
@@ -75,15 +74,17 @@ class Finding:
 
 
 class Analysis:
-    """One tower level: a graph map (the base map or a lift to a cover)
-    and its pipeline products, each computed once, on first use."""
+    """One tower level: a graph map (the base map, or a lift to a cover
+    with its LiftedMap in ``lifted``) and its pipeline products, each
+    computed once, on first use."""
 
-    def __init__(self, graph_map):
+    def __init__(self, graph_map, lifted=None):
         self.graph_map = graph_map
+        self.lifted = lifted
 
     @staticmethod
-    def of(f):
-        return Analysis(f)
+    def of(f, lifted=None):
+        return Analysis(f, lifted)
 
     @cached_property
     def tree(self):
@@ -107,8 +108,10 @@ class Analysis:
 
     @cached_property
     def charpoly(self):
-        """Integer characteristic polynomial of the H1 action, ascending."""
-        return charpoly_int(self.action.matrix)
+        """Integer characteristic polynomial of the H1 action, ascending,
+        from the deck group's character blocks."""
+        return level_charpoly(self.graph_map,
+                              self.lifted.cover if self.lifted else None)
 
     @cached_property
     def verdict(self):
@@ -123,7 +126,8 @@ class Analysis:
         q = cover.quotient
         step = TowerStep(q.describe(), cover.degree, modulus=q.modulus,
                          basis=None if q.modulus is not None else q.basis)
-        return Analysis.of(lift_map(self.graph_map, cover).map), step
+        lifted = lift_map(self.graph_map, cover)
+        return Analysis.of(lifted.map, lifted), step
 
 
 def input_digest(f):
@@ -393,9 +397,12 @@ def verify_certificate(cert):
     check("witness", tuple(verdict.witness) == tuple(cert.witness_factor),
           "witness factor does not match the cyclotomic-stripped remainder")
     if not verdict.all_on_circle:
+        witness = list(cert.witness_factor)
+        monic = bool(witness) and witness[-1] == 1
         check("witness-divides",
-              not linalg.poly_divmod_monic(cp, list(cert.witness_factor))[1],
-              "stored witness does not divide the stored polynomial")
+              monic and not linalg.poly_divmod_monic(cp, witness)[1],
+              "stored witness does not divide the stored polynomial"
+              if monic else "stored witness is not monic")
         check("modulus", abs(verdict.modulus - cert.modulus) < 1e-6,
               f"recomputed modulus {verdict.modulus}, stored {cert.modulus}")
     check("off-circle", cert.verdict == "off_unit_circle",

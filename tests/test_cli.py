@@ -145,6 +145,36 @@ def test_verify_ok_and_tampered(tmp_path):
     assert not json.loads(out)["ok"]
 
 
+@pytest.fixture(scope="module")
+def silver_cert():
+    cert = tower_search(corpus.load("unipotent_silver"), SearchConfig())
+    return cert.to_json()
+
+
+@pytest.mark.parametrize("witness", [[1, 2], []])
+def test_verify_non_monic_witness_is_invalid(tmp_path, silver_cert, witness):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(silver_cert, witness_factor=witness)))
+    code, out, err = run("verify", str(path))
+    assert code == 1 and not err
+    assert "certificate INVALID" in out
+    assert "witness-divides: FAIL stored witness is not monic" in out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("modulus", "x"), ("modulus", 2.0), ("degree", "4"),
+    ("basis", [[1, "a"], [0, 1]]), ("basis", 3)])
+def test_verify_malformed_tower_step_is_error(tmp_path, silver_cert, field,
+                                              value):
+    data = json.loads(json.dumps(silver_cert))
+    data["tower"][0][field] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run("verify", str(path))
+    assert code == 1
+    assert err.startswith(f"error: tower step {field}")
+
+
 def test_missing_file_is_error():
     code, _, err = run("analyze", "/nonexistent/file.gm")
     assert code == 1

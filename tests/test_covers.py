@@ -2,16 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homolift import linalg, magnus
+from homolift import corpus, linalg, magnus
 from homolift.covers import (abelian_cover, chain_action_matrix,
                              cover_chain_action_check, deck_action_on_quotient,
-                             deck_commutes, h1_action_on_cover, lift_map,
-                             spectral_radius, unit_circle_test)
-from homolift.errors import ResourceLimitError, ValidationError
+                             deck_commutes, h1_action_on_cover, level_charpoly,
+                             lift_map, spectral_radius, unit_circle_test)
+from homolift.errors import LiftError, ResourceLimitError, ValidationError
 from homolift.graphs import parse_graph_map
-from homolift.homology import (equivariant_quotient, homology_action,
-                               spanning_tree)
+from homolift.homology import (EquivariantQuotient, equivariant_quotient,
+                               homology_action, spanning_tree)
 from homolift.laurent import Character, LaurentElement
 from homolift.search import Analysis
 from homolift.transition import (SubgraphSelection, dilatation,
@@ -130,6 +132,123 @@ def test_unit_circle_mixed():
     assert not v.all_on_circle
     assert v.witness == (-1, -1, 1)
     assert (2, 1) in v.cyclotomic_factors
+
+
+def _matches_dense(level):
+    """The level's block charpoly against the dense oracle: exactly, or
+    modulo one 62-bit prime for H1 matrices above 150 x 150, whose full
+    CRT reconstruction takes about a minute."""
+    dense = h1_action_on_cover(level.lifted)
+    if len(dense) <= 150:
+        return level.charpoly == linalg.charpoly_int(dense)
+    q, _w = linalg.prime_root(1, 0)
+    return ([c % q for c in level.charpoly]
+            == linalg.charpoly_mod(dense, q))
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_block_charpoly_matches_dense_on_corpus(analyses, name):
+    an = analyses[name]
+    assert an.charpoly == linalg.charpoly_int(an.action.matrix)   # G = 1
+    for k in range(2, 5) if an.quotient.rank else ():
+        level, _step = an.cover(k)
+        assert _matches_dense(level)
+
+
+@pytest.mark.parametrize("name, k1, k2", [
+    ("unipotent_silver", 2, 2), ("unipotent_silver", 2, 3),
+    ("example_s3", 2, 2), ("example_s3", 2, 3),
+    ("unipotent_rank2", 2, 2), ("unipotent_rank2", 2, 3),
+    ("identity", 2, 2)])
+def test_block_charpoly_matches_dense_on_multi_vertex_levels(analyses, name,
+                                                            k1, k2):
+    level, _step = analyses[name].cover(k1)
+    assert len(level.graph_map.graph.vertices) > 1
+    top, _step = level.cover(k2)
+    assert _matches_dense(top)
+
+
+@pytest.mark.parametrize("name", ["example_s3", "identity", "unipotent_rank2"])
+@pytest.mark.parametrize("basis", [[[2, 1], [0, 4]], [[3, 0], [0, 6]]])
+def test_block_charpoly_matches_dense_on_lattice_quotients(analyses, name,
+                                                           basis):
+    level, _step = analyses[name].cover(basis)
+    assert len(set(level.lifted.cover.quotient.diag)) == 2   # not k * I
+    assert _matches_dense(level)
+
+
+def test_restricted_cover_is_refused(analyses):
+    # doubling the cocycle makes it generate only 2Z/4 inside Z/4: the
+    # cover is connected but has half the deck group the characters assume
+    an = analyses["unipotent_silver"]
+    q = an.quotient
+    doubled = EquivariantQuotient(
+        q.rank, q.projection,
+        {e: tuple(2 * x for x in v) for e, v in q.cocycle.items()}, q._smith)
+    cov = abelian_cover(an.graph_map.graph, doubled, 4)
+    assert cov.restricted and cov.degree == 2
+    lm = lift_map(an.graph_map, cov)
+    with pytest.raises(LiftError, match="does not generate"):
+        level_charpoly(lm.map, cov)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 385])
+def test_prime_root_has_a_primitive_root(n):
+    previous = 1 << 62
+    for i in range(3):
+        q, w = linalg.prime_root(n, i)
+        assert q > previous and (q - 1) % n == 0
+        assert pow(w, n, q) == 1
+        assert all(pow(w, n // p, q) != 1 for p in linalg.prime_factors(n))
+        previous = q
+
+
+def _trial_division(coeffs):
+    """Reference cyclotomic stripping: divide by every Phi_n with
+    phi(n) <= degree, ascending, with no sieve."""
+    zero_mult = 0
+    while coeffs[0] == 0:
+        zero_mult += 1
+        coeffs = coeffs[1:]
+    factors = []
+    for n in linalg.cyclotomic_orders_up_to_degree(len(coeffs) - 1):
+        phi = list(linalg.cyclotomic_polynomial(n))
+        mult = 0
+        while len(coeffs) >= len(phi):
+            quo, rem = linalg.poly_divmod_monic(coeffs, phi)
+            if rem:
+                break
+            coeffs = quo
+            mult += 1
+        if mult:
+            factors.append((n, mult))
+    return zero_mult, tuple(factors), tuple(coeffs) if coeffs != [1] else ()
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3),
+       st.lists(st.tuples(st.integers(1, 40), st.integers(1, 2)), max_size=4),
+       st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+                max_size=2))
+def test_sieve_matches_trial_division(zeros, cyclotomic, others):
+    poly = [0] * zeros + [1]
+    for n, mult in cyclotomic:
+        for _ in range(mult):
+            poly = _poly_mul(poly, list(linalg.cyclotomic_polynomial(n)))
+    for low in others:
+        poly = _poly_mul(poly, low + [1])
+    v = unit_circle_test(poly)
+    assert (v.zero_multiplicity, v.cyclotomic_factors, v.witness) == \
+        _trial_division(poly)
+    assert v.all_on_circle == (not v.witness)
 
 
 def test_spectral_radius_examples():

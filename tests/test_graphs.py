@@ -212,3 +212,11 @@ base: u
 map x -> x
 map y -> y
 """)
+
+
+def test_edge_by_name_is_built_once(s3):
+    g = s3.graph
+    assert g.edge_by_name is g.edge_by_name
+    assert g.edge_by_name == {e.name: e for e in g.edges}
+    # a property, so a tracer can wrap its getter
+    assert isinstance(vars(type(g))["edge_by_name"], property)

@@ -219,7 +219,7 @@ def test_each_level_is_built_once(corpus_maps, monkeypatch, name, run,
                                   charpolys, covers):
     # every level's cover and characteristic polynomial is computed once;
     # verify_certificate's replay of the tower is the only second build
-    calls = dict.fromkeys(("charpoly_int", "abelian_cover", "rebuild_tower"),
+    calls = dict.fromkeys(("level_charpoly", "abelian_cover", "rebuild_tower"),
                           0)
     for fn in calls:
         def counted(*args, _fn=fn, _orig=getattr(search, fn)):
@@ -227,7 +227,7 @@ def test_each_level_is_built_once(corpus_maps, monkeypatch, name, run,
             return _orig(*args)
         monkeypatch.setattr(search, fn, counted)
     assert RUNS[run](corpus_maps[name]) is not None
-    assert calls == {"charpoly_int": charpolys, "abelian_cover": covers,
+    assert calls == {"level_charpoly": charpolys, "abelian_cover": covers,
                      "rebuild_tower": 1}
 
 
