@@ -8,7 +8,7 @@ from .graphs import (EdgePath, Graph, GraphMap, check_immersion,
                      iterate_edge_image, parse_graph_map, serialize_graph_map)
 from .homology import (EquivariantQuotient, HomologyAction, SpanningTreeData,
                        equivariant_quotient, homology_action, path_class,
-                       spanning_tree, translate)
+                       spanning_tree)
 from .laurent import (Character, Lattice, LaurentElement,
                       annihilator_characters, average_over_annihilator,
                       character_grid, l2_norm, l2_norm_squared,

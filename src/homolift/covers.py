@@ -151,12 +151,6 @@ class CoverGraph:
     edge_info: dict       # cover edge -> (base edge, element)
     restricted: bool      # True when the cocycle generated a proper subgroup
 
-    def vertex_name(self, v, elem):
-        return _vname(v, elem)
-
-    def edge_name(self, e, elem):
-        return _ename(e, elem)
-
     def deck_vertex(self, name, elem):
         v, x = self.vertex_info[name]
         return _vname(v, self.quotient.add(x, elem))
@@ -202,9 +196,7 @@ def abelian_cover(graph, quot, spec):
     deck group recorded; for quotients of the dynamical quotient the cocycle
     always generates, so this is a safety net.
     """
-    if isinstance(spec, FiniteQuotient):
-        fq = spec
-    elif isinstance(spec, int):
+    if isinstance(spec, int):
         fq = FiniteQuotient.from_modulus(quot.rank, spec)
     else:
         fq = FiniteQuotient.from_basis(quot.rank, spec)
@@ -563,6 +555,19 @@ def deck_action_on_quotient(lm, st_cover, q_cover, elem):
 # certificates
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x):
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+def _checked(value, ok, name, kind):
+    if not ok(value):
+        raise CertificateError(f"{name} {value!r} is not {kind}")
+
+
 @dataclass(frozen=True)
 class TowerStep:
     quotient: str
@@ -580,25 +585,26 @@ class TowerStep:
 
     @staticmethod
     def from_json(obj):
-        def is_int(x):
-            return isinstance(x, int) and not isinstance(x, bool)
-
+        _checked(obj, lambda x: isinstance(x, dict), "tower step", "an object")
         degree, modulus = obj["degree"], obj.get("modulus")
         basis = obj.get("basis")
-        if not is_int(degree):
-            raise CertificateError(
-                f"tower step degree {degree!r} is not an integer")
-        if modulus is not None and not is_int(modulus):
-            raise CertificateError(
-                f"tower step modulus {modulus!r} is not an integer")
-        if basis is not None and not (
-                isinstance(basis, list)
-                and all(isinstance(r, list) and all(map(is_int, r))
-                        for r in basis)):
-            raise CertificateError(
-                f"tower step basis {basis!r} is not an integer matrix")
+        _checked(degree, _is_int, "tower step degree", "an integer")
+        if modulus is not None:
+            _checked(modulus, _is_int, "tower step modulus", "an integer")
+        if basis is not None:
+            _checked(basis, lambda x: isinstance(x, list) and all(
+                map(_is_int_list, x)), "tower step basis", "an integer matrix")
         return TowerStep(obj["quotient"], degree, modulus,
                          tuple(tuple(r) for r in basis) if basis else None)
+
+
+_CERTIFICATE_FIELDS = (
+    ("power", _is_int, "an integer"), ("degree", _is_int, "an integer"),
+    ("zero_eigenvalues", _is_int, "an integer"),
+    ("charpoly", _is_int_list, "a list of integers"),
+    ("witness_factor", _is_int_list, "a list of integers"),
+    ("modulus", lambda x: isinstance(x, float) or _is_int(x), "a number"),
+    ("tower", lambda x: isinstance(x, list), "a list"))
 
 
 @dataclass(frozen=True)
@@ -635,17 +641,21 @@ class CoverCertificate:
 
     @staticmethod
     def from_json(obj):
+        if not isinstance(obj, dict):
+            raise CertificateError("certificate is not a JSON object")
+        for key, ok, kind in _CERTIFICATE_FIELDS:
+            _checked(obj[key], ok, f"certificate {key}", kind)
         return CoverCertificate(
             input_digest=obj["input_digest"],
             input_text=obj["input_text"],
             power=obj["power"],
             tower=tuple(TowerStep.from_json(s) for s in obj["tower"]),
             degree=obj["degree"],
-            charpoly=tuple(int(c) for c in obj["charpoly"]),
+            charpoly=tuple(obj["charpoly"]),
             verdict=obj["verdict"],
-            witness_factor=tuple(int(c) for c in obj["witness_factor"]),
+            witness_factor=tuple(obj["witness_factor"]),
             modulus=obj["modulus"],
-            zero_multiplicity=obj.get("zero_eigenvalues", 0),
+            zero_multiplicity=obj["zero_eigenvalues"],
             method=obj["method"],
             finding=obj.get("finding"),
         )

@@ -158,9 +158,6 @@ class Cyclotomic:
     def __truediv__(self, k):
         return Cyclotomic(self.order, tuple(x / k for x in self.coeffs))
 
-    def scalar_div(self, k):
-        return self / k
-
     def conjugate(self):
         n = self.order
         out = [0] * n

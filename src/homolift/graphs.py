@@ -190,10 +190,6 @@ class GraphMap:
                     f"image of {e.name} ends at {img.end(g)}, "
                     f"expected {self.vertex_image[e.terminus]}")
 
-    @property
-    def edge_count(self):
-        return len(self.graph.edges)
-
     def apply_to_path(self, path):
         """Image of an edge path, unreduced."""
         g = self.graph

@@ -4,6 +4,14 @@ self-map, and the torsion-free dynamical quotient it acts trivially on.
 The quotient is the torsion-free part of coker(I - f*), computed by Smith
 normal form; the projection matrix is put into Hermite form so identical
 inputs give identical matrices.
+
+The quotient's per-edge cocycle is the one map from paths to the quotient:
+a path's translation is the sum of the cocycle over its signed steps.  The
+cocycle of a basis edge is its column of the projection and a tree edge's
+is zero, so this sum is the projection of the path's closed-up class.  The
+transition graph's arc translations (hence the Magnus matrix) and the
+covers' edge labels both read it, so the Magnus matrix specialized at a
+character is the lift's chain action on that character's isotypic part.
 """
 
 from dataclasses import dataclass
@@ -18,6 +26,7 @@ class SpanningTreeData:
     tree_edges: frozenset
     tree_paths: dict      # vertex -> EdgePath from base
     h1_basis: tuple       # non-tree edge names, declaration order
+    basis_index: dict     # non-tree edge name -> position in h1_basis
 
     @property
     def rank(self):
@@ -55,7 +64,8 @@ def spanning_tree(graph):
         steps.reverse()
         paths[v] = EdgePath(tuple(steps)) if steps else empty_path(v)
     basis = tuple(e.name for e in graph.edges if e.name not in tree)
-    return SpanningTreeData(frozenset(tree), paths, basis)
+    return SpanningTreeData(frozenset(tree), paths, basis,
+                            {name: i for i, name in enumerate(basis)})
 
 
 def path_class(path, st):
@@ -64,10 +74,9 @@ def path_class(path, st):
     Tree paths contribute no basis edges, so this is just the signed count
     of basis-edge traversals in the path itself.
     """
-    idx = {name: i for i, name in enumerate(st.h1_basis)}
     out = [0] * len(st.h1_basis)
     for name, direction in path.steps:
-        i = idx.get(name)
+        i = st.basis_index.get(name)
         if i is not None:
             out[i] += direction
     return tuple(out)
@@ -89,12 +98,6 @@ class HomologyAction:
     def rank(self):
         return len(self.matrix)
 
-    def rows(self):
-        return [list(r) for r in self.matrix]
-
-    def to_text(self):
-        return "\n".join(" ".join(str(x) for x in row) for row in self.matrix)
-
 
 def homology_action(f, st):
     r = len(st.h1_basis)
@@ -113,18 +116,14 @@ class EquivariantQuotient:
     ``projection`` is d x r of full row rank with saturated row space;
     ``section`` is an integer right inverse (projection @ section = I_d),
     computed lazily since only the deck-action machinery needs it.
-    ``cocycle`` sends each edge to the image of its one-step path: zero on
-    tree edges.
+    ``cocycle`` sends each edge to the image of its one-step path: its
+    projection column for a basis edge, zero for a tree edge.
     """
 
     rank: int
     projection: tuple       # d rows of length r
     cocycle: dict           # edge name -> tuple of length d
     _smith: tuple           # (S, rank of I - f*, Hermite transform U)
-
-    def project(self, vec):
-        return tuple(sum(row[j] * vec[j] for j in range(len(vec)))
-                     for row in self.projection)
 
     @property
     def section(self):
@@ -147,11 +146,9 @@ class EquivariantQuotient:
         return cached
 
 
-def equivariant_quotient(fa, st=None):
-    """Torsion-free cokernel of (I - f*) via Smith normal form.
-
-    If ``st`` is given the per-edge cocycle is filled in (needed by the
-    transition graph and by covers).
+def equivariant_quotient(fa, st):
+    """Torsion-free cokernel of (I - f*) via Smith normal form, with the
+    per-edge cocycle on the spanning tree ``st`` that ``fa`` was taken in.
     """
     r = fa.rank
     m = [[int(i == j) - fa.matrix[i][j] for j in range(r)] for i in range(r)]
@@ -166,20 +163,10 @@ def equivariant_quotient(fa, st=None):
         proj, u = linalg.hermite_row_form(bottom)
     projection = tuple(tuple(row) for row in proj)
 
-    cocycle = {}
-    if st is not None:
-        for i, name in enumerate(st.h1_basis):
-            unit = [0] * r
-            unit[i] = 1
-            cocycle[name] = tuple(linalg.mat_vec(proj, unit)) if d else ()
-        for name in st.tree_edges:
-            cocycle[name] = (0,) * d
+    cocycle = {name: tuple(row[i] for row in projection)
+               for i, name in enumerate(st.h1_basis)}
+    cocycle.update(dict.fromkeys(st.tree_edges, (0,) * d))
     smith = (tuple(tuple(row) for row in s), rank_m,
              tuple(tuple(row) for row in u))
     return EquivariantQuotient(d, projection, cocycle, smith)
 
-
-def translate(q, st, path):
-    """Translation of a path in the dynamical quotient: project its class."""
-    vec = path_class(path, st)
-    return q.project(vec)

@@ -115,8 +115,6 @@ class LaurentElement:
         return LaurentElement(self.dim,
                               {v: c / k for v, c in self.terms.items()})
 
-    scalar_div = __truediv__
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LaurentElement.constant(self.dim, other)
@@ -186,10 +184,6 @@ class Character:
 
     def eval(self, vec):
         return Cyclotomic.root_of_unity(self.order, self.value_exponent(vec))
-
-    def inverse(self):
-        return Character(self.dim, self.order,
-                         tuple(-a % self.order for a in self.exponents))
 
 
 @dataclass(frozen=True)

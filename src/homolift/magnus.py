@@ -22,9 +22,6 @@ class MagnusMatrix:
     entries: tuple        # size x size tuple of LaurentElement
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
     def __eq__(self, other):
         if not isinstance(other, MagnusMatrix):
             return NotImplemented

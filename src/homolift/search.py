@@ -348,7 +348,8 @@ def rebuild_tower(f, tower):
     """Replay a tower of abelian covers from the base map.
 
     Returns (the final level's Analysis, total degree).  Each step's
-    quotient is taken of the current level's own dynamical quotient.
+    quotient is taken of the current level's own dynamical quotient, and
+    the step it rebuilds must equal the recorded one.
     """
     level = Analysis.of(f)
     total = 1
@@ -360,10 +361,9 @@ def rebuild_tower(f, tower):
         else:
             raise CertificateError(f"tower step {step.quotient} not rebuildable")
         level, rebuilt = level.cover(spec)
-        if rebuilt.degree != step.degree:
-            raise CertificateError(
-                f"tower step {step.quotient}: rebuilt degree {rebuilt.degree} "
-                f"!= recorded {step.degree}")
+        if rebuilt != step:
+            raise CertificateError(f"tower step {step.to_json()} rebuilds "
+                                   f"as {rebuilt.to_json()}")
         total *= rebuilt.degree
     return level, total
 
@@ -405,6 +405,10 @@ def verify_certificate(cert):
               if monic else "stored witness is not monic")
         check("modulus", abs(verdict.modulus - cert.modulus) < 1e-6,
               f"recomputed modulus {verdict.modulus}, stored {cert.modulus}")
+    check("power", cert.power == 1, f"stored power {cert.power}, expected 1")
+    zeros = verdict.zero_multiplicity
+    check("zero-eigenvalues", cert.zero_multiplicity == zeros,
+          f"recomputed {zeros}, stored {cert.zero_multiplicity}")
     check("off-circle", cert.verdict == "off_unit_circle",
           "certificate does not claim an off-circle eigenvalue")
 

@@ -4,7 +4,8 @@ Nodes are the edges of the underlying graph; each traversal of edge j inside
 the image of edge i contributes one arc i -> j, decorated with its ordinal,
 its sign, the prefix path before the traversal (including the reversed step
 for a negative traversal, so the prefix always ends at the origin of edge j),
-and the translation of that prefix in the dynamical quotient.
+and the translation of that prefix in the dynamical quotient: the running
+sum of the quotient's per-edge cocycle along the image.
 
 Simple cycles, the rational polytope spanned by their normalized
 translations, its extremal and vertex subgraphs, and per-vertex stability
@@ -20,7 +21,6 @@ from . import geometry, magnus
 from .covers import unit_circle_test
 from .errors import ResourceLimitError, ValidationError
 from .graphs import EdgePath, empty_path
-from .homology import translate
 from .laurent import LaurentElement
 from .linalg import charpoly_int
 
@@ -61,20 +61,23 @@ def transition_graph(f, st, q):
         i = index[e.name]
         img = f.edge_image[e.name]
         start_vertex = img.start(g)
+        before = (0,) * q.rank
         for idx, (name, direction) in enumerate(img.steps):
             j = index[name]
             counts[i][j] += 1
+            after = tuple(x + direction * c
+                          for x, c in zip(before, q.cocycle[name]))
             if direction > 0:
-                prefix_steps = img.steps[:idx]
+                prefix_steps, translation = img.steps[:idx], before
             else:
-                prefix_steps = img.steps[:idx + 1]
+                prefix_steps, translation = img.steps[:idx + 1], after
             prefix = (EdgePath(prefix_steps) if prefix_steps
                       else empty_path(start_vertex))
             arcs.append(Arc(
                 source=i, target=j, dec=counts[i][j], step_index=idx,
                 sign=1 if direction > 0 else -1,
-                prefix=prefix,
-                translation=translate(q, st, prefix)))
+                prefix=prefix, translation=translation))
+            before = after
     return TransitionGraph(nodes, q.rank, tuple(arcs),
                            tuple(tuple(r) for r in counts), f, st, q)
 

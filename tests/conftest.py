@@ -3,6 +3,7 @@ import re
 import pytest
 
 from homolift import corpus
+from homolift.homology import path_class
 from homolift.search import Analysis
 
 
@@ -47,3 +48,14 @@ def silver(corpus_maps):
 @pytest.fixture(scope="session")
 def rank2(corpus_maps):
     return corpus_maps["unipotent_rank2"]
+
+
+@pytest.fixture(scope="session")
+def dense_translation():
+    """Oracle for a path's translation in the dynamical quotient: the dense
+    product of the quotient's projection with the path's H1 class."""
+    def translation(quotient, tree, path):
+        vec = path_class(path, tree)
+        return tuple(sum(p * c for p, c in zip(row, vec))
+                     for row in quotient.projection)
+    return translation

@@ -22,7 +22,7 @@ from homolift.covers import (abelian_cover, chain_action_matrix,
 from homolift.cyclotomic import Cyclotomic
 from homolift.graphs import parse_graph_map
 from homolift.homology import (equivariant_quotient, homology_action,
-                               spanning_tree, translate)
+                               spanning_tree)
 from homolift.laurent import (Character, Lattice, LaurentElement,
                               annihilator_characters,
                               average_over_annihilator, character_grid,
@@ -184,7 +184,7 @@ def test_criterion_05_chain_action(analyses):
             f"specialized matrix exactly")
 
 
-def test_criterion_06_groupoid_and_extremal(analyses):
+def test_criterion_06_groupoid_and_extremal(analyses, dense_translation):
     started = time.time()
     rng = random.Random(1006)
     for an in analyses.values():
@@ -200,7 +200,7 @@ def test_criterion_06_groupoid_and_extremal(analyses):
             sign, trans, prefix = path_data(t, seq)
             assert trans == tuple(
                 sum(vals) for vals in zip(*(a.translation for a in seq)))
-            assert translate(an.quotient, an.tree, prefix) == trans
+            assert dense_translation(an.quotient, an.tree, prefix) == trans
         if t.dim == 0:
             continue
         for _ in range(20):

@@ -3,6 +3,8 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from homolift import corpus, magnus
 from homolift.cli import main
@@ -173,6 +175,74 @@ def test_verify_malformed_tower_step_is_error(tmp_path, silver_cert, field,
     code, _, err = run("verify", str(path))
     assert code == 1
     assert err.startswith(f"error: tower step {field}")
+
+
+@pytest.mark.parametrize("field, value, failed", [
+    ("power", 7, "power"), ("zero_eigenvalues", 3, "zero-eigenvalues"),
+    ("tower", [{"quotient": "H_f/3H_f", "degree": 2, "modulus": 2}],
+     "tower-rebuild")])
+def test_verify_rejects_tampered_values(tmp_path, silver_cert, field, value,
+                                        failed):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(silver_cert, **{field: value})))
+    code, out, err = run("verify", str(path))
+    assert code == 1 and not err
+    assert "certificate INVALID" in out and f"{failed}: FAIL" in out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("witness_factor", [-1.2, -2, 1]), ("witness_factor", None),
+    ("charpoly", ["x", 1]), ("charpoly", [1, True]), ("power", 1.0),
+    ("degree", "2"), ("zero_eigenvalues", 0.5), ("modulus", "big"),
+    ("tower", "abc"), ("tower", ["abc"])])
+def test_verify_malformed_field_is_error(tmp_path, silver_cert, field, value):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(silver_cert, **{field: value})))
+    code, out, err = run("verify", str(path))
+    assert code == 1 and not out
+    assert err.startswith("error: certificate") or \
+        err.startswith("error: tower step")
+
+
+def test_verify_non_object_is_error(tmp_path, silver_cert):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps([silver_cert]))
+    code, _, err = run("verify", str(path))
+    assert code == 1 and err == "error: certificate is not a JSON object\n"
+
+
+# Every field verify checks, with the certificate's path to it.  Integers
+# stay below 1000 because verify builds the cover a step modulus names.
+TAMPERED = [("input_digest",), ("input_text",), ("power",), ("tower",),
+            ("degree",), ("charpoly",), ("verdict",), ("witness_factor",),
+            ("modulus",), ("zero_eigenvalues",), ("tower", 0, "quotient"),
+            ("tower", 0, "degree"), ("tower", 0, "modulus")]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-999, 999) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.sampled_from(TAMPERED), value=JSON_VALUES)
+def test_verify_tampered_field_fails_cleanly(tmp_path, silver_cert, where,
+                                             value):
+    data = json.loads(json.dumps(silver_cert))
+    holder = data
+    for key in where[:-1]:
+        holder = holder[key]
+    if holder[where[-1]] == value:
+        return
+    holder[where[-1]] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run("verify", str(path))
+    assert code == 1
+    assert ("certificate INVALID" in out and not err) or \
+        (err.startswith("error: ") and err.count("\n") == 1)
 
 
 def test_missing_file_is_error():

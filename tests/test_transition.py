@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from homolift import geometry, magnus
+from homolift import corpus, geometry, magnus
 from homolift.cli import main
 from homolift.errors import ValidationError
-from homolift.graphs import parse_graph_map
-from homolift.homology import translate
+from homolift.graphs import EdgePath, parse_graph_map
 from homolift.laurent import LaurentElement
 from homolift.transition import (TransitionGraph, based_cycles, dilatation,
                                  dimension_diagnostic, extremal_subgraph,
@@ -301,7 +300,7 @@ def _random_arc_path(transition, rng, max_len):
     return out
 
 
-def test_groupoid_homomorphism(analyses):
+def test_groupoid_homomorphism(analyses, dense_translation):
     # translation of a path = sum of arc translations = translation of the
     # recursively built prefix (single-vertex base graphs)
     rng = random.Random(99)
@@ -314,8 +313,35 @@ def test_groupoid_homomorphism(analyses):
             sign, trans, prefix = path_data(t, arcs)
             assert trans == tuple(sum(x) for x in
                                   zip(*(a.translation for a in arcs)))
-            assert translate(an.quotient, an.tree, prefix) == trans
+            assert dense_translation(an.quotient, an.tree, prefix) == trans
             assert sign == math.prod(a.sign for a in arcs)
+
+
+def _assert_translations_are_dense(level, dense_translation):
+    # the cocycle of an edge is the projected class of its one-step path,
+    # and an arc's translation is the projected class of its prefix
+    q, st = level.quotient, level.tree
+    for e in level.graph_map.graph.edges:
+        step = EdgePath(((e.name, 1),))
+        assert q.cocycle[e.name] == dense_translation(q, st, step)
+    for arc in level.transition.arcs:
+        assert arc.translation == dense_translation(q, st, arc.prefix)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_arc_translations_match_dense_projection(analyses, name,
+                                                 dense_translation):
+    _assert_translations_are_dense(analyses[name], dense_translation)
+
+
+@pytest.mark.parametrize("name", ["unipotent_silver", "example_s3"])
+def test_arc_translations_match_dense_projection_on_covers(analyses, name,
+                                                           dense_translation):
+    level, _step = analyses[name].cover(2)
+    top, _step = level.cover(2)
+    assert len(top.graph_map.graph.vertices) > 1
+    assert any(a.sign < 0 for a in top.transition.arcs)
+    _assert_translations_are_dense(top, dense_translation)
 
 
 def test_cycle_translations_in_shadow(analyses):
