@@ -4,15 +4,20 @@ unit circle.
 
 A cover is stored as an ordinary Graph whose vertices are (base vertex,
 group element) pairs, so the homology and transition machinery applies to
-lifted maps unchanged.  Lifts are anchored at the fiber point over the base
-with the zero label; for quotients of the dynamical quotient the lift
-commutes with the whole deck group, which the tests verify.
+lifted maps unchanged.  The edge e@x runs from o(e)@x to t(e)@(x + c(e)),
+c the cocycle of the dynamical quotient reduced into the deck group G.
+The lift is anchored at the fiber point over the base with the zero label
+and commutes with G, so it is fixed by fiber 0: v@0 goes to f(v)@s(v), with
+s(base) = 0 and s(t(e)) = s(o(e)) + c(f(e)) - c(e) (c summed along the
+path), and e@0 to the lift of f(e) from f(o(e))@s(o(e)), which must end at
+f(t(e))@(c(e) + s(t(e))).  The lifted map is the translates of these
+fiber-zero rows by every x in G.
 
 Characteristic polynomials of tower levels come from the deck group's
 characters, never from a dense H1 matrix.  The lift commutes with the deck
 group G, so its chain maps are matrices over Z[G]: A (edges x edges) on
-1-chains and V (vertices x vertices) on 0-chains, read off the images of
-the lifts at fiber 0.  Modulo a prime q = 1 (mod the exponent of G), and
+1-chains and V (vertices x vertices) on 0-chains, which are the same
+fiber-zero rows.  Modulo a prime q = 1 (mod the exponent of G), and
 q > 2^62 does not divide |G|, every character chi is a ring map
 Z[G] -> F_q, and the chain complex C1 -> C0 splits into blocks
 A(chi) -> V(chi).  In the cover the cycles Z1 = H1 are an invariant
@@ -22,8 +27,9 @@ on which the map is the identity), so
     charpoly(H1) = (x - 1) * prod det(xI - A(chi)) / prod det(xI - V(chi)),
 
 and character by character det(xI - V(chi)) divides det(xI - A(chi)),
-times (x - 1) for the trivial character: the cover is connected, so only
-the trivial character sees H0.  Each block's determinant is a Hessenberg
+times (x - 1) for the trivial character: every edge's lift closes up, so
+the lift is a chain map, and the cover is connected, so only the trivial
+character sees H0.  Each block's determinant is a Hessenberg
 characteristic polynomial modulo q; the quotients multiply up a product
 tree, and CRT recombines against C(n, i) * L^i, L the longest edge image,
 which bounds the chain map's spectral radius and so every H1 eigenvalue.
@@ -41,7 +47,9 @@ and a nonzero value rules Phi_n out rigorously.  Only the orders that pass
 are confirmed by exact division.
 """
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import lcm
 
@@ -50,8 +58,7 @@ import numpy as np
 from . import linalg
 from .errors import CertificateError, LiftError, ValidationError
 from .graphs import Edge, EdgePath, Graph, GraphMap, empty_path
-from .homology import (basis_loop, equivariant_quotient, homology_action,
-                       path_class, spanning_tree)
+from .homology import basis_loop, homology_action, path_class, spanning_tree
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,16 @@ class FiniteQuotient:
         ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
         diag = tuple(k for _ in range(dim))
         return FiniteQuotient(dim, basis, diag, ident, ident, modulus=k)
+
+    @staticmethod
+    def of(dim, spec):
+        """The quotient a spec names: a modulus k (reduction mod k) or a
+        basis matrix; a FiniteQuotient stands for itself."""
+        if isinstance(spec, FiniteQuotient):
+            return spec
+        if isinstance(spec, int):
+            return FiniteQuotient.from_modulus(dim, spec)
+        return FiniteQuotient.from_basis(dim, spec)
 
     @staticmethod
     def from_basis(dim, rows):
@@ -119,10 +136,10 @@ class FiniteQuotient:
                                     [list(r) for r in self.transform_inv]))
 
     def add(self, a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.diag))
+        return tuple(map(operator.mod, map(operator.add, a, b), self.diag))
 
     def neg(self, a):
-        return tuple((-x) % d for x, d in zip(a, self.diag))
+        return tuple(map(operator.mod, map(operator.neg, a), self.diag))
 
     def zero(self):
         return (0,) * len(self.diag)
@@ -143,13 +160,18 @@ def _ename(e, elem):
 class CoverGraph:
     graph: Graph
     base_graph: Graph
-    quotient: FiniteQuotient
-    elements: tuple       # deck group elements actually used (may be a subgroup)
-    degree: int
+    quotient: FiniteQuotient   # the deck group G
     cocycle: dict         # base edge name -> quotient element
     vertex_info: dict     # cover vertex -> (base vertex, element)
     edge_info: dict       # cover edge -> (base edge, element)
-    restricted: bool      # True when the cocycle generated a proper subgroup
+
+    @property
+    def degree(self):
+        return self.quotient.degree
+
+    @cached_property
+    def elements(self):
+        return tuple(self.quotient.elements())
 
     def deck_vertex(self, name, elem):
         v, x = self.vertex_info[name]
@@ -170,68 +192,36 @@ class CoverGraph:
             return empty_path(self.vertex_info[path.anchor][0])
         return EdgePath(tuple((self.edge_info[n][0], d) for n, d in path.steps))
 
-    def lift_path(self, path, start_cover_vertex):
-        """The lift of a base path starting at the given fiber point."""
-        v, elem = self.vertex_info[start_cover_vertex]
-        if path.is_empty():
-            return empty_path(start_cover_vertex)
-        steps = []
-        for name, direction in path.steps:
-            c = self.cocycle[name]
-            if direction > 0:
-                steps.append((_ename(name, elem), 1))
-                elem = self.quotient.add(elem, c)
-            else:
-                elem = self.quotient.add(elem, self.quotient.neg(c))
-                steps.append((_ename(name, elem), -1))
-        return EdgePath(tuple(steps))
-
 
 def abelian_cover(graph, quot, spec):
     """Cover of the graph determined by a finite quotient of the dynamical
-    quotient: an integer modulus k (reduction mod k) or a basis matrix.
+    quotient: an integer modulus k (reduction mod k), a basis matrix, or
+    the FiniteQuotient itself.
 
-    If the per-edge cocycle fails to generate the quotient, the connected
-    component of the fiber point over the base is taken and the effective
-    deck group recorded; for quotients of the dynamical quotient the cocycle
-    always generates, so this is a safety net.
+    The cocycle of the dynamical quotient always generates the deck group;
+    one that does not would give a disconnected graph, refused with
+    LiftError.
     """
-    if isinstance(spec, int):
-        fq = FiniteQuotient.from_modulus(quot.rank, spec)
-    else:
-        fq = FiniteQuotient.from_basis(quot.rank, spec)
+    fq = FiniteQuotient.of(quot.rank, spec)
     cocycle = {e.name: fq.reduce(quot.cocycle[e.name]) for e in graph.edges}
-
-    # subgroup generated by the cocycle values
-    gens = sorted(set(cocycle.values()))
-    reached = {fq.zero()}
-    frontier = [fq.zero()]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = fq.add(x, g)
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    elements = sorted(reached)
-    restricted = len(elements) < fq.degree
-
-    vertices = tuple(_vname(v, x) for v in graph.vertices for x in elements)
+    elements = fq.elements()
+    vertex_info = {_vname(v, x): (v, x)
+                   for v in graph.vertices for x in elements}
     edges = []
-    vertex_info = {}
     edge_info = {}
-    for v in graph.vertices:
-        for x in elements:
-            vertex_info[_vname(v, x)] = (v, x)
     for e in graph.edges:
         for x in elements:
             name = _ename(e.name, x)
             edges.append(Edge(name, _vname(e.origin, x),
                               _vname(e.terminus, fq.add(x, cocycle[e.name]))))
             edge_info[name] = (e.name, x)
-    cover = Graph(vertices, tuple(edges), _vname(graph.base, fq.zero()))
-    return CoverGraph(cover, graph, fq, tuple(elements), len(elements),
-                      cocycle, vertex_info, edge_info, restricted)
+    try:
+        cover = Graph(tuple(vertex_info), tuple(edges),
+                      _vname(graph.base, fq.zero()))
+    except ValidationError as exc:
+        raise LiftError(f"cover {fq.describe()}: {exc}; the cocycle does "
+                        "not generate the deck group") from None
+    return CoverGraph(cover, graph, fq, cocycle, vertex_info, edge_info)
 
 
 @dataclass(frozen=True)
@@ -242,61 +232,66 @@ class LiftedMap:
     power: int = 1
 
 
+def _fiber_zero(f, quotient, cocycle):
+    """The lift of ``f`` at fiber 0 to the cover that ``cocycle`` (base
+    edge -> element of ``quotient``) labels; every lift commuting with the
+    deck group is its translate.
+
+    The lift sends v@0 to f(v)@s(v), with s(base) = 0 and s(t(e)) =
+    s(o(e)) + c(f(e)) - c(e), c the cocycle sum, so the breadth-first tree
+    fixes s.  Returns, per base edge, the steps (base edge, element, sign)
+    of the lift of f(e) from f(o(e))@s(o(e)), and per base vertex the pair
+    (f(v), s(v)).  The lift of every edge must end at f(t(e))@(c(e) +
+    s(t(e))); otherwise the cocycle is not f-invariant and LiftError is
+    raised.
+    """
+    g, q = f.graph, quotient
+
+    def image_sum(e):     # c(f(e))
+        steps = f.edge_image[e.name].steps
+        return tuple(sum(d * cocycle[n][i] for n, d in steps) % m
+                     for i, m in enumerate(q.diag))
+
+    shift = {g.base: q.zero()}
+    for e, d in g.tree_steps():
+        delta = q.add(image_sum(e), q.neg(cocycle[e.name]))
+        if d > 0:
+            shift[e.terminus] = q.add(shift[e.origin], delta)
+        else:
+            shift[e.origin] = q.add(shift[e.terminus], q.neg(delta))
+    edge_rows = []
+    for e in g.edges:
+        x, row = shift[e.origin], []
+        for n, d in f.edge_image[e.name].steps:
+            if d > 0:
+                row.append((n, x, 1))
+                x = q.add(x, cocycle[n])
+            else:
+                x = q.add(x, q.neg(cocycle[n]))
+                row.append((n, x, -1))
+        if x != q.add(cocycle[e.name], shift[e.terminus]):
+            raise LiftError(f"the lift of {e.name} does not close up over "
+                            f"{q.describe()}: the cocycle is not invariant "
+                            "under the map")
+        edge_rows.append(row)
+    return edge_rows, [(f.vertex_image[v], shift[v]) for v in g.vertices]
+
+
 def lift_map(f, cover):
     """Lift the map to the cover, anchored at the fiber point over the base
-    with the zero label, by breadth-first path lifting.
-
-    An inconsistency means the quotient did not factor through the dynamical
-    quotient, which is an internal bug, and raises loudly.
-    """
+    with the zero label: the deck group's translates of the lift at fiber 0
+    (``_fiber_zero``)."""
     if f.graph is not cover.base_graph and f.graph != cover.base_graph:
         raise ValidationError("cover was built over a different graph")
-    g = f.graph
-    q = cover.quotient
-    base_cover_vertex = _vname(g.base, q.zero())
-    vertex_image = {base_cover_vertex: base_cover_vertex}
-    edge_image = {}
-    queue = [base_cover_vertex]
-    seen = {base_cover_vertex}
-    incident = {v: [] for v in g.vertices}
-    for e in g.edges:
-        incident[e.origin].append((e, 1))
-        incident[e.terminus].append((e, -1))
-
-    def assign_vertex(name, image):
-        if name in vertex_image:
-            if vertex_image[name] != image:
-                raise LiftError(
-                    f"inconsistent lift at {name}: {vertex_image[name]} vs {image}")
-            return
-        vertex_image[name] = image
-
-    while queue:
-        wname = queue.pop(0)
-        v, x = cover.vertex_info[wname]
-        for e, direction in incident[v]:
-            if direction > 0:
-                ename = _ename(e.name, x)
-            else:
-                ename = _ename(e.name, q.add(x, q.neg(cover.cocycle[e.name])))
-            if ename in edge_image:
-                continue
-            base_img = f.edge_image[e.name]
-            if direction > 0:
-                lifted = cover.lift_path(base_img, vertex_image[wname])
-            else:
-                back = cover.lift_path(base_img.reverse(g), vertex_image[wname])
-                lifted = back.reverse(cover.graph)
-            edge_image[ename] = lifted
-            edge = cover.graph.edge_by_name[ename]
-            o_img = lifted.start(cover.graph)
-            t_img = lifted.end(cover.graph)
-            assign_vertex(edge.origin, o_img)
-            assign_vertex(edge.terminus, t_img)
-            for endpoint in (edge.origin, edge.terminus):
-                if endpoint not in seen:
-                    seen.add(endpoint)
-                    queue.append(endpoint)
+    g, q = f.graph, cover.quotient
+    edge_rows, vertex_rows = _fiber_zero(f, q, cover.cocycle)
+    vertex_image = {_vname(v, x): _vname(w, q.add(y, x))
+                    for v, (w, y) in zip(g.vertices, vertex_rows)
+                    for x in cover.elements}
+    edge_image = {
+        _ename(e.name, x): EdgePath(tuple((_ename(n, q.add(y, x)), d)
+                                          for n, y, d in row))
+        for e, row in zip(g.edges, edge_rows) for x in cover.elements}
     lifted_map = GraphMap(cover.graph, vertex_image, edge_image,
                           f.boundary_count)
     return LiftedMap(lifted_map, cover, f)
@@ -305,7 +300,6 @@ def lift_map(f, cover):
 def deck_commutes(lm):
     """Check the lift commutes with every deck transformation."""
     cover = lm.cover
-    g = cover.graph
     for s in cover.elements:
         for name in lm.map.edge_image:
             translated = cover.deck_edge(name, s)
@@ -316,36 +310,18 @@ def deck_commutes(lm):
     return True
 
 
-def _fiber_zero(f, cover):
-    """The level's chain maps as sparse matrices over Z[G]: for each base
-    edge the steps (base edge, element, sign) of the image of its lift at
-    fiber 0, and for each base vertex the (base vertex, element) of the
-    image of its lift at fiber 0.  With no cover, G = 1."""
-    if cover is None:
-        g = f.graph
-        edges = [[(n, (), d) for n, d in f.edge_image[e.name].steps]
-                 for e in g.edges]
-        return g, (), edges, [(f.vertex_image[v], ()) for v in g.vertices]
-    g = cover.base_graph
-    zero = cover.quotient.zero()
-    edges = [[(*cover.edge_info[n], d)
-              for n, d in f.edge_image[_ename(e.name, zero)].steps]
-             for e in g.edges]
-    vertices = [cover.vertex_info[f.vertex_image[_vname(v, zero)]]
-                for v in g.vertices]
-    return g, cover.quotient.diag, edges, vertices
-
-
 def level_charpoly(f, cover=None):
     """Exact characteristic polynomial (ascending) of the H1 action of a
-    tower level: ``f`` is the lift to ``cover``, or the base map itself
-    when ``cover`` is None.  Computed from the deck group's character
-    blocks (see the module docstring); a disconnected cover, whose deck
-    group is a proper subgroup, is refused with LiftError."""
-    if cover is not None and cover.restricted:
-        raise LiftError(f"cover {cover.quotient.describe()} is disconnected: "
-                        "the cocycle does not generate the deck group")
-    graph, diag, edge_rows, vertex_rows = _fiber_zero(f, cover)
+    tower level: the lift of ``f`` to ``cover``, or ``f`` itself when
+    ``cover`` is None (G = 1).  Computed from the deck group's character
+    blocks (see the module docstring) on the lift at fiber 0."""
+    if cover is None:
+        quotient = FiniteQuotient.from_modulus(0, 1)
+        cocycle = dict.fromkeys(f.edge_image, ())
+    else:
+        quotient, cocycle = cover.quotient, cover.cocycle
+    graph, diag = f.graph, quotient.diag
+    edge_rows, vertex_rows = _fiber_zero(f, quotient, cocycle)
     eidx = {e.name: i for i, e in enumerate(graph.edges)}
     vidx = {v: i for i, v in enumerate(graph.vertices)}
     order = lcm(*diag)
@@ -383,7 +359,7 @@ def level_charpoly(f, cover=None):
                 num, linalg.charpoly_mod(vm, q), q)
             if rem:
                 raise LiftError(
-                    "the lift does not commute with the deck group")
+                    "the fiber-zero rows are not a chain map")
             out.append(quo)
         return linalg.poly_product_mod(out, q)
 
@@ -574,6 +550,12 @@ class TowerStep:
     degree: int
     modulus: int = None
     basis: tuple = None
+
+    @staticmethod
+    def of(fq):
+        """The step recording the cover by the finite quotient ``fq``."""
+        return TowerStep(fq.describe(), fq.degree, modulus=fq.modulus,
+                         basis=None if fq.modulus is not None else fq.basis)
 
     def to_json(self):
         out = {"quotient": self.quotient, "degree": self.degree}

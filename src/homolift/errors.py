@@ -34,7 +34,10 @@ class ResourceLimitError(HomoliftError):
 
 
 class LiftError(HomoliftError):
-    """Path lifting to a cover was inconsistent.
+    """A cover or a lift to it could not be built: the cocycle does not
+    generate the deck group (the cover graph is disconnected), or an edge's
+    lift at fiber 0 does not end where the deck action says it must (the
+    cocycle is not invariant under the map).
 
     This signals an internal invariant violation (a quotient that does not
     factor through the dynamical quotient), not a user error.

@@ -14,6 +14,7 @@ Edge images are stored literally: no free reduction is ever performed, since
 the traversal counts of iterated images are the whole point.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
@@ -46,27 +47,30 @@ class Graph:
                 raise ValidationError(f"edge {e.name}: undeclared terminus {e.terminus}")
         if self.base not in vset:
             raise ValidationError(f"undeclared base vertex {self.base}")
-        if not self._is_connected():
+        if sum(1 for _ in self.tree_steps()) != len(self.vertices) - 1:
             raise ValidationError("graph is not connected")
         object.__setattr__(self, "_edge_by_name",
                            {e.name: e for e in self.edges})
 
-    def _is_connected(self):
-        if len(self.vertices) <= 1:
-            return True
-        adj = {v: [] for v in self.vertices}
+    def tree_steps(self):
+        """The steps (edge, direction) of the breadth-first spanning tree
+        from the base, in the order they reach a new vertex; each vertex's
+        incidences (+1 at the origin, -1 at the terminus) are scanned in
+        edge declaration order.  O(V + E)."""
+        incidence = {v: [] for v in self.vertices}
         for e in self.edges:
-            adj[e.origin].append(e.terminus)
-            adj[e.terminus].append(e.origin)
+            incidence[e.origin].append((e, 1))
+            incidence[e.terminus].append((e, -1))
         seen = {self.base}
-        stack = [self.base]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
+        queue = deque([self.base])
+        while queue:
+            v = queue.popleft()
+            for e, d in incidence[v]:
+                w = e.terminus if d > 0 else e.origin
                 if w not in seen:
                     seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+                    queue.append(w)
+                    yield e, d
 
     @property
     def edge_by_name(self):
@@ -169,10 +173,11 @@ class GraphMap:
         g = self.graph
         if self.vertex_image.get(g.base) != g.base:
             raise ValidationError("map must fix the base vertex")
+        vset = set(g.vertices)
         for v in g.vertices:
             if v not in self.vertex_image:
                 raise ValidationError(f"no image for vertex {v}")
-            if self.vertex_image[v] not in set(g.vertices):
+            if self.vertex_image[v] not in vset:
                 raise ValidationError(f"vertex image of {v} undeclared")
         for e in g.edges:
             img = self.edge_image.get(e.name)

@@ -34,35 +34,18 @@ class SpanningTreeData:
 
 
 def spanning_tree(graph):
-    """Breadth-first spanning tree from the base, edges in declaration order."""
-    parent = {graph.base: None}  # vertex -> (edge name, direction) reaching it
-    queue = [graph.base]
+    """Breadth-first spanning tree from the base, edges in declaration order
+    (``Graph.tree_steps``).  Each tree path extends its parent's, so the
+    work is O(V + E) plus the total length of the tree paths."""
     tree = set()
-    while queue:
-        v = queue.pop(0)
-        for e in graph.edges:
-            if e.origin == v and e.terminus not in parent:
-                parent[e.terminus] = (e.name, 1)
-                tree.add(e.name)
-                queue.append(e.terminus)
-            elif e.terminus == v and e.origin not in parent:
-                parent[e.origin] = (e.name, -1)
-                tree.add(e.name)
-                queue.append(e.origin)
-    if len(parent) != len(graph.vertices):
+    paths = {graph.base: empty_path(graph.base)}
+    for e, d in graph.tree_steps():
+        parent, child = (e.origin, e.terminus) if d > 0 else (e.terminus,
+                                                                e.origin)
+        tree.add(e.name)
+        paths[child] = EdgePath(paths[parent].steps + ((e.name, d),))
+    if len(paths) != len(graph.vertices):
         raise ValidationError("graph is not connected")
-
-    paths = {}
-    for v in graph.vertices:
-        steps = []
-        w = v
-        while parent[w] is not None:
-            name, direction = parent[w]
-            steps.append((name, direction))
-            e = graph.edge_by_name[name]
-            w = e.origin if direction > 0 else e.terminus
-        steps.reverse()
-        paths[v] = EdgePath(tuple(steps)) if steps else empty_path(v)
     basis = tuple(e.name for e in graph.edges if e.name not in tree)
     return SpanningTreeData(frozenset(tree), paths, basis,
                             {name: i for i, name in enumerate(basis)})

@@ -19,8 +19,9 @@ from functools import cached_property
 from math import sqrt
 
 from . import linalg, magnus
-from .covers import (CoverCertificate, TowerStep, abelian_cover,
-                     level_charpoly, lift_map, unit_circle_test)
+from .covers import (CoverCertificate, FiniteQuotient, TowerStep,
+                     abelian_cover, level_charpoly, lift_map,
+                     unit_circle_test)
 from .errors import CertificateError, ResourceLimitError, ValidationError
 from .graphs import parse_graph_map, serialize_graph_map
 from .homology import equivariant_quotient, homology_action, spanning_tree
@@ -110,8 +111,9 @@ class Analysis:
     def charpoly(self):
         """Integer characteristic polynomial of the H1 action, ascending,
         from the deck group's character blocks."""
-        return level_charpoly(self.graph_map,
-                              self.lifted.cover if self.lifted else None)
+        if self.lifted is None:
+            return level_charpoly(self.graph_map)
+        return level_charpoly(self.lifted.base_map, self.lifted.cover)
 
     @cached_property
     def verdict(self):
@@ -120,14 +122,11 @@ class Analysis:
     def cover(self, spec):
         """The next tower level: the cover of this level's graph given by a
         finite quotient of its dynamical quotient (a modulus k for H_f/kH_f,
-        or a basis matrix), with the lifted map.  Returns that level and
-        the tower step recording it."""
+        or a basis matrix, or the FiniteQuotient they name), with the
+        lifted map.  Returns that level and the tower step recording it."""
         cover = abelian_cover(self.graph_map.graph, self.quotient, spec)
-        q = cover.quotient
-        step = TowerStep(q.describe(), cover.degree, modulus=q.modulus,
-                         basis=None if q.modulus is not None else q.basis)
         lifted = lift_map(self.graph_map, cover)
-        return Analysis.of(lifted.map, lifted), step
+        return Analysis.of(lifted.map, lifted), TowerStep.of(cover.quotient)
 
 
 def input_digest(f):
@@ -349,7 +348,8 @@ def rebuild_tower(f, tower):
 
     Returns (the final level's Analysis, total degree).  Each step's
     quotient is taken of the current level's own dynamical quotient, and
-    the step it rebuilds must equal the recorded one.
+    the step it rebuilds must equal the recorded one before its cover is
+    built.
     """
     level = Analysis.of(f)
     total = 1
@@ -360,10 +360,12 @@ def rebuild_tower(f, tower):
             spec = [list(r) for r in step.basis]
         else:
             raise CertificateError(f"tower step {step.quotient} not rebuildable")
-        level, rebuilt = level.cover(spec)
+        fq = FiniteQuotient.of(level.quotient.rank, spec)
+        rebuilt = TowerStep.of(fq)
         if rebuilt != step:
             raise CertificateError(f"tower step {step.to_json()} rebuilds "
                                    f"as {rebuilt.to_json()}")
+        level, _step = level.cover(fq)
         total *= rebuilt.degree
     return level, total
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from homolift import corpus, linalg, magnus
 from homolift.covers import (abelian_cover, chain_action_matrix,
                              cover_chain_action_check, deck_action_on_quotient,
-                             deck_commutes, h1_action_on_cover, level_charpoly,
-                             lift_map, spectral_radius, unit_circle_test)
+                             deck_commutes, h1_action_on_cover, lift_map,
+                             spectral_radius, unit_circle_test)
 from homolift.errors import LiftError, ResourceLimitError, ValidationError
 from homolift.graphs import parse_graph_map
 from homolift.homology import (EquivariantQuotient, equivariant_quotient,
@@ -39,7 +39,6 @@ def test_cover_counts_s3(analyses):
     assert len(cov.graph.vertices) == 4
     assert len(cov.graph.edges) == 8
     assert spanning_tree(cov.graph).rank == 5
-    assert not cov.restricted
 
 
 def test_cover_trivial(analyses):
@@ -76,16 +75,46 @@ def test_lift_identity(analyses):
     assert matrix == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def _lifted_levels(analyses):
+    """(label, base level, lifted map): every corpus map at k <= 3, and the
+    multi-vertex levels silver/2 -> {2, 3} and s3/2 -> {2, 3}."""
+    for name, an in analyses.items():
+        for k in range(1, 4) if an.quotient.rank else (1,):
+            yield f"{name}/{k}", an, lift_map(an.graph_map, cover_of(an, k))
+    for name in ("unipotent_silver", "example_s3"):
+        level, _step = analyses[name].cover(2)
+        for k in (2, 3):
+            yield (f"{name}/2/{k}", level,
+                   lift_map(level.graph_map, cover_of(level, k)))
+
+
 def test_lift_projects_and_commutes(analyses):
-    an = analyses["example_s3"]
-    cov = cover_of(an, 2)
-    lm = lift_map(an.graph_map, cov)
-    f = an.graph_map
-    for ename, (base_e, _x) in cov.edge_info.items():
-        proj = cov.project_path(lm.map.edge_image[ename])
-        assert proj.steps == f.edge_image[base_e].steps
-    assert deck_commutes(lm)
-    assert lm.power == 1
+    multi_vertex = 0
+    for label, an, lm in _lifted_levels(analyses):
+        f, cov = an.graph_map, lm.cover
+        multi_vertex += len(f.graph.vertices) > 1
+        for ename, (base_e, _x) in cov.edge_info.items():
+            proj = cov.project_path(lm.map.edge_image[ename])
+            assert proj.steps == f.edge_image[base_e].steps, label
+        for vname, (v, _x) in cov.vertex_info.items():
+            assert cov.vertex_info[lm.map.vertex_image[vname]][0] == \
+                f.vertex_image[v], label
+        assert deck_commutes(lm), label
+        assert lm.power == 1
+    assert multi_vertex >= 4
+
+
+def test_lift_of_a_non_invariant_cocycle_is_refused():
+    # on AB_MAP the cocycle a -> 1, b -> 0 is not f-invariant: the lift of
+    # f(b) = b a from fiber 0 ends one sheet off the lift of b
+    an = Analysis.of(parse_graph_map(AB_MAP))
+    assert an.quotient.rank == 1
+    q = an.quotient
+    skewed = EquivariantQuotient(q.rank, q.projection,
+                                 {"a": (1,), "b": (0,)}, q._smith)
+    cov = abelian_cover(an.graph_map.graph, skewed, 3)
+    with pytest.raises(LiftError, match="does not close up"):
+        lift_map(an.graph_map, cov)
 
 
 def test_lift_golden_trivial(analyses):
@@ -179,17 +208,14 @@ def test_block_charpoly_matches_dense_on_lattice_quotients(analyses, name,
 
 def test_restricted_cover_is_refused(analyses):
     # doubling the cocycle makes it generate only 2Z/4 inside Z/4: the
-    # cover is connected but has half the deck group the characters assume
+    # cover graph would fall apart into two components
     an = analyses["unipotent_silver"]
     q = an.quotient
     doubled = EquivariantQuotient(
         q.rank, q.projection,
         {e: tuple(2 * x for x in v) for e, v in q.cocycle.items()}, q._smith)
-    cov = abelian_cover(an.graph_map.graph, doubled, 4)
-    assert cov.restricted and cov.degree == 2
-    lm = lift_map(an.graph_map, cov)
-    with pytest.raises(LiftError, match="does not generate"):
-        level_charpoly(lm.map, cov)
+    with pytest.raises(LiftError, match="H_f/4H_f.*does not generate"):
+        abelian_cover(an.graph_map.graph, doubled, 4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 385])
@@ -441,5 +467,4 @@ def test_restricted_cover_path():
     # quotient itself; exercise the machinery to document the invariant
     an = Analysis.of(parse_graph_map(AB_MAP))
     cov = cover_of(an, 4)
-    assert not cov.restricted
     assert sorted(cov.elements) == [(i,) for i in range(4)]

@@ -44,6 +44,42 @@ def test_spanning_tree_single_loop():
     assert st.h1_basis == ("a",)
 
 
+def _declaration_scan_tree(graph):
+    """Reference breadth-first tree: every dequeued vertex scans the whole
+    edge list in declaration order (O(V * E))."""
+    parent = {graph.base: None}
+    queue = [graph.base]
+    while queue:
+        v = queue.pop(0)
+        for e in graph.edges:
+            if e.origin == v and e.terminus not in parent:
+                parent[e.terminus] = (e.name, 1)
+                queue.append(e.terminus)
+            elif e.terminus == v and e.origin not in parent:
+                parent[e.origin] = (e.name, -1)
+                queue.append(e.origin)
+    return parent
+
+
+def test_spanning_tree_matches_declaration_scan(analyses):
+    graphs = [an.graph_map.graph for an in analyses.values()]
+    for name in ("unipotent_silver", "example_s3", "unipotent_rank2"):
+        level, _step = analyses[name].cover(2)
+        graphs.append(level.graph_map.graph)
+        graphs.append(level.cover(3)[0].graph_map.graph)
+    for g in graphs:
+        parent = _declaration_scan_tree(g)
+        st = spanning_tree(g)
+        assert st.tree_edges == {p[0] for p in parent.values() if p}
+        for v in g.vertices:
+            walk, w = [], v
+            while parent[w] is not None:
+                walk.append(parent[w])
+                w = g.step_endpoints(parent[w])[0]
+            assert st.tree_paths[v].steps == tuple(reversed(walk))
+            assert st.tree_paths[v].start(g) == g.base
+
+
 def test_path_class_examples(s3):
     st = spanning_tree(s3.graph)
     assert path_class(EdgePath(steps("baB")), st) == (1, 0)

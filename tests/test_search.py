@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,6 +278,24 @@ def test_rebuild_tower_deterministic(silver):
     assert deg == 2
     level2, _ = rebuild_tower(silver, cert.tower)
     assert level.graph_map.edge_image == level2.graph_map.edge_image
+
+
+@pytest.mark.parametrize("field, value", [
+    ("modulus", 128), ("degree", 4096), ("quotient", "H_f/128H_f")])
+def test_tampered_step_fails_before_its_cover(silver, monkeypatch, field,
+                                             value):
+    # a recorded step is compared with the step its spec rebuilds before
+    # the cover is built, so a tampered modulus costs no cover at all
+    cert = brute_force_oracle(silver, 2000)
+    tampered = replace(cert, tower=(replace(cert.tower[0], **{field: value}),))
+    calls = []
+    cover = search.abelian_cover
+    monkeypatch.setattr(search, "abelian_cover",
+                        lambda *args: calls.append(1) or cover(*args))
+    report = verify_certificate(tampered)
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == \
+        ["tower-rebuild"]
+    assert calls == []
 
 
 def test_search_determinism(analyses):
