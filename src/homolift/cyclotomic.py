@@ -11,11 +11,13 @@ enough Taylor terms of cos to separate it from zero.  Termination is
 guaranteed because zero was excluded exactly.
 """
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from . import linalg
+from .errors import ValidationError
 
 # 110 digits; enough to seed intervals far tighter than any precision the
 # refinement loop will request in practice.
@@ -35,6 +37,18 @@ def _round_out(lo, hi, prec):
     lo = Fraction((lo * scale).__floor__(), scale)
     hi = Fraction(-((-hi * scale).__floor__()), scale)
     return lo, hi
+
+
+def exact_coefficient(c):
+    """An int or Fraction as is, any other integral type (numpy ints) as an
+    int; inexact values (floats, complex numbers) raise ValidationError."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise ValidationError(
+            f"coefficient {c!r} is not an exact rational") from None
 
 
 @lru_cache(maxsize=4096)
@@ -64,7 +78,8 @@ class Cyclotomic:
     """An element of Q(zeta_order).
 
     Coefficients stay plain ints until a division forces Fractions; the two
-    types compare and hash consistently, so mixing is harmless.
+    types compare and hash consistently, so mixing is harmless.  Inexact
+    coefficients (floats, complex numbers) are refused.
     """
 
     __slots__ = ("order", "coeffs")
@@ -75,8 +90,8 @@ class Cyclotomic:
         if len(coeffs) != order:
             raise ValueError("coefficient vector must have length = order")
         self.order = order
-        self.coeffs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c)
-                            for c in coeffs)
+        self.coeffs = tuple(c if isinstance(c, (int, Fraction))
+                            else exact_coefficient(c) for c in coeffs)
 
     # -- constructors -----------------------------------------------------
 
@@ -156,7 +171,8 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def __truediv__(self, k):
-        return Cyclotomic(self.order, tuple(x / k for x in self.coeffs))
+        return Cyclotomic(self.order,
+                          tuple(Fraction(x) / k for x in self.coeffs))
 
     def conjugate(self):
         n = self.order

@@ -13,7 +13,7 @@ from itertools import product
 from math import gcd, sqrt
 
 from . import linalg
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, exact_coefficient
 from .errors import DimensionMismatchError, ValidationError
 
 
@@ -23,6 +23,7 @@ class LaurentElement:
     Coefficients stay plain ints as long as no division happens, which keeps
     the hot paths (matrix products, trace powers) off Fraction arithmetic;
     ints and Fractions compare and hash consistently so mixing is safe.
+    Inexact coefficients (floats, complex numbers) are refused.
     """
 
     __slots__ = ("dim", "terms")
@@ -34,7 +35,7 @@ class LaurentElement:
         clean = {}
         for vec, coeff in (terms or {}).items():
             if not isinstance(coeff, (int, Fraction)):
-                coeff = Fraction(coeff)
+                coeff = exact_coefficient(coeff)
             if coeff:
                 v = tuple(int(x) for x in vec)
                 if len(v) != dim:
@@ -81,7 +82,7 @@ class LaurentElement:
         self._check(other)
         out = dict(self.terms)
         for v, c in other.terms.items():
-            out[v] = out.get(v, Fraction(0)) + c
+            out[v] = out.get(v, 0) + c
         return LaurentElement(self.dim, out)
 
     __radd__ = __add__
@@ -106,14 +107,14 @@ class LaurentElement:
         for v1, c1 in self.terms.items():
             for v2, c2 in other.terms.items():
                 v = tuple(a + b for a, b in zip(v1, v2))
-                out[v] = out.get(v, Fraction(0)) + c1 * c2
+                out[v] = out.get(v, 0) + c1 * c2
         return LaurentElement(self.dim, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, k):
-        return LaurentElement(self.dim,
-                              {v: c / k for v, c in self.terms.items()})
+        return LaurentElement(
+            self.dim, {v: Fraction(c) / k for v, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -132,7 +133,7 @@ class LaurentElement:
         return sorted(self.terms)
 
     def coefficient(self, vec):
-        return self.terms.get(tuple(vec), Fraction(0))
+        return self.terms.get(tuple(vec), 0)
 
     def __repr__(self):
         return f"LaurentElement({self.to_text()!r})"
@@ -275,7 +276,7 @@ def specialize(t, chi):
 
 
 def l2_norm_squared(t):
-    return sum((c * c for c in t.terms.values()), Fraction(0))
+    return sum(c * c for c in t.terms.values())
 
 
 def l2_norm(t):

@@ -26,7 +26,7 @@ from .errors import CertificateError, ResourceLimitError, ValidationError
 from .graphs import parse_graph_map, serialize_graph_map
 from .homology import equivariant_quotient, homology_action, spanning_tree
 from .laurent import (Lattice, annihilator_characters, character_grid,
-                      l2_norm_squared, lattice_restriction, specialize)
+                      l2_norm_squared, specialize)
 from .transition import transition_graph
 
 
@@ -158,7 +158,15 @@ def check_l2(a, cfg):
 
 def check_anchored(a, cfg):
     """Scan scaled lattices and their support translates for a trace mass
-    above the matrix size."""
+    above the matrix size.
+
+    The translates jZ^d + w are tried for j = 1, 2, ... (index j^d up to
+    the cap), w = 0 first, then the trace's support in sorted order.  The
+    mass of trace(A^k) on jZ^d + w is the sum of the coefficients whose
+    exponent is congruent to w modulo j, so one pass over the support per
+    (k, j) bins it by residue class, and the first translate whose class
+    mass exceeds the size is the finding: no lattice is built until then.
+    """
     m = a.size
     d = a.dim
     js = [1]
@@ -166,17 +174,21 @@ def check_anchored(a, cfg):
     while d > 0 and j ** d <= cfg.max_lattice_index:
         js.append(j)
         j += 1
+    zero = (0,) * d
     for k in range(1, cfg.max_power + 1):
         t = magnus.trace_power(a, k)
-        translates = [(0,) * d]
-        translates += [v for v in t.support() if v != (0,) * d]
         for j in js:
-            for w in translates:
-                lat = Lattice.scaled(d, j, w)
-                val = lattice_restriction(t, lat)
+            mass = {}
+            for v, c in t.terms.items():
+                r = tuple(x % j for x in v)
+                mass[r] = mass.get(r, 0) + c
+            if max(mass.values(), default=0) <= m:
+                continue
+            for w in [zero] + t.support():
+                val = mass.get(tuple(x % j for x in w), 0)
                 if val > m:
                     return Finding("anchored", power=k, value=str(val),
-                                   lattice=lat)
+                                   lattice=Lattice.scaled(d, j, w))
     return None
 
 

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,3 +205,27 @@ def test_cyclotomic_mixed_orders():
     z3 = Cyclotomic.root_of_unity(3, 1)
     assert z6 * z6 == z3
     assert (1 + z3 + z3 * z3).is_zero()
+
+
+def test_division_is_exact():
+    # an int coefficient over an int divisor is a Fraction, never a float
+    third = LaurentElement.constant(1, 1) / 3
+    assert third.coefficient((0,)) == Fraction(1, 3)
+    assert (Cyclotomic(1, [1]) / 3).coeffs == (Fraction(1, 3),)
+    assert (Cyclotomic(2, [2, 0]) / 2).coeffs == (1, 0)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, 1j, float("nan")])
+def test_inexact_coefficients_are_refused(bad):
+    with pytest.raises(ValidationError):
+        LaurentElement.constant(1, bad)
+    with pytest.raises(ValidationError):
+        Cyclotomic(2, [1, bad])
+
+
+def test_integral_coefficients_become_ints():
+    t = LaurentElement.monomial((1,), np.int64(3))
+    assert type(t.coefficient((1,))) is int and t.coefficient((1,)) == 3
+    z = Cyclotomic(2, [np.int32(-2), Fraction(1, 2)])
+    assert [type(c) for c in z.coeffs] == [int, Fraction]
+    assert z.coeffs == (-2, Fraction(1, 2))

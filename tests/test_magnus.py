@@ -179,3 +179,13 @@ def test_trace_power_cache_consistency(analyses):
     assert magnus.trace_power(a, 2) == magnus.trace(magnus.mat_mul(a, a))
     assert magnus.trace_power(a, 1) == magnus.trace(a)
     assert a._cache["power"] == direct
+
+
+def test_magnus_and_trace_coefficients_are_ints(analyses):
+    # no division on the way to the criteria, so no Fraction arithmetic
+    for an in analyses.values():
+        a = an.matrix
+        elements = [e for row in a.entries for e in row]
+        elements += [magnus.trace_power(a, k) for k in range(1, 9)]
+        for e in elements:
+            assert all(type(c) is int for c in e.terms.values())

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homolift import magnus, search
+from homolift import linalg, magnus, search
 from homolift.covers import CoverCertificate
 from homolift.errors import CertificateError, ResourceLimitError
 from homolift.laurent import (Lattice, LaurentElement, annihilator_characters,
@@ -43,6 +45,77 @@ def test_check_anchored(analyses):
     assert fnd is not None and fnd.power == 2 and fnd.value == "3"
     assert check_anchored(analyses["example_s3"].matrix, CFG) is None
     assert check_anchored(analyses["identity"].matrix, CFG) is None
+
+
+def _per_translate_scan(a, cfg):
+    """The anchored scan by definition: a Lattice and its restriction for
+    every (power, j, translate), in check_anchored's order."""
+    m = a.size
+    d = a.dim
+    js = [1] + [j for j in range(2, cfg.max_lattice_index + 1)
+                if d > 0 and j ** d <= cfg.max_lattice_index]
+    for k in range(1, cfg.max_power + 1):
+        t = magnus.trace_power(a, k)
+        translates = [(0,) * d] + [v for v in t.support() if v != (0,) * d]
+        for j in js:
+            for w in translates:
+                lat = Lattice.scaled(d, j, w)
+                val = lattice_restriction(t, lat)
+                if val > m:
+                    return Finding("anchored", power=k, value=str(val),
+                                   lattice=lat)
+    return None
+
+
+def _finding_json(fnd):
+    return None if fnd is None else fnd.to_json()
+
+
+def test_anchored_matches_per_translate_scan_on_corpus(analyses):
+    for an in analyses.values():
+        assert (_finding_json(check_anchored(an.matrix, CFG))
+                == _finding_json(_per_translate_scan(an.matrix, CFG)))
+
+
+@st.composite
+def laurent_matrices(draw):
+    d = draw(st.integers(0, 3))
+    size = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-4, 4)] * d)
+    entry = st.dictionaries(vec, st.integers(-5, 5), max_size=3).map(
+        lambda terms: LaurentElement(d, terms))
+    row = st.lists(entry, min_size=size, max_size=size)
+    rows = draw(st.lists(row, min_size=size, max_size=size))
+    return magnus.matrix_from_rows([f"e{i}" for i in range(size)], d, rows)
+
+
+def test_anchored_matches_per_translate_scan_on_random_matrices():
+    fired = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(laurent_matrices())
+    def check(a):
+        found = check_anchored(a, CFG)
+        assert _finding_json(found) == _finding_json(
+            _per_translate_scan(a, CFG))
+        fired.add(found is not None)
+
+    check()
+    assert fired == {True, False}
+
+
+def test_criteria_make_no_smith_form(analyses, monkeypatch):
+    # the base-level criteria run on the trace coefficients alone
+    matrices = [magnus.magnus_matrix(an.transition)  # fresh trace caches
+                for an in analyses.values()]
+    calls = []
+    smith = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        lambda *args: calls.append(1) or smith(*args))
+    for a in matrices:
+        for crit in (check_l2, check_anchored, character_scan):
+            crit(a, CFG)
+    assert not calls
 
 
 def test_golden_anchored_value_is_trace():
