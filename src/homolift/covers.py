@@ -30,11 +30,26 @@ and character by character det(xI - V(chi)) divides det(xI - A(chi)),
 times (x - 1) for the trivial character: every edge's lift closes up, so
 the lift is a chain map, and the cover is connected, so only the trivial
 character sees H0.  Each block's determinant is a Hessenberg
-characteristic polynomial modulo q; the quotients multiply up a product
-tree, and CRT recombines against C(n, i) * L^i, L the longest edge image,
-which bounds the chain map's spectral radius and so every H1 eigenvalue.
-The base map is the case G = 1.  The dense charpoly of the cover's H1
-matrix stays as the test oracle.
+characteristic polynomial modulo q.
+
+The characters come in Galois orbits: the automorphism zeta -> zeta^u of
+Q(zeta), u a unit mod the exponent of G, sends chi_a to chi_ua = chi_a^u,
+so the orbit of a character of order o is {chi_ua : u a unit mod o}, of
+size phi(o).  The product of the blocks over one orbit O,
+
+    N_O = prod_{chi in O} det(xI - A(chi)) / det(xI - V(chi))
+
+(times x - 1 for the trivial orbit), is fixed by every Galois automorphism
+and has algebraic-integer coefficients, so it lies in Z[x]; modulo q,
+with zeta -> w, it is the product of the blocks' quotients.  Its degree
+is m_O = |O| (E - V) (plus 1 for the trivial orbit) and its roots are
+eigenvalues of the A(chi), bounded by L, the longest edge image, which
+bounds each block's row sums; so CRT recombines N_O on its own against
+C(m_O, i) * L^i, and charpoly(H1) is the product of the N_O over Z.  The
+primes are shared by the orbits, and the largest orbit's count is checked
+against the cap before any residue.  The base map is the case G = 1, a
+single orbit.  The dense charpoly of the cover's H1 matrix stays as the
+test oracle.
 
 The off-circle decision is Kronecker's: a monic integer polynomial with
 nonzero constant term has all roots on the unit circle exactly when it is a
@@ -51,7 +66,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -310,11 +325,32 @@ def deck_commutes(lm):
     return True
 
 
+def _galois_orbits(diag):
+    """The characters a of G = prod Z/diag_i, chi_a(x) = w^(sum a_i x_i
+    order/diag_i) with w of exact order lcm(diag), grouped into Galois
+    orbits {u a mod diag : u a unit modulo the order o of chi_a}, each of
+    size phi(o), the trivial character's first.  O(|G|): a character
+    already placed is skipped, and the units are listed once per order."""
+    order = lcm(*diag)
+    units, seen, orbits = {}, set(), []
+    for a in product(*map(range, diag)):
+        if a in seen:
+            continue
+        o = order // gcd(order, *(ai * (order // d) for ai, d in zip(a, diag)))
+        if o not in units:
+            units[o] = [u for u in range(1, o + 1) if gcd(u, o) == 1]
+        orbit = [tuple(u * ai % d for ai, d in zip(a, diag)) for u in units[o]]
+        seen.update(orbit)
+        orbits.append(orbit)
+    return orbits
+
+
 def level_charpoly(f, cover=None):
     """Exact characteristic polynomial (ascending) of the H1 action of a
     tower level: the lift of ``f`` to ``cover``, or ``f`` itself when
     ``cover`` is None (G = 1).  Computed from the deck group's character
-    blocks (see the module docstring) on the lift at fiber 0."""
+    blocks on the lift at fiber 0, one integer norm polynomial per Galois
+    orbit of characters (see the module docstring)."""
     if cover is None:
         quotient = FiniteQuotient.from_modulus(0, 1)
         cocycle = dict.fromkeys(f.edge_image, ())
@@ -326,7 +362,6 @@ def level_charpoly(f, cover=None):
     vidx = {v: i for i, v in enumerate(graph.vertices)}
     order = lcm(*diag)
     scale = [order // d for d in diag]
-    chars = list(product(*[range(d) for d in diag]))
 
     def exponent(a, x):    # chi_a(x) = w^exponent, w of exact order `order`
         return sum(ai * xi * s for ai, xi, s in zip(a, x, scale)) % order
@@ -336,37 +371,50 @@ def level_charpoly(f, cover=None):
         for name, x, d in row:
             key = (i, eidx[name], x)
             terms[key] = terms.get(key, 0) + d
-    blocks = [([(i, j, exponent(a, x), c) for (i, j, x), c in terms.items()
-                if c],
-               [(i, vidx[w], exponent(a, y))
-                for i, (w, y) in enumerate(vertex_rows)])
-              for a in chars]
+    powers = {}    # q -> [w^k for k < order], shared by every orbit
 
-    def residues(q, w):
-        powers = [pow(w, k, q) for k in range(order)]
-        out = []
-        for a, (edge_terms, vertex_terms) in zip(chars, blocks):
-            am = [[0] * len(eidx) for _ in eidx]
-            for i, j, k, c in edge_terms:
-                am[i][j] += c * powers[k]
-            vm = [[0] * len(vidx) for _ in vidx]
-            for i, j, k in vertex_terms:
-                vm[i][j] = powers[k]
-            num = linalg.charpoly_mod(am, q)
-            if not any(a):    # times (x - 1): H0 lies in the trivial part
-                num = [(lo - hi) % q for lo, hi in zip([0] + num, num + [0])]
-            quo, rem = linalg.poly_divmod_monic(
-                num, linalg.charpoly_mod(vm, q), q)
-            if rem:
-                raise LiftError(
-                    "the fiber-zero rows are not a chain map")
-            out.append(quo)
-        return linalg.poly_product_mod(out, q)
+    def orbit_residues(orbit):
+        blocks = [([(i, j, exponent(a, x), c)
+                    for (i, j, x), c in terms.items() if c],
+                   [(i, vidx[w], exponent(a, y))
+                    for i, (w, y) in enumerate(vertex_rows)])
+                  for a in orbit]
 
-    n = len(chars) * (len(eidx) - len(vidx)) + 1
+        def residues(q, w):
+            if q not in powers:
+                powers[q] = [pow(w, k, q) for k in range(order)]
+            table, out = powers[q], []
+            for a, (edge_terms, vertex_terms) in zip(orbit, blocks):
+                am = [[0] * len(eidx) for _ in eidx]
+                for i, j, k, c in edge_terms:
+                    am[i][j] += c * table[k]
+                vm = [[0] * len(vidx) for _ in vidx]
+                for i, j, k in vertex_terms:
+                    vm[i][j] = table[k]
+                num = linalg.charpoly_mod(am, q)
+                if not any(a):    # times (x - 1): H0 lies in the trivial part
+                    num = [(lo - hi) % q
+                           for lo, hi in zip([0] + num, num + [0])]
+                quo, rem = linalg.poly_divmod_monic(
+                    num, linalg.charpoly_mod(vm, q), q)
+                if rem:
+                    raise LiftError(
+                        "the fiber-zero rows are not a chain map")
+                out.append(quo)
+            return linalg.poly_product(out, q)
+        return residues
+
+    orbits = [[quotient.zero()]] if order == 1 else _galois_orbits(diag)
+    rank = len(eidx) - len(vidx)
+    degrees = [len(o) * rank for o in orbits]
+    degrees[0] += 1        # H0, in the trivial orbit
     longest = max((len(row) for row in edge_rows), default=1)
-    return linalg.multimodular(n, linalg.coefficient_bound(n, longest),
-                               residues, order)
+    bounds = {n: linalg.coefficient_bound(n, longest) for n in set(degrees)}
+    if len(orbits) > 1:    # the cap, before the first residue of any orbit
+        linalg.crt_primes(bounds[max(degrees)], order)
+    return linalg.poly_product(
+        linalg.multimodular(n, bounds[n], orbit_residues(o), order)
+        for o, n in zip(orbits, degrees))
 
 
 def h1_action_on_cover(lm):

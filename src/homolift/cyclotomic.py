@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import linalg
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 # 110 digits; enough to seed intervals far tighter than any precision the
 # refinement loop will request in practice.
@@ -228,7 +228,7 @@ class Cyclotomic:
     def real_sign(self):
         """Sign (-1, 0, 1) of a real element, decided exactly."""
         if not self.is_real():
-            raise ValueError("sign of a non-real element")
+            raise ValidationError("sign of a non-real element")
         r = self.rational_value()
         if r is not None:
             return (r > 0) - (r < 0)
@@ -255,7 +255,7 @@ class Cyclotomic:
                 return -1
             prec *= 2
             if prec > 1 << 16:
-                raise ArithmeticError("sign refinement did not converge")
+                raise ResourceLimitError("sign refinement did not converge")
 
     def compare(self, rational):
         """Sign of (self - rational) for real self."""

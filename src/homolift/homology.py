@@ -24,7 +24,7 @@ from .graphs import EdgePath, empty_path
 @dataclass(frozen=True)
 class SpanningTreeData:
     tree_edges: frozenset
-    tree_paths: dict      # vertex -> EdgePath from base
+    parents: dict         # vertex -> (parent, tree step into it); no base
     h1_basis: tuple       # non-tree edge names, declaration order
     basis_index: dict     # non-tree edge name -> position in h1_basis
 
@@ -32,22 +32,28 @@ class SpanningTreeData:
     def rank(self):
         return len(self.h1_basis)
 
+    def tree_path(self, v):
+        """The tree path from the base to ``v``, walked up the parents."""
+        steps = []
+        while v in self.parents:
+            v, step = self.parents[v]
+            steps.append(step)
+        return EdgePath(tuple(reversed(steps))) if steps else empty_path(v)
+
 
 def spanning_tree(graph):
     """Breadth-first spanning tree from the base, edges in declaration order
-    (``Graph.tree_steps``).  Each tree path extends its parent's, so the
-    work is O(V + E) plus the total length of the tree paths."""
-    tree = set()
-    paths = {graph.base: empty_path(graph.base)}
+    (``Graph.tree_steps``), stored as one parent step per vertex: O(V + E)."""
+    parents = {}
     for e, d in graph.tree_steps():
         parent, child = (e.origin, e.terminus) if d > 0 else (e.terminus,
                                                                 e.origin)
-        tree.add(e.name)
-        paths[child] = EdgePath(paths[parent].steps + ((e.name, d),))
-    if len(paths) != len(graph.vertices):
+        parents[child] = (parent, (e.name, d))
+    if len(parents) != len(graph.vertices) - 1:
         raise ValidationError("graph is not connected")
+    tree = frozenset(step[0] for _parent, step in parents.values())
     basis = tuple(e.name for e in graph.edges if e.name not in tree)
-    return SpanningTreeData(frozenset(tree), paths, basis,
+    return SpanningTreeData(tree, parents, basis,
                             {name: i for i, name in enumerate(basis)})
 
 
@@ -68,9 +74,8 @@ def path_class(path, st):
 def basis_loop(graph, st, edge_name):
     """The based loop tree_path(o(e)) . e . tree_path(t(e))^-1."""
     e = graph.edge_by_name[edge_name]
-    p = st.tree_paths[e.origin]
-    p = p.concat(EdgePath(((edge_name, 1),)), graph)
-    return p.concat(st.tree_paths[e.terminus].reverse(graph), graph)
+    p = st.tree_path(e.origin).concat(EdgePath(((edge_name, 1),)), graph)
+    return p.concat(st.tree_path(e.terminus).reverse(graph), graph)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ are lists of coefficients, lowest degree first, with no trailing zeros
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +75,7 @@ def int_matrix_inverse(u):
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)
         if piv is None:
-            raise ValueError("matrix is singular")
+            raise ValidationError("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
         pv = aug[col][col]
         aug[col] = [x / pv for x in aug[col]]
@@ -88,7 +89,7 @@ def int_matrix_inverse(u):
         for j in range(n, 2 * n):
             x = aug[i][j]
             if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
+                raise ValidationError("matrix is not unimodular")
             row.append(int(x))
         inv.append(row)
     return inv
@@ -238,7 +239,7 @@ def poly_divmod_monic(p, q, modulus=None):
     """Divide p by q where q is monic with integer coefficients; with a
     ``modulus``, divide in (Z/modulus)[x] and reduce the results."""
     if not q or q[-1] != 1:
-        raise ValueError("divisor must be monic")
+        raise ValidationError("divisor must be monic")
     rem = list(p)
     dq = len(q) - 1
     quo = [0] * max(0, len(p) - dq)
@@ -271,14 +272,39 @@ def poly_mul_mod(a, b, q):
             for i in range(size)]
 
 
-def poly_product_mod(polys, q):
-    """Product of many polynomials modulo q, multiplied pairwise up a
-    balanced tree so the large products are few."""
+def poly_mul(a, b):
+    """Exact product of two integer polynomials, by Kronecker substitution
+    with signed coefficients: each slot is wide enough for any product
+    coefficient c, and c + half (half the slot's range) reads back with no
+    carry between slots."""
+    if not a or not b:
+        return []
+    size = len(a) + len(b) - 1
+    big = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = (big.bit_length() + 8) // 8       # |c| <= big < half
+
+    def word(cs):    # nonnegative coefficients, one slot each
+        return int.from_bytes(b"".join(c.to_bytes(width, "little")
+                                       for c in cs), "little")
+
+    def pack(p):     # sum of c_i * 2^(8 * width * i)
+        return word(max(c, 0) for c in p) - word(max(-c, 0) for c in p)
+
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+    data = (pack(a) * pack(b) + offset).to_bytes(width * size, "little")
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little") - half
+            for i in range(size)]
+
+
+def poly_product(polys, q=None):
+    """Product of many polynomials, exactly or modulo q, multiplied pairwise
+    up a balanced tree so the large products are few."""
+    mul = poly_mul if q is None else (lambda a, b: poly_mul_mod(a, b, q))
     polys = list(polys) or [[1]]
     while len(polys) > 1:
-        polys = [poly_mul_mod(polys[i], polys[i + 1], q)
-                 if i + 1 < len(polys) else polys[i]
-                 for i in range(0, len(polys), 2)]
+        polys = [mul(polys[i], polys[i + 1]) if i + 1 < len(polys)
+                 else polys[i] for i in range(0, len(polys), 2)]
     return polys[0]
 
 
@@ -403,15 +429,10 @@ def coefficient_bound(n, radius):
     return bound
 
 
-def multimodular(n, bound, residues, order=1):
-    """The integer polynomial of degree n (ascending, n + 1 coefficients)
-    whose coefficients are at most ``bound`` in absolute value, from
-    ``residues(q, w)``: its coefficients modulo each prime q of
-    ``prime_root(order, .)``, w the primitive root there.
-
-    The primes needed are counted before any residue is computed;
-    ResourceLimitError when more than CRT_PRIME_CAP are.
-    """
+def crt_primes(bound, order=1):
+    """The first pairs (q, w) of ``prime_root(order, .)`` whose product
+    exceeds 2 * bound + 1; ResourceLimitError when more than CRT_PRIME_CAP
+    are needed.  Only primes are generated, no residue."""
     roots = []
     modulus = 1
     while modulus <= 2 * bound + 1:
@@ -419,6 +440,24 @@ def multimodular(n, bound, residues, order=1):
             raise ResourceLimitError("charpoly: prime pool exhausted")
         roots.append(prime_root(order, len(roots)))
         modulus *= roots[-1][0]
+    return roots
+
+
+def multimodular(n, bound, residues, order=1):
+    """The integer polynomial of degree n (ascending, n + 1 coefficients)
+    whose coefficients are at most ``bound`` in absolute value, from
+    ``residues(q, w)``: its coefficients modulo each prime q of
+    ``prime_root(order, .)``, w the primitive root there.
+
+    The primes needed are counted (``crt_primes``) before any residue is
+    computed; ResourceLimitError when more than CRT_PRIME_CAP are.  The cap
+    bounds one reconstruction: a caller that reconstructs a product factor
+    by factor (``covers.level_charpoly``, one factor per Galois orbit of
+    characters) counts the primes of its largest factor before the first
+    residue of any factor.
+    """
+    roots = crt_primes(bound, order)
+    modulus = prod(q for q, _w in roots)
     coeffs = [0] * (n + 1)
     for q, w in roots:
         res = residues(q, w)

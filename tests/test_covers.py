@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import chain, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homolift import corpus, linalg, magnus
-from homolift.covers import (abelian_cover, chain_action_matrix,
-                             cover_chain_action_check, deck_action_on_quotient,
-                             deck_commutes, h1_action_on_cover, lift_map,
+from homolift.covers import (_galois_orbits, abelian_cover,
+                             chain_action_matrix, cover_chain_action_check,
+                             deck_action_on_quotient, deck_commutes,
+                             h1_action_on_cover, level_charpoly, lift_map,
                              spectral_radius, unit_circle_test)
 from homolift.errors import LiftError, ResourceLimitError, ValidationError
 from homolift.graphs import parse_graph_map
@@ -206,6 +209,72 @@ def test_block_charpoly_matches_dense_on_lattice_quotients(analyses, name,
     assert _matches_dense(level)
 
 
+@pytest.mark.parametrize("diag", [(1,), (12,), (30,), (2, 4), (3, 6),
+                                  (6, 6), (2, 2, 4)])
+def test_galois_orbits_are_the_unit_classes(diag):
+    # brute force: a ~ u * a for every unit u modulo the exponent of G
+    order = lcm(*diag)
+    orbits = _galois_orbits(diag)
+    for orbit in orbits:
+        a = orbit[0]
+        assert sorted(orbit) == sorted({
+            tuple(u * ai % d for ai, d in zip(a, diag))
+            for u in range(1, order + 1) if gcd(u, order) == 1})
+    group = sorted(product(*map(range, diag)))
+    assert sorted(chain.from_iterable(orbits)) == group
+    assert orbits[0] == [(0,) * len(diag)]
+
+
+@pytest.mark.parametrize("name, k, sizes, count", [
+    ("unipotent_silver", 12, {1, 2, 4}, 6),
+    ("unipotent_silver", 30, {1, 2, 4, 8}, 8),
+    # (Z/6)^2: one orbit per cyclic subgroup, (1 + 3) * (1 + 4) of them
+    ("unipotent_rank2", 6, {1, 2}, 20)])
+def test_orbit_charpoly_matches_dense(analyses, name, k, sizes, count):
+    level, _step = analyses[name].cover(k)
+    diag = level.lifted.cover.quotient.diag
+    orbits = _galois_orbits(diag)
+    assert {len(o) for o in orbits} == sizes and len(orbits) == count
+    if len(diag) > 1:    # some orbit moves both components at once
+        assert any(len(o) > 1 and all(o[0]) for o in orbits)
+    assert _matches_dense(level)
+
+
+def test_orbit_charpoly_makes_few_block_charpolys(silver, monkeypatch):
+    # one CRT over the whole level would pay 13 primes x 192 characters x
+    # 2 blocks = 4992 calls; per-orbit bounds make 1216
+    level, _step = Analysis.of(silver).cover(192)
+    calls = []
+    real = linalg.charpoly_mod
+    monkeypatch.setattr(linalg, "charpoly_mod",
+                        lambda rows, p: calls.append(p) or real(rows, p))
+    assert len(level.charpoly) == 192 * 2 + 2
+    assert len(calls) <= 1300
+
+
+def test_orbit_prime_cap_is_checked_before_any_residue(analyses,
+                                                       monkeypatch):
+    # Z/96: the orbit of the order-96 characters (degree 64) needs 3 primes
+    lifted = analyses["unipotent_silver"].cover(96)[0].lifted
+    calls = []
+    real = linalg.charpoly_mod
+    monkeypatch.setattr(linalg, "charpoly_mod",
+                        lambda rows, p: calls.append(p) or real(rows, p))
+    cap = 1
+    while True:
+        monkeypatch.setattr(linalg, "CRT_PRIME_CAP", cap)
+        try:
+            level_charpoly(lifted.base_map, lifted.cover)
+            break
+        except ResourceLimitError as exc:
+            assert "prime pool" in str(exc)
+            assert calls == []      # refused before any orbit's residue
+            cap += 1
+    # the trivial orbit alone needs one prime, so a per-orbit check would
+    # have computed its residues before refusing at cap - 1
+    assert cap > 2 and calls
+
+
 def test_restricted_cover_is_refused(analyses):
     # doubling the cocycle makes it generate only 2Z/4 inside Z/4: the
     # cover graph would fall apart into two components
@@ -216,6 +285,23 @@ def test_restricted_cover_is_refused(analyses):
         {e: tuple(2 * x for x in v) for e, v in q.cocycle.items()}, q._smith)
     with pytest.raises(LiftError, match="H_f/4H_f.*does not generate"):
         abelian_cover(an.graph_map.graph, doubled, 4)
+
+
+def test_exact_poly_product_matches_schoolbook():
+    rng = random.Random(5)
+    polys = [[rng.choice([0, 1, -1, rng.randint(-2 ** 200, 2 ** 200)])
+              for _ in range(rng.randint(1, 9))] + [rng.choice([1, -3])]
+             for _ in range(7)]
+    expected = [1]
+    for p in polys:
+        out = [0] * (len(expected) + len(p) - 1)
+        for i, x in enumerate(expected):
+            for j, y in enumerate(p):
+                out[i + j] += x * y
+        expected = out
+    assert linalg.poly_product(polys) == expected
+    assert linalg.poly_mul([-1], [-1]) == [1]
+    assert linalg.poly_mul([], [1, 2]) == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 385])

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from homolift import linalg
+from homolift.errors import HomoliftError
 from homolift.graphs import Edge, EdgePath, Graph, empty_path, parse_graph_map
 from homolift.homology import (equivariant_quotient, homology_action,
                                path_class, spanning_tree)
@@ -34,8 +35,8 @@ def test_spanning_tree_theta():
     st = spanning_tree(theta)
     assert len(st.tree_edges) == 1
     assert st.rank == 2
-    assert st.tree_paths["u"].is_empty()
-    assert st.tree_paths["w"].steps == (("a", 1),)
+    assert st.tree_path("u").is_empty()
+    assert st.tree_path("w").steps == (("a", 1),)
 
 
 def test_spanning_tree_single_loop():
@@ -76,8 +77,33 @@ def test_spanning_tree_matches_declaration_scan(analyses):
             while parent[w] is not None:
                 walk.append(parent[w])
                 w = g.step_endpoints(parent[w])[0]
-            assert st.tree_paths[v].steps == tuple(reversed(walk))
-            assert st.tree_paths[v].start(g) == g.base
+            assert st.tree_path(v).steps == tuple(reversed(walk))
+            assert st.tree_path(v).start(g) == g.base
+
+
+def test_spanning_tree_stores_one_step_per_vertex(analyses):
+    # a cyclic cover's tree is a long path: one parent step per vertex keeps
+    # it linear, where a stored path per vertex would hold about V^2 / 4
+    level, _step = analyses["unipotent_silver"].cover(64)
+    g = level.graph_map.graph
+    st = spanning_tree(g)
+    assert len(st.parents) == len(g.vertices) - 1
+    assert g.base not in st.parents
+    depths = [len(st.tree_path(v).validate(g)) for v in g.vertices]
+    assert max(depths) >= len(g.vertices) // 2
+    assert all(st.tree_path(v).end(g) == v for v in g.vertices)
+
+
+@pytest.mark.parametrize("matrix, match", [([[0]], "singular"),
+                                           ([[2]], "not unimodular")])
+def test_non_unimodular_inverse_is_a_homolift_error(matrix, match):
+    with pytest.raises(HomoliftError, match=match):
+        linalg.int_matrix_inverse(matrix)
+
+
+def test_division_by_a_non_monic_polynomial_is_a_homolift_error():
+    with pytest.raises(HomoliftError, match="monic"):
+        linalg.poly_divmod_monic([1, 2, 3], [1, 2])
 
 
 def test_path_class_examples(s3):

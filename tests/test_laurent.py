@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homolift import cyclotomic
 from homolift.cyclotomic import Cyclotomic
-from homolift.errors import DimensionMismatchError, ValidationError
+from homolift.errors import (DimensionMismatchError, HomoliftError,
+                             ResourceLimitError, ValidationError)
 from homolift.laurent import (Character, Lattice, LaurentElement,
                               annihilator_characters,
                               average_over_annihilator, character_grid,
@@ -198,6 +200,21 @@ def test_cyclotomic_compare():
     assert golden_ratio_part.compare(Fraction(618, 1000)) == 1
     assert golden_ratio_part.compare(Fraction(619, 1000)) == -1
     assert (z5 * z5.conjugate()).rational_value() == 1
+
+
+def test_sign_of_a_non_real_element_is_a_homolift_error():
+    with pytest.raises(HomoliftError, match="non-real"):
+        Cyclotomic.root_of_unity(5, 1).real_sign()
+
+
+def test_sign_refinement_that_never_separates_is_a_resource_limit(
+        monkeypatch):
+    # cos enclosures that never tighten: the refinement must give up loudly
+    monkeypatch.setattr(cyclotomic, "_cos_enclosure",
+                        lambda num, den, prec: (Fraction(-1), Fraction(1)))
+    z5 = Cyclotomic.root_of_unity(5, 1)
+    with pytest.raises(ResourceLimitError, match="did not converge"):
+        (z5 + z5.conjugate()).real_sign()
 
 
 def test_cyclotomic_mixed_orders():
