@@ -142,6 +142,11 @@ def _analysis_report(spec, an, cfg):
     return report
 
 
+def _stability_line(entry):
+    return (f"vertex ({', '.join(entry['vertex'])}): "
+            + ("stable" if entry["stable"] else "not stable"))
+
+
 def _human_analysis(report):
     lines = [f"input {report['input']['source']}: "
              f"{report['input']['vertices']} vertex(es), "
@@ -154,9 +159,7 @@ def _human_analysis(report):
     sh = report["shadow"]
     lines.append(f"shadow: dimension {sh['dimension']}, vertices "
                  + "; ".join("(" + ", ".join(v) + ")" for v in sh["vertices"]))
-    for entry in sh["stability"]:
-        lines.append(f"  vertex ({', '.join(entry['vertex'])}): "
-                     + ("stable" if entry["stable"] else "not stable"))
+    lines += ["  " + _stability_line(e) for e in sh["stability"]]
     lines.append(f"dilatation: {report['dilatation']}")
     dd = report["dimension_diagnostic"]
     lines.append(f"dimension diagnostic [{dd['mode']}]: {dd['note']}")
@@ -287,9 +290,7 @@ def _dispatch(args, out, err):
         report["input_digest"] = input_digest(f)
         lines = [f"shadow dimension {report['dimension']} "
                  f"in rank {report['ambient_dimension']}"]
-        for entry in report["stability"]:
-            lines.append(f"  vertex ({', '.join(entry['vertex'])}): "
-                         + ("stable" if entry["stable"] else "not stable"))
+        lines += ["  " + _stability_line(e) for e in report["stability"]]
         _emit(report, args.json, lines, out)
         return EXIT_OK
 
@@ -297,9 +298,7 @@ def _dispatch(args, out, err):
         poly_report, poly = _shadow_report(an, cfg.cycle_cap)
         report = {"input_digest": input_digest(f),
                   "stability": poly_report["stability"]}
-        lines = [f"vertex ({', '.join(e['vertex'])}): "
-                 + ("stable" if e["stable"] else "not stable")
-                 for e in report["stability"]]
+        lines = [_stability_line(e) for e in report["stability"]]
         _emit(report, args.json, lines, out)
         return EXIT_OK
 

@@ -163,12 +163,9 @@ class FiniteQuotient:
         return [tuple(e) for e in product(*[range(d) for d in self.diag])]
 
 
-def _vname(v, elem):
-    return f"{v}@{'.'.join(map(str, elem))}"
-
-
-def _ename(e, elem):
-    return f"{e}@{'.'.join(map(str, elem))}"
+def _at(name, elem):
+    """The name of a base vertex's or edge's copy on the sheet ``elem``."""
+    return f"{name}@{'.'.join(map(str, elem))}"
 
 
 @dataclass(frozen=True)
@@ -190,11 +187,11 @@ class CoverGraph:
 
     def deck_vertex(self, name, elem):
         v, x = self.vertex_info[name]
-        return _vname(v, self.quotient.add(x, elem))
+        return _at(v, self.quotient.add(x, elem))
 
     def deck_edge(self, name, elem):
         e, x = self.edge_info[name]
-        return _ename(e, self.quotient.add(x, elem))
+        return _at(e, self.quotient.add(x, elem))
 
     def deck_path(self, path, elem):
         if path.is_empty():
@@ -220,19 +217,19 @@ def abelian_cover(graph, quot, spec):
     fq = FiniteQuotient.of(quot.rank, spec)
     cocycle = {e.name: fq.reduce(quot.cocycle[e.name]) for e in graph.edges}
     elements = fq.elements()
-    vertex_info = {_vname(v, x): (v, x)
+    vertex_info = {_at(v, x): (v, x)
                    for v in graph.vertices for x in elements}
     edges = []
     edge_info = {}
     for e in graph.edges:
         for x in elements:
-            name = _ename(e.name, x)
-            edges.append(Edge(name, _vname(e.origin, x),
-                              _vname(e.terminus, fq.add(x, cocycle[e.name]))))
+            name = _at(e.name, x)
+            edges.append(Edge(name, _at(e.origin, x),
+                              _at(e.terminus, fq.add(x, cocycle[e.name]))))
             edge_info[name] = (e.name, x)
     try:
         cover = Graph(tuple(vertex_info), tuple(edges),
-                      _vname(graph.base, fq.zero()))
+                      _at(graph.base, fq.zero()))
     except ValidationError as exc:
         raise LiftError(f"cover {fq.describe()}: {exc}; the cocycle does "
                         "not generate the deck group") from None
@@ -244,7 +241,6 @@ class LiftedMap:
     map: GraphMap
     cover: CoverGraph
     base_map: GraphMap
-    power: int = 1
 
 
 def _fiber_zero(f, quotient, cocycle):
@@ -300,12 +296,12 @@ def lift_map(f, cover):
         raise ValidationError("cover was built over a different graph")
     g, q = f.graph, cover.quotient
     edge_rows, vertex_rows = _fiber_zero(f, q, cover.cocycle)
-    vertex_image = {_vname(v, x): _vname(w, q.add(y, x))
+    vertex_image = {_at(v, x): _at(w, q.add(y, x))
                     for v, (w, y) in zip(g.vertices, vertex_rows)
                     for x in cover.elements}
     edge_image = {
-        _ename(e.name, x): EdgePath(tuple((_ename(n, q.add(y, x)), d)
-                                          for n, y, d in row))
+        _at(e.name, x): EdgePath(tuple((_at(n, q.add(y, x)), d)
+                                       for n, y, d in row))
         for e, row in zip(g.edges, edge_rows) for x in cover.elements}
     lifted_map = GraphMap(cover.graph, vertex_image, edge_image,
                           f.boundary_count)
@@ -538,7 +534,7 @@ def cover_chain_action_check(lm, chi, base_magnus):
     for i, base_e in enumerate(base_edges):
         lhs = [Cyclotomic.zero(order) for _ in names]
         for x in cover.elements:
-            row = chain[index[_ename(base_e, x)]]
+            row = chain[index[_at(base_e, x)]]
             wx = weights[x]
             for jj, c in enumerate(row):
                 if c:
@@ -546,7 +542,7 @@ def cover_chain_action_check(lm, chi, base_magnus):
         for j, base_e2 in enumerate(base_edges):
             aij = spec[i][j]
             for x in cover.elements:
-                target = index[_ename(base_e2, x)]
+                target = index[_at(base_e2, x)]
                 rhs = aij * weights[x]
                 if not (lhs[target] - rhs).is_zero():
                     return False

@@ -19,26 +19,6 @@ from math import gcd
 from . import linalg
 from .errors import ResourceLimitError, ValidationError
 
-# 110 digits; enough to seed intervals far tighter than any precision the
-# refinement loop will request in practice.
-_PI_DIGITS = ("3."
-              "14159265358979323846264338327950288419716939937510"
-              "58209749445923078164062862089986280348253421170679")
-
-
-def _pi_enclosure():
-    lo = Fraction(_PI_DIGITS)
-    return lo, lo + Fraction(1, 10**100)
-
-
-def _round_out(lo, hi, prec):
-    """Round an interval outward to denominators 2**prec."""
-    scale = 1 << prec
-    lo = Fraction((lo * scale).__floor__(), scale)
-    hi = Fraction(-((-hi * scale).__floor__()), scale)
-    return lo, hi
-
-
 def exact_coefficient(c):
     """An int or Fraction as is, any other integral type (numpy ints) as an
     int; inexact values (floats, complex numbers) raise ValidationError."""
@@ -51,27 +31,50 @@ def exact_coefficient(c):
             f"coefficient {c!r} is not an exact rational") from None
 
 
+@lru_cache(maxsize=None)
+def _pi_fixed(bits):
+    """(p, e) with |p - pi * 2**bits| <= e, in integers by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239)."""
+    p = e = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        power, k = (1 << bits) // x, 1    # floor(2**bits / x**k)
+        while power:
+            p += weight * (power // k if k % 4 == 1 else -(power // k))
+            e += 2 * abs(weight)          # each floored term is off by < 2
+            power //= x * x
+            k += 2
+        e += abs(weight)                  # the alternating tail is below 1
+    return p, e
+
+
 @lru_cache(maxsize=4096)
 def _cos_enclosure(num, den, prec):
-    """Certified enclosure of cos(2*pi*num/den), 0 <= num < den."""
-    pi_lo, pi_hi = _pi_enclosure()
-    t = Fraction(2 * num, den)
-    th_lo, th_hi = pi_lo * t, pi_hi * t  # theta in [0, 2*pi)
-    mid = (th_lo + th_hi) / 2
-    half_width = (th_hi - th_lo) / 2
-    # Taylor sum of cos at mid with rigorous remainder; |mid| < 7
-    terms = max(24, prec // 2)
-    acc = Fraction(0)
-    term = Fraction(1)
-    x2 = mid * mid
-    for k in range(terms):
-        acc += term
-        term = -term * x2 / ((2 * k + 1) * (2 * k + 2))
-    # remainder bound: |x|^(2N) / (2N)! * 1/(1 - (x/(2N+1))^2), crude but safe
-    rem = abs(term) * 2
-    # |cos(a) - cos(b)| <= |a - b|
-    err = rem + half_width
-    return _round_out(acc - err, acc + err, prec)
+    """Certified enclosure of cos(2*pi*num/den), 0 <= num < den, with
+    denominators 2**prec and width below 2**(2 - prec).
+
+    Fixed point with 32 guard bits: theta = 2*pi*num/den is known to
+    ``err`` units, |cos a - cos b| <= |a - b|, and the Taylor series at
+    theta carries a bound on every floored term.
+    """
+    g = prec + 32
+    one = 1 << g
+    pi, pi_err = _pi_fixed(g)
+    theta = 2 * num * pi // den              # in [0, 2*pi), scaled by 2**g
+    err = 2 * pi_err + 1
+    x2 = theta * theta >> g                  # theta^2, off by < 1 unit
+    acc, term, term_err, k = 0, one, 0, 0
+    # from k = 5 on each true term is below half the previous (theta^2 <
+    # 49), so once the terms vanish the tail is at most twice the next one
+    while k < 5 or term:
+        acc += -term if k % 2 else term
+        err += term_err
+        c = one * (2 * k + 1) * (2 * k + 2)
+        term, term_err = (term * x2 // c,
+                          (term_err * x2 + term + term_err) // c + 2)
+        k += 1
+    err += 2 * (term + term_err)
+    return (Fraction((acc - err) >> 32, 1 << prec),
+            Fraction(-(-(acc + err) >> 32), 1 << prec))
 
 
 class Cyclotomic:
@@ -187,18 +190,10 @@ class Cyclotomic:
     # -- decision procedures -------------------------------------------------
 
     def _reduced(self):
-        """Remainder modulo the cyclotomic polynomial, as Fraction list."""
-        phi = linalg.cyclotomic_polynomial(self.order)
-        rem = list(self.coeffs)
-        dq = len(phi) - 1
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i]
-            if c:
-                for j in range(dq + 1):
-                    rem[i - dq + j] -= c * phi[j]
-        while rem and not rem[-1]:
-            rem.pop()
-        return rem
+        """Remainder modulo the cyclotomic polynomial, trailing zeros
+        trimmed."""
+        return linalg.poly_divmod_monic(
+            self.coeffs, linalg.cyclotomic_polynomial(self.order))[1]
 
     def is_zero(self):
         return not self._reduced()

@@ -15,6 +15,7 @@ character is the lift's chain action on that character's isotypic part.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import ValidationError
@@ -101,9 +102,7 @@ def homology_action(f, st):
 class EquivariantQuotient:
     """Projection of H1 onto the torsion-free cokernel of (I - f*).
 
-    ``projection`` is d x r of full row rank with saturated row space;
-    ``section`` is an integer right inverse (projection @ section = I_d),
-    computed lazily since only the deck-action machinery needs it.
+    ``projection`` is d x r of full row rank with saturated row space.
     ``cocycle`` sends each edge to the image of its one-step path: its
     projection column for a basis edge, zero for a tree edge.
     """
@@ -111,27 +110,17 @@ class EquivariantQuotient:
     rank: int
     projection: tuple       # d rows of length r
     cocycle: dict           # edge name -> tuple of length d
-    _smith: tuple           # (S, rank of I - f*, Hermite transform U)
 
-    @property
+    @cached_property
     def section(self):
-        cached = getattr(self, "_section_cache", None)
-        if cached is None:
-            s, rank_m, u = self._smith
-            r = len(s)
-            if self.rank == 0:
-                cached = ()
-            else:
-                # bottom columns of S^-1 are a right inverse of S's bottom
-                # rows; correct by the Hermite transform
-                sinv = linalg.int_matrix_inverse([list(x) for x in s])
-                cols = [[sinv[i][j] for j in range(rank_m, r)]
-                        for i in range(r)]
-                uinv = linalg.int_matrix_inverse([list(x) for x in u])
-                cached = tuple(tuple(row)
-                               for row in linalg.mat_mul(cols, uinv))
-            object.__setattr__(self, "_section_cache", cached)
-        return cached
+        """An integer right inverse (projection @ section = I_d), from the
+        projection alone: it is onto, so S P T = [I 0] and T[:, :d] S is
+        one.  Any right inverse serves the deck actions P sigma section,
+        since sigma commutes with f* and so preserves ker P."""
+        if self.rank == 0:
+            return ()
+        s, _d, t = linalg.smith_normal_form([list(r) for r in self.projection])
+        return tuple(map(tuple, linalg.mat_mul([r[:self.rank] for r in t], s)))
 
 
 def equivariant_quotient(fa, st):
@@ -144,17 +133,11 @@ def equivariant_quotient(fa, st):
     rank_m = sum(1 for x in linalg.smith_diagonal(dmat) if x)
     d = r - rank_m
     bottom = [list(s[i]) for i in range(rank_m, r)]
-    if d == 0:
-        proj = []
-        u = []
-    else:
-        proj, u = linalg.hermite_row_form(bottom)
+    proj = linalg.hermite_row_form(bottom)[0] if d else []
     projection = tuple(tuple(row) for row in proj)
 
     cocycle = {name: tuple(row[i] for row in projection)
                for i, name in enumerate(st.h1_basis)}
     cocycle.update(dict.fromkeys(st.tree_edges, (0,) * d))
-    smith = (tuple(tuple(row) for row in s), rank_m,
-             tuple(tuple(row) for row in u))
-    return EquivariantQuotient(d, projection, cocycle, smith)
+    return EquivariantQuotient(d, projection, cocycle)
 

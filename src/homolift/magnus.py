@@ -44,10 +44,16 @@ def matrix_from_rows(edge_order, dim, rows):
 
 def magnus_matrix(transition):
     """Assemble the matrix from a transition graph's arcs."""
+    return arcs_matrix(transition, transition.arcs)
+
+
+def arcs_matrix(transition, arcs):
+    """The matrix of some of a transition graph's arcs: entry (i, j) sums
+    sign * X^translation over the given arcs from edge i to edge j."""
     m = len(transition.nodes)
     d = transition.dim
     rows = [[LaurentElement.zero(d) for _ in range(m)] for _ in range(m)]
-    for arc in transition.arcs:
+    for arc in arcs:
         mono = LaurentElement.monomial(arc.translation, arc.sign)
         rows[arc.source][arc.target] = rows[arc.source][arc.target] + mono
     return matrix_from_rows(transition.nodes, d, rows)

@@ -25,8 +25,7 @@ from .covers import (CoverCertificate, FiniteQuotient, TowerStep,
 from .errors import CertificateError, ResourceLimitError, ValidationError
 from .graphs import parse_graph_map, serialize_graph_map
 from .homology import equivariant_quotient, homology_action, spanning_tree
-from .laurent import (Lattice, annihilator_characters, character_grid,
-                      l2_norm_squared, specialize)
+from .laurent import Lattice, character_grid, l2_norm_squared, specialize
 from .transition import transition_graph
 
 
@@ -192,17 +191,20 @@ def check_anchored(a, cfg):
     return None
 
 
-def _certainly_not_above(z, threshold_sq):
-    """Rigorous float filter: True when |z|^2 <= threshold certainly.
+def _above(z, m):
+    """|z| > m for a cyclotomic z, decided exactly.
 
-    The float evaluation of a cyclotomic with coefficient mass l1 over a few
-    hundred support points carries absolute error well below l1 * 1e-12, so
-    ties and near-ties fall through to the exact comparison.
+    A rigorous float filter settles most values first: evaluating z of
+    order n in floats is off by less than (n + 30) * 1.2e-16 times its
+    coefficient mass l1 (the phase and product roundings of each term, then
+    the running sum), well inside the margin below, so only ties and
+    near-ties reach the exact comparison.
     """
     l1 = float(sum(abs(c) for c in z.coeffs))
-    err = l1 * 1e-12 + 1e-12
-    value = abs(z.to_complex())
-    return (value + err) ** 2 < threshold_sq - err
+    err = l1 * (z.order + 1000) * 1e-15 + 1e-12
+    if (abs(z.to_complex()) + err) ** 2 < m * m - err:
+        return False
+    return z.magnitude_squared().compare(Fraction(m * m)) > 0
 
 
 def character_scan(a, cfg):
@@ -221,9 +223,7 @@ def character_scan(a, cfg):
                 if not viable[k - 1]:
                     continue
                 z = specialize(traces[k - 1], chi)
-                if _certainly_not_above(z, m * m):
-                    continue
-                if z.magnitude_squared().compare(Fraction(m * m)) > 0:
+                if _above(z, m):
                     return Finding("character", power=k,
                                    value=str(abs(z.to_complex())),
                                    character=chi)
@@ -272,8 +272,9 @@ def _locate_character(an, finding, bound):
         return finding.character
     t = magnus.trace_power(a, k)
     if finding.kind == "anchored":
-        found = annihilator_characters(
-            Lattice(finding.lattice.dim, finding.lattice.basis))
+        # check_anchored's lattices are jZ^d, annihilated by the j-grid
+        basis = finding.lattice.basis
+        found = character_grid(a.dim, basis[0][0] if basis else 1)
         chars = [chi for chi in found if chi.exact_order() <= bound]
         cut = len(chars) < len(found)
     else:  # l2: a grid finer than the support width carries exact Parseval
@@ -286,8 +287,7 @@ def _locate_character(an, finding, bound):
         cut = top < width + 1
     chars.sort(key=lambda c: (c.exact_order(), c.order, c.exponents))
     for chi in chars:
-        z = specialize(t, chi)
-        if z.magnitude_squared().compare(Fraction(m * m)) > 0:
+        if _above(specialize(t, chi), m):
             return chi
     if cut:
         raise ResourceLimitError(

@@ -15,13 +15,10 @@ all live here.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import geometry, magnus
-from .covers import unit_circle_test
+from .covers import spectral_radius, unit_circle_test
 from .errors import ResourceLimitError, ValidationError
 from .graphs import EdgePath, empty_path
-from .laurent import LaurentElement
 from .linalg import charpoly_int
 
 DEFAULT_CYCLE_CAP = 10 ** 6
@@ -275,14 +272,8 @@ def vertex_subgraph(transition, u, cap=DEFAULT_CYCLE_CAP):
 
 
 def subgraph_matrix(transition, selection):
-    m = len(transition.nodes)
-    d = transition.dim
-    rows = [[LaurentElement.zero(d) for _ in range(m)] for _ in range(m)]
-    for idx in selection.arc_indices:
-        arc = transition.arcs[idx]
-        mono = LaurentElement.monomial(arc.translation, arc.sign)
-        rows[arc.source][arc.target] = rows[arc.source][arc.target] + mono
-    return magnus.matrix_from_rows(transition.nodes, d, rows)
+    return magnus.arcs_matrix(
+        transition, (transition.arcs[i] for i in selection.arc_indices))
 
 
 def is_stable(matrix):
@@ -311,8 +302,7 @@ def dilatation(transition):
         return 0.0
     if _growth_is_one(transition):
         return 1.0
-    eigs = np.linalg.eigvals(np.array(transition.counts, dtype=float))
-    return float(max(abs(eigs)))
+    return spectral_radius(transition.counts)
 
 
 def positive_power(vertex_matrices, vertices, bound):

@@ -187,6 +187,17 @@ def test_annihilator_characters_kill_lattice():
                 assert chi.value_exponent(row) == 0
 
 
+def test_annihilator_of_a_scaled_lattice_is_the_grid():
+    # the anchored conversion enumerates character_grid(d, j) for jZ^d:
+    # the same characters in the same order as the Smith-form annihilator
+    pairs = [(0, 1)] + [(d, j) for d in range(1, 7) for j in range(1, 65)
+                        if j ** d <= 64]
+    assert len(pairs) == 83
+    for d, j in pairs:
+        assert annihilator_characters(Lattice.scaled(d, j)) == \
+            character_grid(d, j)
+
+
 def test_text_form():
     t = ONE - X + 2 * LaurentElement.monomial((-1, 3))
     assert t.to_text() == "2*X1^-1*X2^3 + 1 + -1*X1^1"
@@ -215,6 +226,19 @@ def test_sign_refinement_that_never_separates_is_a_resource_limit(
     z5 = Cyclotomic.root_of_unity(5, 1)
     with pytest.raises(ResourceLimitError, match="did not converge"):
         (z5 + z5.conjugate()).real_sign()
+
+
+def test_cos_enclosure_tightens_with_the_precision():
+    # pi is computed to the requested precision, so the enclosure keeps
+    # shrinking past the 335 bits a 100-digit pi allows
+    for prec in (64, 512, 1024):
+        lo, hi = cyclotomic._cos_enclosure(1, 7, prec)
+        assert 0 < hi - lo < Fraction(1, 2 ** (prec - 2))
+    # exact values stay inside: cos(2pi/3) = -1/2, (4 cos(2pi/5) + 1)^2 = 5
+    lo, hi = cyclotomic._cos_enclosure(1, 3, 1024)
+    assert lo <= Fraction(-1, 2) <= hi
+    lo, hi = cyclotomic._cos_enclosure(1, 5, 1024)
+    assert (4 * lo + 1) ** 2 <= 5 <= (4 * hi + 1) ** 2
 
 
 def test_cyclotomic_mixed_orders():

@@ -1,5 +1,7 @@
 import json
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from homolift import linalg, magnus, search
 from homolift.covers import CoverCertificate
+from homolift.cyclotomic import Cyclotomic
 from homolift.errors import CertificateError, ResourceLimitError
 from homolift.laurent import (Lattice, LaurentElement, annihilator_characters,
                               lattice_restriction)
@@ -116,6 +119,38 @@ def test_criteria_make_no_smith_form(analyses, monkeypatch):
         for crit in (check_l2, check_anchored, character_scan):
             crit(a, CFG)
     assert not calls
+
+
+def test_anchored_conversion_makes_no_smith_form(analyses, monkeypatch):
+    # check_anchored's lattices are jZ^d, whose annihilator is the j-grid:
+    # locating the character takes no Smith form once the level is built
+    found = [(an, check_anchored(an.matrix, CFG)) for an in analyses.values()]
+    found = [(an, fnd) for an, fnd in found if fnd is not None]
+    assert any(an.quotient.rank for an, _fnd in found)
+    calls = []
+    smith = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        lambda *args: calls.append(1) or smith(*args))
+    for an, fnd in found:
+        search._locate_character(an, fnd, CFG.max_cover_degree)
+    assert not calls
+
+
+def test_threshold_filter_agrees_with_the_exact_comparison():
+    # the float filter only settles values certainly below: exact ties
+    # |z| = m and random near-ties decide as the exact comparison does
+    rng = random.Random(3)
+    cases = [(Cyclotomic(4, [3, 4, 0, 0]), 5), (Cyclotomic(1, [7]), 7),
+             (Cyclotomic.root_of_unity(97, 5) * 9, 9)]
+    for _ in range(100):
+        n = rng.choice([1, 2, 3, 5, 12, 60, 97])
+        z = Cyclotomic(n, [rng.randint(-9, 9) if rng.random() < 0.2 else 0
+                           for _ in range(n)])
+        m = round(abs(z.to_complex()))
+        cases += [(z, m), (z, m + 1), (z, max(m - 1, 0))]
+    for z, m in cases:
+        exact = z.magnitude_squared().compare(Fraction(m * m)) > 0
+        assert search._above(z, m) == exact
 
 
 def test_golden_anchored_value_is_trace():
