@@ -400,7 +400,7 @@ def level_charpoly(f, cover=None):
             return linalg.poly_product(out, q)
         return residues
 
-    orbits = [[quotient.zero()]] if order == 1 else _galois_orbits(diag)
+    orbits = _galois_orbits(diag)
     rank = len(eidx) - len(vidx)
     degrees = [len(o) * rank for o in orbits]
     degrees[0] += 1        # H0, in the trivial orbit

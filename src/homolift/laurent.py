@@ -28,8 +28,6 @@ class LaurentElement:
 
     __slots__ = ("dim", "terms")
 
-    _zeros = {}
-
     def __init__(self, dim, terms=None):
         self.dim = dim
         clean = {}
@@ -56,10 +54,7 @@ class LaurentElement:
 
     @staticmethod
     def zero(dim):
-        z = LaurentElement._zeros.get(dim)
-        if z is None:
-            z = LaurentElement._zeros[dim] = LaurentElement._raw(dim, {})
-        return z
+        return LaurentElement._raw(dim, {})
 
     @staticmethod
     def constant(dim, value):

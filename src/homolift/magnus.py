@@ -1,13 +1,16 @@
 """The equivariant Magnus matrix: a square matrix over the group ring of the
 dynamical quotient, assembled from transition-graph arc decorations.  Row i,
 column j collects sign * translation-monomial over the arcs from edge i to
-edge j.
+edge j.  The matrix stores only its nonzero terms, keyed by (row, column,
+exponent); the dense rows are a view for display and the test oracles.
 
 Traces of exact powers, entrywise specialization at characters, and the
 characteristic polynomial over the group ring live here too.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add
 
 from .cyclotomic import Cyclotomic
 from .errors import DimensionMismatchError, ResourceLimitError
@@ -19,27 +22,36 @@ class MagnusMatrix:
     size: int
     dim: int
     edge_order: tuple     # edge names indexing rows/columns
-    entries: tuple        # size x size tuple of LaurentElement
+    terms: dict           # (row, column, exponent) -> nonzero coefficient
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, MagnusMatrix):
             return NotImplemented
         return (self.size == other.size and self.dim == other.dim
-                and all(self.entries[i][j] == other.entries[i][j]
-                        for i in range(self.size) for j in range(self.size)))
+                and self.terms == other.terms)
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not self.terms
+
+    @cached_property
+    def entries(self):
+        """Dense size x size rows of LaurentElements, built on first read."""
+        rows = [[{} for _ in range(self.size)] for _ in range(self.size)]
+        for (i, j, v), c in self.terms.items():
+            rows[i][j][v] = c
+        return tuple(tuple(LaurentElement._raw(self.dim, t) for t in row)
+                     for row in rows)
 
     def to_text_rows(self):
         return [[e.to_text() for e in row] for row in self.entries]
 
 
 def matrix_from_rows(edge_order, dim, rows):
-    size = len(rows)
-    return MagnusMatrix(size, dim, tuple(edge_order),
-                        tuple(tuple(row) for row in rows))
+    return MagnusMatrix(len(rows), dim, tuple(edge_order),
+                        {(i, j, v): c for i, row in enumerate(rows)
+                         for j, e in enumerate(row)
+                         for v, c in e.terms.items()})
 
 
 def magnus_matrix(transition):
@@ -50,57 +62,43 @@ def magnus_matrix(transition):
 def arcs_matrix(transition, arcs):
     """The matrix of some of a transition graph's arcs: entry (i, j) sums
     sign * X^translation over the given arcs from edge i to edge j."""
-    m = len(transition.nodes)
-    d = transition.dim
-    rows = [[LaurentElement.zero(d) for _ in range(m)] for _ in range(m)]
+    terms = {}
     for arc in arcs:
-        mono = LaurentElement.monomial(arc.translation, arc.sign)
-        rows[arc.source][arc.target] = rows[arc.source][arc.target] + mono
-    return matrix_from_rows(transition.nodes, d, rows)
+        key = (arc.source, arc.target, arc.translation)
+        terms[key] = terms.get(key, 0) + arc.sign
+    return MagnusMatrix(len(transition.nodes), transition.dim,
+                        transition.nodes,
+                        {key: c for key, c in terms.items() if c})
 
 
 def identity_magnus(edge_order, dim):
     m = len(edge_order)
-    rows = [[LaurentElement.constant(dim, int(i == j)) for j in range(m)]
-            for i in range(m)]
-    return matrix_from_rows(edge_order, dim, rows)
+    return MagnusMatrix(m, dim, tuple(edge_order),
+                        {(i, i, (0,) * dim): 1 for i in range(m)})
 
 
 def mat_mul(a, b):
-    """Sparse row-by-row product; transition matrices are mostly zeros."""
+    """Product of the two term lists, with b's terms grouped by row once."""
     if a.dim != b.dim or a.size != b.size:
         raise DimensionMismatchError("matrix shapes/dimensions differ")
-    m = a.size
-    d = a.dim
-    rows_b = [[(j, e.terms) for j, e in enumerate(row) if e.terms]
-              for row in b.entries]
-    zero = LaurentElement.zero(d)
-    out = []
-    for i in range(m):
-        acc = [None] * m
-        for t, x in enumerate(a.entries[i]):
-            if not x.terms:
-                continue
-            xt = x.terms
-            for j, yt in rows_b[t]:
-                tgt = acc[j]
-                if tgt is None:
-                    tgt = acc[j] = {}
-                for v1, c1 in xt.items():
-                    for v2, c2 in yt.items():
-                        v = tuple(p + q for p, q in zip(v1, v2))
-                        tgt[v] = tgt.get(v, 0) + c1 * c2
-        out.append([
-            LaurentElement._raw(d, {v: c for v, c in acc[j].items() if c})
-            if acc[j] else zero for j in range(m)])
-    return matrix_from_rows(a.edge_order, a.dim, out)
+    rows_b = {}
+    for (t, j, v), c in b.terms.items():
+        rows_b.setdefault(t, []).append((j, v, c))
+    out = {}
+    for (i, t, v1), c1 in a.terms.items():
+        for j, v2, c2 in rows_b.get(t, ()):
+            key = (i, j, tuple(map(add, v1, v2)))
+            out[key] = out.get(key, 0) + c1 * c2
+    return MagnusMatrix(a.size, a.dim, a.edge_order,
+                        {key: c for key, c in out.items() if c})
 
 
 def trace(a):
-    acc = LaurentElement.zero(a.dim)
-    for i in range(a.size):
-        acc = acc + a.entries[i][i]
-    return acc
+    acc = {}
+    for (i, j, v), c in a.terms.items():
+        if i == j:
+            acc[v] = acc.get(v, 0) + c
+    return LaurentElement(a.dim, acc)
 
 
 def trace_power(a, k):

@@ -26,7 +26,7 @@ from .errors import CertificateError, ResourceLimitError, ValidationError
 from .graphs import parse_graph_map, serialize_graph_map
 from .homology import equivariant_quotient, homology_action, spanning_tree
 from .laurent import Lattice, character_grid, l2_norm_squared, specialize
-from .transition import transition_graph
+from .transition import DEFAULT_CYCLE_CAP, transition_graph
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class SearchConfig:
     max_lattice_index: int = 64
     max_tower_depth: int = 3
     max_cover_degree: int = 2000
-    cycle_cap: int = 10 ** 6
+    cycle_cap: int = DEFAULT_CYCLE_CAP
 
     def __post_init__(self):
         for name in ("max_power", "max_character_order", "max_lattice_index",

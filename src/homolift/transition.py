@@ -136,44 +136,49 @@ def simple_cycles(transition, cap=DEFAULT_CYCLE_CAP):
         blocked = [False] * n
         bsets = [set() for _ in range(n)]
         arc_stack = []
-
-        def unblock(u):
-            blocked[u] = False
-            for w in list(bsets[u]):
-                bsets[u].discard(w)
-                if blocked[w]:
-                    unblock(w)
-
-        def circuit(v):
-            found = False
-            blocked[v] = True
-            for aidx in adj[v]:
-                arc = transition.arcs[aidx]
-                w = arc.target
-                if w < s:
-                    continue
+        # one frame per node on the current path: node, next arc position,
+        # whether a cycle was found below it
+        blocked[s] = True
+        frames = [[s, 0, False]]
+        while frames:
+            frame = frames[-1]
+            v, pos, found = frame
+            if pos < len(adj[v]):
+                frame[1] += 1
+                aidx = adj[v][pos]
+                w = transition.arcs[aidx].target
                 if w == s:
                     seq = tuple(arc_stack) + (aidx,)
                     out.append(_make_cycle(transition, seq))
                     if len(out) > cap:
                         raise ResourceLimitError(
                             f"simple cycle count exceeds cap {cap}")
-                    found = True
-                elif not blocked[w]:
+                    frame[2] = True
+                elif w > s and not blocked[w]:
                     arc_stack.append(aidx)
-                    if circuit(w):
-                        found = True
-                    arc_stack.pop()
+                    blocked[w] = True
+                    frames.append([w, 0, False])
+                continue
+            frames.pop()
             if found:
-                unblock(v)
+                # unblock v and, through the B sets, everything waiting on it
+                blocked[v] = False
+                todo = [v]
+                while todo:
+                    u = todo.pop()
+                    for w in bsets[u]:
+                        if blocked[w]:
+                            blocked[w] = False
+                            todo.append(w)
+                    bsets[u].clear()
             else:
                 for aidx in adj[v]:
                     w = transition.arcs[aidx].target
                     if w >= s:
                         bsets[w].add(v)
-            return found
-
-        circuit(s)
+            if frames:
+                arc_stack.pop()
+                frames[-1][2] |= found
     transition._cache["cycles"] = out
     transition._cache["cycle_cap"] = cap
     return out

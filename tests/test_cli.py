@@ -245,6 +245,52 @@ def test_verify_tampered_field_fails_cleanly(tmp_path, silver_cert, where,
         (err.startswith("error: ") and err.count("\n") == 1)
 
 
+CORRUPTIONS = ["", "x", "->", ";", ":", "#", "0", "-1", "A", "v9", "map",
+               "edges:", "boundary:"]
+
+
+@st.composite
+def gm_documents(draw):
+    """Small `.gm` documents: 1-3 vertices (a rose half the time, so that
+    many documents parse), 1-3 edges, images of 0-4 letters either way
+    round, an optional boundary line, and now and then one token replaced
+    by a stray one."""
+    vertices = [f"v{i}" for i in range(draw(st.sampled_from((1, 1, 2, 3))))]
+    names = "abc"[:draw(st.integers(1, 3))]
+    ends = [(draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
+            for _ in names]
+    lines = ["vertices: " + " ".join(vertices),
+             "edges: " + " ; ".join(f"{e}: {o} -> {t}"
+                                    for e, (o, t) in zip(names, ends)),
+             "base: v0"]
+    if draw(st.booleans()):
+        lines.append(f"boundary: {draw(st.integers(-1, 3))}")
+    for e in names:
+        word = draw(st.lists(st.sampled_from(names + names.upper()),
+                             max_size=4))
+        lines.append(f"map {e} -> " + " ".join(word))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = \
+            draw(st.sampled_from(CORRUPTIONS))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=gm_documents())
+def test_random_documents_exit_cleanly(tmp_path, doc):
+    path = tmp_path / "fuzz.gm"
+    path.write_text(doc)
+    for argv in (("analyze", str(path), "--json"),
+                 ("search", str(path), "--json", "--max-degree", "16")):
+        code, out, err = run(*argv)
+        assert code in (0, 1, 2, 3), (argv, doc)
+        assert code != 1 or err.startswith("error: "), (argv, doc, err)
+
+
 def test_missing_file_is_error():
     code, _, err = run("analyze", "/nonexistent/file.gm")
     assert code == 1

@@ -7,6 +7,10 @@ from homolift import magnus
 from homolift.cyclotomic import Cyclotomic
 from homolift.errors import ResourceLimitError
 from homolift.laurent import Character, LaurentElement, specialize
+from homolift.search import (SearchConfig, character_scan, check_anchored,
+                             check_l2)
+from homolift.transition import (Arc, TransitionGraph, is_stable, shadow,
+                                 subgraph_matrix, vertex_subgraph)
 
 X = LaurentElement.monomial((1, 0))
 Y = LaurentElement.monomial((0, 1))
@@ -132,10 +136,58 @@ def test_trace_power_specialization_identity(analyses):
                 assert (lhs - rhs).is_zero()
 
 
-def test_trace_equals_based_cycle_sum(analyses):
-    # trace of the k-th power expands over based cycles of length k
+@pytest.fixture(scope="module")
+def levels(analyses):
+    """Every corpus map and the multi-vertex levels s3/2, silver/2 -> 2 and
+    rank2/2."""
+    silver2 = analyses["unipotent_silver"].cover(2)[0]
+    return (list(analyses.values())
+            + [analyses["example_s3"].cover(2)[0], silver2.cover(2)[0],
+               analyses["unipotent_rank2"].cover(2)[0]])
+
+
+def _no_zero_terms(a):
+    return all(type(c) is int and c for c in a.terms.values())
+
+
+def test_search_path_builds_no_dense_rows(levels):
+    cfg = SearchConfig()
+    for an in levels:
+        t = an.transition
+        a = magnus.magnus_matrix(t)    # fresh: no view, no cached powers
+        for criterion in (check_l2, check_anchored, character_scan):
+            criterion(a, cfg)
+        vertex_mats = [subgraph_matrix(t, vertex_subgraph(t, u))
+                       for u in shadow(t).vertices]
+        for mat in vertex_mats:
+            is_stable(mat)
+        for mat in [a] + vertex_mats:
+            assert "entries" not in vars(mat)
+            assert _no_zero_terms(mat)
+        for k in range(1, 9):
+            magnus.trace_power(a, k)
+            assert _no_zero_terms(a._cache["power"])
+        assert magnus.matrix_from_rows(a.edge_order, a.dim, a.entries) == a
+
+
+def test_cancelling_arcs_leave_no_term():
+    arcs = (Arc(0, 1, 1, 0, 1, None, (2,)), Arc(0, 1, 2, 1, -1, None, (2,)))
+    t = TransitionGraph(("a", "b"), 1, arcs, ((0, 2), (0, 0)), None, None,
+                        None)
+    a = magnus.magnus_matrix(t)
+    assert a.terms == {} and a.is_zero()
+    assert a == magnus.matrix_from_rows(("a", "b"), 1,
+                                        [[LaurentElement.zero(1)] * 2] * 2)
+    assert not magnus.magnus_matrix(
+        TransitionGraph(("a", "b"), 1, arcs[:1], ((0, 1), (0, 0)), None,
+                        None, None)).is_zero()
+
+
+def test_trace_equals_based_cycle_sum(levels):
+    # trace of the k-th power expands over based cycles of length k, on the
+    # roses and on multi-vertex tower levels
     from homolift.transition import based_cycles
-    for an in analyses.values():
+    for an in levels:
         t = an.transition
         a = an.matrix
         for k in range(1, 5):

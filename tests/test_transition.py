@@ -393,6 +393,18 @@ def test_cycle_cap_fails_loudly(analyses):
         simple_cycles(fresh, cap=1)
 
 
+def test_simple_cycles_long_path_needs_no_recursion():
+    # one 2000-arc cycle: far deeper than Python's recursion limit
+    from homolift.transition import Arc
+    n = 2000
+    arcs = tuple(Arc(i, (i + 1) % n, 1, 0, 1, None, ()) for i in range(n))
+    tg = TransitionGraph(tuple(f"e{i}" for i in range(n)), 0, arcs, (),
+                         None, None, None)
+    cycles = simple_cycles(tg)
+    assert len(cycles) == 1
+    assert cycles[0].length == n
+
+
 def test_simple_cycles_against_brute_force():
     # Johnson enumeration vs exhaustive search on random small multigraphs
     from homolift.transition import Arc
