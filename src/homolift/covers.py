@@ -48,14 +48,18 @@ bounds each block's row sums; so CRT recombines N_O on its own against
 C(m_O, i) * L^i, and charpoly(H1) is the product of the N_O over Z.  The
 primes are shared by the orbits, and the largest orbit's count is checked
 against the cap before any residue.  The base map is the case G = 1, a
-single orbit.  The dense charpoly of the cover's H1 matrix stays as the
-test oracle.
+single orbit.  A level's polynomial stays factored as the tuple of its
+N_O all the way to the verdict; the dense charpoly of the cover's H1
+matrix stays as the test oracle.
 
 The off-circle decision is Kronecker's: a monic integer polynomial with
 nonzero constant term has all roots on the unit circle exactly when it is a
 product of cyclotomic polynomials, so stripping powers of x and all
-cyclotomic factors leaves 1 or an exact witness.  Before dividing by
-Phi_n the polynomial is evaluated at a primitive n-th root of unity w
+cyclotomic factors leaves 1 or an exact witness.  Each orbit factor N_O is
+stripped on its own, and the witness is the product of the remainders:
+factorisation in Z[x] is unique, so it is the remainder of the whole
+product, at the cost of polynomials of degree m_O.  Before dividing by
+Phi_n a polynomial is evaluated at a primitive n-th root of unity w
 modulo a prime q = 1 (mod n).  Phi_n(w) = 0 in F_q, since w is a root of
 x^n - 1 and of no x^d - 1 with d | n, d < n; so Phi_n | p forces p(w) = 0,
 and a nonzero value rules Phi_n out rigorously.  Only the orders that pass
@@ -341,12 +345,13 @@ def _galois_orbits(diag):
     return orbits
 
 
-def level_charpoly(f, cover=None):
-    """Exact characteristic polynomial (ascending) of the H1 action of a
-    tower level: the lift of ``f`` to ``cover``, or ``f`` itself when
-    ``cover`` is None (G = 1).  Computed from the deck group's character
-    blocks on the lift at fiber 0, one integer norm polynomial per Galois
-    orbit of characters (see the module docstring)."""
+def orbit_polynomials(f, cover=None):
+    """The exact characteristic polynomial of the H1 action of a tower
+    level, factored: one integer norm polynomial N_O (ascending) per Galois
+    orbit of the deck group's characters, the trivial orbit's first, whose
+    product is the charpoly (see the module docstring).  The level is the
+    lift of ``f`` to ``cover``, or ``f`` itself when ``cover`` is None
+    (G = 1, a single factor)."""
     if cover is None:
         quotient = FiniteQuotient.from_modulus(0, 1)
         cocycle = dict.fromkeys(f.edge_image, ())
@@ -408,9 +413,8 @@ def level_charpoly(f, cover=None):
     bounds = {n: linalg.coefficient_bound(n, longest) for n in set(degrees)}
     if len(orbits) > 1:    # the cap, before the first residue of any orbit
         linalg.crt_primes(bounds[max(degrees)], order)
-    return linalg.poly_product(
-        linalg.multimodular(n, bounds[n], orbit_residues(o), order)
-        for o, n in zip(orbits, degrees))
+    return tuple(linalg.multimodular(n, bounds[n], orbit_residues(o), order)
+                 for o, n in zip(orbits, degrees))
 
 
 def h1_action_on_cover(lm):
@@ -464,39 +468,51 @@ def _value_mod(coeffs, w, q):
     return value
 
 
-def unit_circle_test(coeffs):
-    """Decide whether a monic integer polynomial has all roots on the unit
-    circle; exact, no floating point in the verdict."""
+def monic_coefficients(coeffs):
+    """The coefficients as ints; ValidationError unless they are those of a
+    monic polynomial."""
     coeffs = [int(c) for c in coeffs]
     if not coeffs or coeffs[-1] != 1:
         raise ValidationError("polynomial must be monic with integer coefficients")
-    zero_mult = 0
-    while coeffs[0] == 0:
-        zero_mult += 1
-        coeffs = coeffs[1:]
-    factors = []
-    for n in linalg.cyclotomic_orders_up_to_degree(len(coeffs) - 1):
-        if len(coeffs) == 1:
-            break
-        if linalg.totient(n) > len(coeffs) - 1:
-            continue
-        q, w = linalg.prime_root(n, 0)
-        mult = 0
-        while _value_mod(coeffs, w, q) == 0:   # else Phi_n cannot divide
-            quo, rem = linalg.poly_divmod_monic(
-                coeffs, list(linalg.cyclotomic_polynomial(n)))
-            if rem:
+    return coeffs
+
+
+def unit_circle_test(*factors):
+    """Decide whether the product of monic integer polynomials has all
+    roots on the unit circle; exact, no floating point in the verdict.
+
+    Each factor is stripped of powers of x and cyclotomic factors on its
+    own.  The multiplicities add up, and the witness is the product of the
+    remainders, which by unique factorisation is that of the product; only
+    the display modulus is computed on it, in floating point."""
+    zero_mult, mults, rests = 0, {}, []
+    for coeffs in factors:
+        coeffs = monic_coefficients(coeffs)
+        while coeffs[0] == 0:
+            zero_mult += 1
+            coeffs = coeffs[1:]
+        for n in linalg.cyclotomic_orders_up_to_degree(len(coeffs) - 1):
+            if len(coeffs) == 1:
                 break
-            coeffs = quo
-            mult += 1
-        if mult:
-            factors.append((n, mult))
-    if coeffs == [1]:
-        return UnitCircleVerdict(True, (), 1.0, zero_mult, tuple(factors))
-    roots = np.roots(list(reversed(coeffs)))
+            if linalg.totient(n) > len(coeffs) - 1:
+                continue
+            q, w = linalg.prime_root(n, 0)
+            while _value_mod(coeffs, w, q) == 0:   # else Phi_n cannot divide
+                quo, rem = linalg.poly_divmod_monic(
+                    coeffs, list(linalg.cyclotomic_polynomial(n)))
+                if rem:
+                    break
+                coeffs = quo
+                mults[n] = mults.get(n, 0) + 1
+        rests.append(coeffs)
+    cyclotomic = tuple(sorted(mults.items()))
+    witness = linalg.poly_product(rests)
+    if witness == [1]:
+        return UnitCircleVerdict(True, (), 1.0, zero_mult, cyclotomic)
+    roots = np.roots(list(reversed(witness)))
     modulus = float(max(abs(roots)))
-    return UnitCircleVerdict(False, tuple(coeffs), modulus, zero_mult,
-                             tuple(factors))
+    return UnitCircleVerdict(False, tuple(witness), modulus, zero_mult,
+                             cyclotomic)
 
 
 # ---------------------------------------------------------------------------

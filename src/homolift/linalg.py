@@ -452,7 +452,7 @@ def multimodular(n, bound, residues, order=1):
     The primes needed are counted (``crt_primes``) before any residue is
     computed; ResourceLimitError when more than CRT_PRIME_CAP are.  The cap
     bounds one reconstruction: a caller that reconstructs a product factor
-    by factor (``covers.level_charpoly``, one factor per Galois orbit of
+    by factor (``covers.orbit_polynomials``, one factor per Galois orbit of
     characters) counts the primes of its largest factor before the first
     residue of any factor.
     """

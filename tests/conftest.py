@@ -51,6 +51,19 @@ def rank2(corpus_maps):
 
 
 @pytest.fixture(scope="session")
+def multi_vertex_levels(analyses):
+    """The multi-vertex cover levels silver/2 -> 2, s3/2 -> {2, 3} and
+    rank2/{2, 3}."""
+    silver2 = analyses["unipotent_silver"].cover(2)[0]
+    s3_2 = analyses["example_s3"].cover(2)[0]
+    levels = [level.cover(k)[0] for level, k in (
+        (silver2, 2), (s3_2, 2), (s3_2, 3), (analyses["unipotent_rank2"], 2),
+        (analyses["unipotent_rank2"], 3))]
+    assert all(len(top.graph_map.graph.vertices) > 1 for top in levels)
+    return levels
+
+
+@pytest.fixture(scope="session")
 def dense_translation():
     """Oracle for a path's translation in the dynamical quotient: the dense
     product of the quotient's projection with the path's H1 class."""

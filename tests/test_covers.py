@@ -3,15 +3,16 @@ from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homolift import corpus, linalg, magnus
-from homolift.covers import (_galois_orbits, abelian_cover,
+from homolift.covers import (_fiber_zero, _galois_orbits, abelian_cover,
                              chain_action_matrix, cover_chain_action_check,
                              deck_action_on_quotient, deck_commutes,
-                             h1_action_on_cover, level_charpoly, lift_map,
+                             h1_action_on_cover, lift_map, orbit_polynomials,
                              spectral_radius, unit_circle_test)
 from homolift.errors import LiftError, ResourceLimitError, ValidationError
 from homolift.graphs import parse_graph_map
@@ -263,7 +264,7 @@ def test_orbit_prime_cap_is_checked_before_any_residue(analyses,
     while True:
         monkeypatch.setattr(linalg, "CRT_PRIME_CAP", cap)
         try:
-            level_charpoly(lifted.base_map, lifted.cover)
+            orbit_polynomials(lifted.base_map, lifted.cover)
             break
         except ResourceLimitError as exc:
             assert "prime pool" in str(exc)
@@ -348,18 +349,72 @@ def _poly_mul(a, b):
 @given(st.integers(0, 3),
        st.lists(st.tuples(st.integers(1, 40), st.integers(1, 2)), max_size=4),
        st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
-                max_size=2))
-def test_sieve_matches_trial_division(zeros, cyclotomic, others):
-    poly = [0] * zeros + [1]
-    for n, mult in cyclotomic:
-        for _ in range(mult):
-            poly = _poly_mul(poly, list(linalg.cyclotomic_polynomial(n)))
-    for low in others:
-        poly = _poly_mul(poly, low + [1])
+                max_size=2),
+       st.randoms(use_true_random=False))
+def test_sieve_matches_trial_division(zeros, cyclotomic, others, rng):
+    atoms = [[0, 1]] * zeros + [
+        list(linalg.cyclotomic_polynomial(n))
+        for n, mult in cyclotomic for _ in range(mult)] + [
+        low + [1] for low in others]
+    poly = [1]
+    for atom in atoms:
+        poly = _poly_mul(poly, atom)
     v = unit_circle_test(poly)
     assert (v.zero_multiplicity, v.cyclotomic_factors, v.witness) == \
         _trial_division(poly)
     assert v.all_on_circle == (not v.witness)
+    # the same product split into random factors, some of them 1: every
+    # field agrees, the display modulus bit for bit
+    factors = [[1] for _ in range(rng.randint(1, len(atoms) + 1))]
+    for atom in atoms:
+        i = rng.randrange(len(factors))
+        factors[i] = _poly_mul(factors[i], atom)
+    split = unit_circle_test(*factors)
+    assert split == v and split.modulus.hex() == v.modulus.hex()
+
+
+def test_factored_verdict_on_cover_levels(analyses, multi_vertex_levels):
+    # the orbit factors multiply to the dense oracle's polynomial, and the
+    # verdict decided one factor at a time is the whole polynomial's
+    silver, rank2 = analyses["unipotent_silver"], analyses["unipotent_rank2"]
+    levels = [*multi_vertex_levels, rank2.cover(6)[0]]
+    levels += [silver.cover(k)[0] for k in range(2, 65)]
+    for level in levels:
+        diag = level.lifted.cover.quotient.diag
+        assert len(level.orbit_polynomials) == len(_galois_orbits(diag))
+        assert _matches_dense(level)
+        assert level.verdict == unit_circle_test(level.charpoly)
+
+
+def _block_radius(level):
+    """The largest eigenvalue modulus of the character blocks A(chi) of a
+    cover level, in floating point from the lift's fiber-zero rows."""
+    lifted = level.lifted
+    diag = lifted.cover.quotient.diag
+    edge_rows, _vertex_rows = _fiber_zero(
+        lifted.base_map, lifted.cover.quotient, lifted.cover.cocycle)
+    index = {e.name: i for i, e in enumerate(lifted.base_map.graph.edges)}
+    radius = 0.0
+    for a in product(*map(range, diag)):
+        block = np.zeros((len(index), len(index)), complex)
+        for i, row in enumerate(edge_rows):
+            for name, x, d in row:
+                turns = sum(ai * xi / n for ai, xi, n in zip(a, x, diag))
+                block[i, index[name]] += d * np.exp(2j * np.pi * turns)
+        radius = max(radius, max(abs(np.linalg.eigvals(block))))
+    return radius
+
+
+def test_block_radius_is_the_silver_ratio(analyses):
+    level = analyses["unipotent_rank2"].cover(6)[0]
+    assert abs(_block_radius(level) - (1 + 2 ** 0.5)) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="np.roots on the degree-50 witness "
+                   "is off by 7e-6 (ROADMAP item 6)")
+def test_modulus_is_the_largest_block_eigenvalue(analyses):
+    level = analyses["unipotent_rank2"].cover(6)[0]
+    assert abs(level.verdict.modulus - _block_radius(level)) < 1e-9
 
 
 def test_spectral_radius_examples():

@@ -152,24 +152,10 @@ def test_translate_examples(s3, dense_translation):
     assert q.cocycle == {"a": (1, 0), "b": (0, 1)}
 
 
-def _projection_levels(analyses):
-    """Every corpus map, and the multi-vertex levels silver/2 -> 2,
-    s3/2 -> {2, 3} and rank2/{2, 3}."""
-    yield from analyses.values()
-    silver2 = analyses["unipotent_silver"].cover(2)[0]
-    s3_2 = analyses["example_s3"].cover(2)[0]
-    for level, k in ((silver2, 2), (s3_2, 2), (s3_2, 3),
-                     (analyses["unipotent_rank2"], 2),
-                     (analyses["unipotent_rank2"], 3)):
-        top = level.cover(k)[0]
-        assert len(top.graph_map.graph.vertices) > 1
-        yield top
-
-
-def test_projection_identities(analyses):
+def test_projection_identities(analyses, multi_vertex_levels):
     # P (I - f*) = 0, P f* = P and P section = I, exactly, on every corpus
     # map and on multi-vertex tower levels
-    for an in _projection_levels(analyses):
+    for an in [*analyses.values(), *multi_vertex_levels]:
         q, fa = an.quotient, an.action
         if q.rank == 0:
             continue

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homolift import linalg, magnus, search
-from homolift.covers import CoverCertificate
+from homolift.covers import CoverCertificate, _value_mod, unit_circle_test
 from homolift.cyclotomic import Cyclotomic
 from homolift.errors import CertificateError, ResourceLimitError
 from homolift.laurent import (Lattice, LaurentElement, annihilator_characters,
@@ -328,15 +328,15 @@ def test_each_level_is_built_once(corpus_maps, monkeypatch, name, run,
                                   charpolys, covers):
     # every level's cover and characteristic polynomial is computed once;
     # verify_certificate's replay of the tower is the only second build
-    calls = dict.fromkeys(("level_charpoly", "abelian_cover", "rebuild_tower"),
-                          0)
+    calls = dict.fromkeys(("orbit_polynomials", "abelian_cover",
+                           "rebuild_tower"), 0)
     for fn in calls:
         def counted(*args, _fn=fn, _orig=getattr(search, fn)):
             calls[_fn] += 1
             return _orig(*args)
         monkeypatch.setattr(search, fn, counted)
     assert RUNS[run](corpus_maps[name]) is not None
-    assert calls == {"level_charpoly": charpolys, "abelian_cover": covers,
+    assert calls == {"orbit_polynomials": charpolys, "abelian_cover": covers,
                      "rebuild_tower": 1}
 
 
@@ -362,12 +362,50 @@ def test_certificate_json_roundtrip(golden):
 
 
 def test_certificate_tamper_detected(silver):
+    # a stored polynomial the tower does not rebuild is tested whole
     cert = brute_force_oracle(silver, 2000)
     data = cert.to_json()
     data["charpoly"][1] += 1
     bad = CoverCertificate.from_json(data)
     report = verify_certificate(bad)
-    assert not report["ok"]
+    whole = unit_circle_test(data["charpoly"])
+    assert report["failures"] == [
+        "witness: witness factor does not match the cyclotomic-stripped "
+        "remainder",
+        "witness-divides: stored witness does not divide the stored "
+        "polynomial",
+        f"modulus: recomputed modulus {whole.modulus}, stored {cert.modulus}",
+        "charpoly-rebuild: characteristic polynomial of the rebuilt tower "
+        "differs"]
+
+
+@pytest.mark.parametrize("charpoly", [(), (1, 2), (-1, 2, 3)])
+def test_non_monic_charpoly_fails_before_any_cover(silver, monkeypatch,
+                                                   charpoly):
+    cert = brute_force_oracle(silver, 2000)
+    calls = []
+    cover = search.abelian_cover
+    monkeypatch.setattr(search, "abelian_cover",
+                        lambda *args: calls.append(1) or cover(*args))
+    report = verify_certificate(replace(cert, charpoly=charpoly))
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == \
+        ["charpoly-monic"]
+    assert calls == []
+
+
+def test_valid_certificate_sieves_orbit_factors_only(silver, monkeypatch):
+    # the verdict of a rebuilt level is decided one Galois orbit at a time:
+    # no polynomial above the largest orbit factor reaches the sieve
+    level, step = Analysis.of(silver).cover(12)
+    cert = search._certificate(silver, (step,), step.degree, level,
+                               "brute-force", None)
+    largest = max(map(len, level.orbit_polynomials))
+    assert largest < len(cert.charpoly)
+    sizes = []
+    monkeypatch.setattr("homolift.covers._value_mod", lambda coeffs, w, q: (
+        sizes.append(len(coeffs)) or _value_mod(coeffs, w, q)))
+    assert verify_certificate(cert)["ok"]
+    assert sizes and max(sizes) <= largest
 
 
 def test_certificate_wrong_input_detected(silver, golden):
