@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import corpus
 from .covers import CoverCertificate
-from .errors import HomoliftError
+from .errors import CertificateError, HomoliftError
 from .graphs import check_immersion, parse_graph_map
 from .search import (Analysis, SearchConfig, character_scan, check_anchored,
                      check_direct, check_l2, input_digest, tower_search,
@@ -31,6 +31,15 @@ EXIT_USAGE = 2
 EXIT_NOT_FOUND = 3
 
 
+def _read(path):
+    """The file's text, decoded as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise HomoliftError(f"{path} is not UTF-8 text: {exc.reason} at "
+                            f"byte {exc.start}") from None
+
+
 def _load_map(spec):
     if spec.startswith("corpus:"):
         name = spec.split(":", 1)[1]
@@ -38,8 +47,7 @@ def _load_map(spec):
             raise HomoliftError(
                 f"unknown corpus example {name!r}; try the corpus subcommand")
         return parse_graph_map(corpus.text(name)), spec
-    text = Path(spec).read_text()
-    return parse_graph_map(text), spec
+    return parse_graph_map(_read(spec)), spec
 
 
 def _emit(obj, as_json, human_lines, out):
@@ -253,7 +261,11 @@ def _dispatch(args, out, err):
         return EXIT_OK
 
     if args.command == "verify":
-        data = json.loads(Path(args.certificate).read_text())
+        try:
+            data = json.loads(_read(args.certificate))
+        except RecursionError:
+            raise CertificateError(
+                "certificate JSON nests too deeply") from None
         cert = CoverCertificate.from_json(data)
         report = verify_certificate(cert)
         lines = [("certificate OK" if report["ok"] else "certificate INVALID")]

@@ -76,6 +76,3 @@ def text(name):
 def load(name):
     return parse_graph_map(CORPUS[name][1])
 
-
-def load_all():
-    return {name: load(name) for name in names()}

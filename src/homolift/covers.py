@@ -49,8 +49,11 @@ C(m_O, i) * L^i, and charpoly(H1) is the product of the N_O over Z.  The
 primes are shared by the orbits, and the largest orbit's count is checked
 against the cap before any residue.  The base map is the case G = 1, a
 single orbit.  A level's polynomial stays factored as the tuple of its
-N_O all the way to the verdict; the dense charpoly of the cover's H1
-matrix stays as the test oracle.
+N_O all the way to the verdict.  The dense charpoly of the cover's H1
+matrix (``h1_action_on_cover``) is the reference the tests hold it to;
+the chain-level references (the lift's chain action, on the whole cover
+and on each isotypic part, and the deck actions) live with the tests, in
+``tests/oracles.py``.
 
 The off-circle decision is Kronecker's: a monic integer polynomial with
 nonzero constant term has all roots on the unit circle exactly when it is a
@@ -76,8 +79,8 @@ import numpy as np
 
 from . import linalg
 from .errors import CertificateError, LiftError, ValidationError
-from .graphs import Edge, EdgePath, Graph, GraphMap, empty_path
-from .homology import basis_loop, homology_action, path_class, spanning_tree
+from .graphs import Edge, EdgePath, Graph, GraphMap
+from .homology import homology_action, spanning_tree
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,6 @@ class FiniteQuotient:
     basis: tuple          # rows; kI for the reduction-mod-k quotient
     diag: tuple           # Smith diagonal
     transform: tuple      # T with S*B*T = diag
-    transform_inv: tuple
     modulus: int = None   # set when basis is k*I
 
     @staticmethod
@@ -99,7 +101,7 @@ class FiniteQuotient:
                       for i in range(dim))
         ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
         diag = tuple(k for _ in range(dim))
-        return FiniteQuotient(dim, basis, diag, ident, ident, modulus=k)
+        return FiniteQuotient(dim, basis, diag, ident, modulus=k)
 
     @staticmethod
     def of(dim, spec):
@@ -117,15 +119,13 @@ class FiniteQuotient:
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ValidationError("quotient basis must be square of full size")
         if dim == 0:
-            return FiniteQuotient(0, (), (), (), (), modulus=1)
+            return FiniteQuotient(0, (), (), (), modulus=1)
         _s, d, t = linalg.smith_normal_form(rows)
         diag = linalg.smith_diagonal(d)
         if any(x == 0 for x in diag):
             raise ValidationError("infinite quotient requested")
-        tinv = linalg.int_matrix_inverse(t)
         return FiniteQuotient(dim, tuple(tuple(r) for r in rows), tuple(diag),
-                              tuple(tuple(r) for r in t),
-                              tuple(tuple(r) for r in tinv))
+                              tuple(tuple(r) for r in t))
 
     @property
     def degree(self):
@@ -147,12 +147,6 @@ class FiniteQuotient:
             return ()
         vt = linalg.vec_mat(list(vec), [list(r) for r in self.transform])
         return tuple(x % d for x, d in zip(vt, self.diag))
-
-    def representative(self, elem):
-        if self.dim == 0:
-            return ()
-        return tuple(linalg.vec_mat(list(elem),
-                                    [list(r) for r in self.transform_inv]))
 
     def add(self, a, b):
         return tuple(map(operator.mod, map(operator.add, a, b), self.diag))
@@ -188,25 +182,6 @@ class CoverGraph:
     @cached_property
     def elements(self):
         return tuple(self.quotient.elements())
-
-    def deck_vertex(self, name, elem):
-        v, x = self.vertex_info[name]
-        return _at(v, self.quotient.add(x, elem))
-
-    def deck_edge(self, name, elem):
-        e, x = self.edge_info[name]
-        return _at(e, self.quotient.add(x, elem))
-
-    def deck_path(self, path, elem):
-        if path.is_empty():
-            return empty_path(self.deck_vertex(path.anchor, elem))
-        steps = tuple((self.deck_edge(n, elem), d) for n, d in path.steps)
-        return EdgePath(steps)
-
-    def project_path(self, path):
-        if path.is_empty():
-            return empty_path(self.vertex_info[path.anchor][0])
-        return EdgePath(tuple((self.edge_info[n][0], d) for n, d in path.steps))
 
 
 def abelian_cover(graph, quot, spec):
@@ -312,19 +287,6 @@ def lift_map(f, cover):
     return LiftedMap(lifted_map, cover, f)
 
 
-def deck_commutes(lm):
-    """Check the lift commutes with every deck transformation."""
-    cover = lm.cover
-    for s in cover.elements:
-        for name in lm.map.edge_image:
-            translated = cover.deck_edge(name, s)
-            lhs = lm.map.edge_image[translated]
-            rhs = cover.deck_path(lm.map.edge_image[name], s)
-            if lhs != rhs:
-                return False
-    return True
-
-
 def _galois_orbits(diag):
     """The characters a of G = prod Z/diag_i, chi_a(x) = w^(sum a_i x_i
     order/diag_i) with w of exact order lcm(diag), grouped into Galois
@@ -424,19 +386,6 @@ def h1_action_on_cover(lm):
     return [list(row) for row in fa.matrix]
 
 
-def chain_action_matrix(lm):
-    """Signed edge-traversal counts of the lifted map: row e, column e'."""
-    g = lm.cover.graph
-    names = [e.name for e in g.edges]
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
-    mat = [[0] * n for _ in range(n)]
-    for i, name in enumerate(names):
-        for sname, d in lm.map.edge_image[name].steps:
-            mat[i][index[sname]] += d
-    return mat
-
-
 def spectral_radius(matrix):
     arr = np.array(matrix, dtype=float)
     if arr.size == 0:
@@ -513,78 +462,6 @@ def unit_circle_test(*factors):
     modulus = float(max(abs(roots)))
     return UnitCircleVerdict(False, tuple(witness), modulus, zero_mult,
                              cyclotomic)
-
-
-# ---------------------------------------------------------------------------
-# isotypic chain check
-
-
-def cover_chain_action_check(lm, chi, base_magnus):
-    """Compare the lifted chain action on the isotypic subspace of cover
-    1-chains with the specialized matrix; exact cyclotomic equality.
-
-    The isotypic vector for base edge e is the sum over fiber labels x of
-    conj(chi(x)) times the cover edge (e, x).
-    """
-    from .cyclotomic import Cyclotomic
-    from .magnus import specialize_matrix
-
-    cover = lm.cover
-    q = cover.quotient
-    for row in q.basis:
-        if chi.value_exponent(row) != 0:
-            raise ValidationError("character incompatible with the cover quotient")
-
-    g = cover.graph
-    names = [e.name for e in g.edges]
-    index = {n: i for i, n in enumerate(names)}
-    chain = chain_action_matrix(lm)
-    spec = specialize_matrix(base_magnus, chi)
-    base_edges = [e.name for e in cover.base_graph.edges]
-    order = chi.order
-    weights = {
-        x: Cyclotomic.root_of_unity(
-            order, -chi.value_exponent(q.representative(x)))
-        for x in cover.elements}
-
-    for i, base_e in enumerate(base_edges):
-        lhs = [Cyclotomic.zero(order) for _ in names]
-        for x in cover.elements:
-            row = chain[index[_at(base_e, x)]]
-            wx = weights[x]
-            for jj, c in enumerate(row):
-                if c:
-                    lhs[jj] = lhs[jj] + wx * c
-        for j, base_e2 in enumerate(base_edges):
-            aij = spec[i][j]
-            for x in cover.elements:
-                target = index[_at(base_e2, x)]
-                rhs = aij * weights[x]
-                if not (lhs[target] - rhs).is_zero():
-                    return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# deck action on the lifted map's own dynamical quotient
-
-
-def deck_action_on_quotient(lm, st_cover, q_cover, elem):
-    """Matrix of the deck element's action on the lift's dynamical quotient."""
-    cover = lm.cover
-    d = q_cover.rank
-    if d == 0:
-        return []
-    cols = []
-    for name in st_cover.h1_basis:
-        loop = basis_loop(cover.graph, st_cover, name)
-        translated = cover.deck_path(loop, elem)
-        cols.append(path_class(translated, st_cover))
-    r = len(st_cover.h1_basis)
-    sigma = [[cols[j][i] for j in range(r)] for i in range(r)]
-    proj = [list(row) for row in q_cover.projection]
-    sect = [list(row) for row in q_cover.section]
-    return linalg.mat_mul(linalg.mat_mul(proj, sigma), sect)
 
 
 # ---------------------------------------------------------------------------

@@ -87,8 +87,6 @@ class Cyclotomic:
 
     __slots__ = ("order", "coeffs")
 
-    _roots = {}
-
     def __init__(self, order, coeffs):
         if len(coeffs) != order:
             raise ValueError("coefficient vector must have length = order")
@@ -99,24 +97,10 @@ class Cyclotomic:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero(order=1):
-        return Cyclotomic(order, (0,) * order)
-
-    @staticmethod
     def from_rational(value, order=1):
         c = [0] * order
         c[0] = value
         return Cyclotomic(order, c)
-
-    @staticmethod
-    def root_of_unity(order, exponent):
-        key = (order, exponent % order)
-        cached = Cyclotomic._roots.get(key)
-        if cached is None:
-            c = [0] * order
-            c[key[1]] = 1
-            cached = Cyclotomic._roots[key] = Cyclotomic(order, c)
-        return cached
 
     # -- structural helpers ------------------------------------------------
 

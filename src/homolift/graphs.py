@@ -210,18 +210,6 @@ class GraphMap:
         return EdgePath(tuple(steps))
 
 
-def iterate_edge_image(f, edge_name, k):
-    """The literal, unreduced path f^k(e)."""
-    if k < 1:
-        raise ValidationError("iteration exponent must be >= 1")
-    if edge_name not in f.graph.edge_by_name:
-        raise ValidationError(f"unknown edge {edge_name}")
-    path = EdgePath(((edge_name, 1),))
-    for _ in range(k):
-        path = f.apply_to_path(path)
-    return path
-
-
 @dataclass(frozen=True)
 class ImmersionReport:
     max_power: int

@@ -15,7 +15,6 @@ character is the lift's chain action on that character's isotypic part.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import linalg
 from .errors import ValidationError
@@ -89,7 +88,7 @@ class HomologyAction:
 
 
 def homology_action(f, st):
-    r = len(st.h1_basis)
+    r = st.rank
     cols = []
     for name in st.h1_basis:
         loop = basis_loop(f.graph, st, name)
@@ -110,17 +109,6 @@ class EquivariantQuotient:
     rank: int
     projection: tuple       # d rows of length r
     cocycle: dict           # edge name -> tuple of length d
-
-    @cached_property
-    def section(self):
-        """An integer right inverse (projection @ section = I_d), from the
-        projection alone: it is onto, so S P T = [I 0] and T[:, :d] S is
-        one.  Any right inverse serves the deck actions P sigma section,
-        since sigma commutes with f* and so preserves ker P."""
-        if self.rank == 0:
-            return ()
-        s, _d, t = linalg.smith_normal_form([list(r) for r in self.projection])
-        return tuple(map(tuple, linalg.mat_mul([r[:self.rank] for r in t], s)))
 
 
 def equivariant_quotient(fa, st):

@@ -2,15 +2,18 @@
 combinations of lattice points, i.e. multivariate Laurent polynomials.
 
 Includes characters (evaluation homomorphisms into C^x, stored exactly as
-roots of unity), finite-index sublattices with optional translates, and the
-averaging identity that recovers a lattice restriction from specializations
-at the characters annihilating the lattice.
+roots of unity), the exact specialization of an element at a character, and
+sublattices with optional translates, to which an element restricts as the
+sum of its coefficients there.  The averaging identity, which recovers that
+restriction from the specializations at the characters annihilating the
+lattice, is the tests' reference (``tests/oracles.py``); the anchoring
+criterion reads the restriction off residue classes directly.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, sqrt
+from math import gcd
 
 from . import linalg
 from .cyclotomic import Cyclotomic, exact_coefficient
@@ -52,18 +55,6 @@ class LaurentElement:
         obj.terms = terms
         return obj
 
-    @staticmethod
-    def zero(dim):
-        return LaurentElement._raw(dim, {})
-
-    @staticmethod
-    def constant(dim, value):
-        return LaurentElement(dim, {(0,) * dim: value})
-
-    @staticmethod
-    def monomial(vec, coeff=1):
-        return LaurentElement(len(vec), {tuple(vec): coeff})
-
     # -- ring structure ------------------------------------------------------
 
     def _check(self, other):
@@ -73,7 +64,7 @@ class LaurentElement:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentElement.constant(self.dim, other)
+            other = LaurentElement(self.dim, {(0,) * self.dim: other})
         self._check(other)
         out = dict(self.terms)
         for v, c in other.terms.items():
@@ -86,8 +77,6 @@ class LaurentElement:
         return LaurentElement(self.dim, {v: -c for v, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentElement.constant(self.dim, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -113,7 +102,7 @@ class LaurentElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentElement.constant(self.dim, other)
+            other = LaurentElement(self.dim, {(0,) * self.dim: other})
         if not isinstance(other, LaurentElement):
             return NotImplemented
         return self.dim == other.dim and self.terms == other.terms
@@ -126,9 +115,6 @@ class LaurentElement:
 
     def support(self):
         return sorted(self.terms)
-
-    def coefficient(self, vec):
-        return self.terms.get(tuple(vec), 0)
 
     def __repr__(self):
         return f"LaurentElement({self.to_text()!r})"
@@ -178,17 +164,11 @@ class Character:
         """Exponent e with value = zeta_order^e on the lattice point vec."""
         return sum(a * x for a, x in zip(self.exponents, vec)) % self.order
 
-    def eval(self, vec):
-        return Cyclotomic.root_of_unity(self.order, self.value_exponent(vec))
-
 
 @dataclass(frozen=True)
 class Lattice:
-    """A sublattice of Z^d given by basis rows, plus an optional translate.
-
-    Full rank (nonzero determinant) means finite index; lower-rank bases are
-    allowed for membership and restriction but have no character theory.
-    """
+    """A sublattice of Z^d given by basis rows, plus an optional translate;
+    membership is read off the Smith form of the basis, of any rank."""
 
     dim: int
     basis: tuple                 # rows, each of length dim
@@ -217,26 +197,6 @@ class Lattice:
             object.__setattr__(self, "_snf",
                                (s, linalg.smith_diagonal(d), t))
         return self._snf
-
-    def rank(self):
-        if not self.basis:
-            return 0
-        _s, diag, _t = self._snf_data()
-        return sum(1 for x in diag if x)
-
-    def is_finite_index(self):
-        return self.dim == 0 or self.rank() == self.dim
-
-    def index(self):
-        if not self.is_finite_index():
-            raise ValidationError("lattice does not have finite index")
-        if self.dim == 0:
-            return 1
-        _s, diag, _t = self._snf_data()
-        out = 1
-        for x in diag:
-            out *= x
-        return out
 
     def contains(self, vec):
         """Membership of vec in (translate + row span)."""
@@ -274,10 +234,6 @@ def l2_norm_squared(t):
     return sum(c * c for c in t.terms.values())
 
 
-def l2_norm(t):
-    return sqrt(l2_norm_squared(t))
-
-
 def lattice_restriction(t, lat):
     """Sum of coefficients over support points lying in the lattice translate."""
     if t.dim != lat.dim:
@@ -290,45 +246,3 @@ def character_grid(d, q):
     if q < 1:
         raise ValidationError("grid order must be >= 1")
     return [Character(d, q, exps) for exps in product(range(q), repeat=d)]
-
-
-def annihilator_characters(lat):
-    """The characters of Z^d trivial on the lattice (finite index required).
-
-    There are index-many; they are the character group of Z^d / L, read off
-    the Smith form of the basis.
-    """
-    if not lat.is_finite_index():
-        raise ValidationError("annihilator requires a finite-index lattice")
-    d = lat.dim
-    if d == 0:
-        return [Character(0, 1, ())]
-    _s, diag, t = lat._snf_data()
-    n = 1
-    for x in diag:
-        n = n * x // gcd(n, x)
-    chars = []
-    for ys in product(*[range(x) for x in diag]):
-        # with D = S B T, exponent vectors a with B a^T = 0 mod n are
-        # a^T = T y^T where y_i runs over multiples of n/d_i
-        weights = [y * (n // dd) for y, dd in zip(ys, diag)]
-        exps = tuple(sum(t[j][i] * weights[i] for i in range(d)) % n
-                     for j in range(d))
-        chars.append(Character(d, n, exps))
-    return chars
-
-
-def average_over_annihilator(t, lat):
-    """(1/|N_L|) sum over annihilator characters of conj(chi(w)) * t(chi).
-
-    Equals the lattice restriction of t over L + w; with w = 0 this is the
-    plain averaging identity.
-    """
-    chars = annihilator_characters(lat)
-    total = Cyclotomic.zero(1)
-    w = lat.translate
-    for chi in chars:
-        val = specialize(t, chi)
-        twist = Cyclotomic.root_of_unity(chi.order, -chi.value_exponent(w))
-        total = total + twist * val
-    return total / len(chars)

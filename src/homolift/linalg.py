@@ -21,25 +21,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            f = ai[t]
-            if f:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += f * bt[j]
-    return out
-
-def mat_vec(a, v):
-    return [sum(ai[j] * v[j] for j in range(len(v))) for ai in a]
-
-
 def vec_mat(v, a):
     m = len(a[0]) if a else 0
     return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(m)]
@@ -65,34 +46,6 @@ def mat_rank_rational(a):
         rank += 1
         col += 1
     return rank
-
-
-def int_matrix_inverse(u):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(u)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(u)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValidationError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = aug[i][j]
-            if x.denominator != 1:
-                raise ValidationError("matrix is not unimodular")
-            row.append(int(x))
-        inv.append(row)
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +468,12 @@ def charpoly_mod(rows, p):
 
 
 def charpoly_int(rows):
-    """Exact characteristic polynomial det(xI - M), ascending coefficients:
-    the dense path, used for the transition graph's count matrix and as the
-    test oracle of the cover levels' block path."""
+    """Exact characteristic polynomial det(xI - M) of a dense integer
+    matrix, ascending coefficients.  Kronecker's growth test reads it on the
+    transition graph's count matrix.  A tower level's polynomial never takes
+    this path (``covers.orbit_polynomials``); applied to a cover's dense H1
+    matrix (``covers.h1_action_on_cover``) it is the reference the tests
+    and the benchmark's ladder fixtures are built from."""
     n = len(rows)
     if n == 0:
         return [1]

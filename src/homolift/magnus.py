@@ -2,18 +2,20 @@
 dynamical quotient, assembled from transition-graph arc decorations.  Row i,
 column j collects sign * translation-monomial over the arcs from edge i to
 edge j.  The matrix stores only its nonzero terms, keyed by (row, column,
-exponent); the dense rows are a view for display and the test oracles.
+exponent); the dense rows are a view for display and for entrywise
+specialization at a character.
 
-Traces of exact powers, entrywise specialization at characters, and the
-characteristic polynomial over the group ring live here too.
+Traces of exact powers live here too: the criteria read them, and the
+averaging identity that relates them to a cover's chain action is the
+tests' reference (``tests/oracles.py``), with the characteristic
+polynomial over the group ring.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 
-from .cyclotomic import Cyclotomic
-from .errors import DimensionMismatchError, ResourceLimitError
+from .errors import DimensionMismatchError
 from .laurent import LaurentElement, specialize
 
 
@@ -31,9 +33,6 @@ class MagnusMatrix:
         return (self.size == other.size and self.dim == other.dim
                 and self.terms == other.terms)
 
-    def is_zero(self):
-        return not self.terms
-
     @cached_property
     def entries(self):
         """Dense size x size rows of LaurentElements, built on first read."""
@@ -45,13 +44,6 @@ class MagnusMatrix:
 
     def to_text_rows(self):
         return [[e.to_text() for e in row] for row in self.entries]
-
-
-def matrix_from_rows(edge_order, dim, rows):
-    return MagnusMatrix(len(rows), dim, tuple(edge_order),
-                        {(i, j, v): c for i, row in enumerate(rows)
-                         for j, e in enumerate(row)
-                         for v, c in e.terms.items()})
 
 
 def magnus_matrix(transition):
@@ -69,12 +61,6 @@ def arcs_matrix(transition, arcs):
     return MagnusMatrix(len(transition.nodes), transition.dim,
                         transition.nodes,
                         {key: c for key, c in terms.items() if c})
-
-
-def identity_magnus(edge_order, dim):
-    m = len(edge_order)
-    return MagnusMatrix(m, dim, tuple(edge_order),
-                        {(i, i, (0,) * dim): 1 for i in range(m)})
 
 
 def mat_mul(a, b):
@@ -125,70 +111,3 @@ def specialize_matrix(a, chi):
         raise DimensionMismatchError("matrix and character dimensions differ")
     return [[specialize(a.entries[i][j], chi) for j in range(a.size)]
             for i in range(a.size)]
-
-
-@dataclass(frozen=True)
-class EquivariantCharPoly:
-    """det(xI - A) with group-ring coefficients, lowest degree first."""
-
-    dim: int
-    coefficients: tuple   # m+1 LaurentElements, leading one is 1
-
-    def specialize(self, chi):
-        return [specialize(c, chi) for c in self.coefficients]
-
-
-def charpoly_generic(entries, zero, one):
-    """Characteristic polynomial over any commutative Q-algebra.
-
-    Faddeev-LeVerrier: only ring operations plus exact division by integers.
-    Returns coefficients lowest degree first (monic).
-    """
-    n = len(entries)
-    coeffs_desc = [one]
-    mk = [[zero for _ in range(n)] for _ in range(n)]
-    ck = one
-    for k in range(1, n + 1):
-        b = [[mk[i][j] + (ck if i == j else zero) for j in range(n)]
-             for i in range(n)]
-        mk = [[sum((entries[i][t] * b[t][j] for t in range(n)), zero)
-               for j in range(n)] for i in range(n)]
-        tr = sum((mk[i][i] for i in range(n)), zero)
-        ck = tr / (-k)
-        coeffs_desc.append(ck)
-    return list(reversed(coeffs_desc))
-
-
-def equivariant_charpoly(a, max_size=12):
-    if a.size > max_size:
-        raise ResourceLimitError(
-            f"characteristic polynomial over the group ring limited to "
-            f"size {max_size}, got {a.size}")
-    zero = LaurentElement.zero(a.dim)
-    one = LaurentElement.constant(a.dim, 1)
-    coeffs = charpoly_generic([list(r) for r in a.entries], zero, one)
-    return EquivariantCharPoly(a.dim, tuple(coeffs))
-
-
-def charpoly_complex_exact(entries):
-    """Characteristic polynomial of a square matrix of Cyclotomic numbers."""
-    n = len(entries)
-    orders = {e.order for row in entries for e in row}
-    order = 1
-    from math import gcd
-    for o in orders:
-        order = order * o // gcd(order, o)
-    zero = Cyclotomic.zero(order)
-    one = Cyclotomic.from_rational(1, order)
-    ents = [[e.promoted(order) for e in row] for row in entries]
-    return charpoly_generic(ents, zero, one)
-
-
-def cyc_mat_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][t] * b[t][j] for t in range(n)), Cyclotomic.zero(1))
-             for j in range(n)] for i in range(n)]
-
-
-def cyc_trace(a):
-    return sum((a[i][i] for i in range(len(a))), Cyclotomic.zero(1))

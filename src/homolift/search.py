@@ -353,13 +353,6 @@ def _certify(base_map, tower, degree, an, finding, cfg):
     return _certificate(base_map, tower, degree, an, method, finding)
 
 
-def build_certificate(f, finding, cfg=None):
-    """Convert a criterion hit into an exactly verified cover certificate."""
-    if finding is None:
-        raise ValidationError("no finding to convert")
-    return _certify(f, (), 1, Analysis.of(f), finding, cfg or SearchConfig())
-
-
 def rebuild_tower(f, tower):
     """Replay a tower of abelian covers from the base map.
 

@@ -8,8 +8,8 @@ and the translation of that prefix in the dynamical quotient: the running
 sum of the quotient's per-edge cocycle along the image.
 
 Simple cycles, the rational polytope spanned by their normalized
-translations, its extremal and vertex subgraphs, and per-vertex stability
-all live here.
+translations, its vertex subgraphs, per-vertex stability and the growth
+rate all live here.
 """
 
 from dataclasses import dataclass, field
@@ -79,32 +79,6 @@ def transition_graph(f, st, q):
                            tuple(tuple(r) for r in counts), f, st, q)
 
 
-def path_data(transition, arcs):
-    """Sign, translation, and prefix path of a composable arc sequence.
-
-    The prefix follows the left-to-right recursion
-    prefix(d . a) = f(prefix(d)) . prefix(a); the translation is the sum of
-    the arc translations, which agrees with the closed-up class of the
-    recursive prefix because the map acts trivially on the quotient.
-    """
-    if not arcs:
-        raise ValidationError("arc sequence must be nonempty")
-    f = transition.graph_map
-    sign = 1
-    translation = (0,) * transition.dim
-    prefix = None
-    prev = None
-    for arc in arcs:
-        if prev is not None and arc.source != prev.target:
-            raise ValidationError("arcs do not form a composable path")
-        sign *= arc.sign
-        translation = tuple(x + y for x, y in zip(translation, arc.translation))
-        prefix = arc.prefix if prefix is None else \
-            f.apply_to_path(prefix).concat(arc.prefix, f.graph)
-        prev = arc
-    return sign, translation, prefix
-
-
 @dataclass(frozen=True)
 class Cycle:
     arc_indices: tuple
@@ -112,9 +86,6 @@ class Cycle:
     sign: int
     translation: tuple
     normalized: tuple     # translation / length, Fractions
-
-    def arcs(self, transition):
-        return [transition.arcs[i] for i in self.arc_indices]
 
 
 def simple_cycles(transition, cap=DEFAULT_CYCLE_CAP):
@@ -196,31 +167,6 @@ def _make_cycle(transition, arc_indices):
     return Cycle(tuple(arc_indices), k, sign, trans, normalized)
 
 
-def based_cycles(transition, length, arc_subset=None):
-    """All based cycles of exactly the given length, as arc index tuples."""
-    n = len(transition.nodes)
-    allowed = (set(range(len(transition.arcs))) if arc_subset is None
-               else set(arc_subset))
-    adj = [[] for _ in range(n)]
-    for idx in sorted(allowed):
-        adj[transition.arcs[idx].source].append(idx)
-    out = []
-
-    def walk(start, v, depth, acc):
-        if depth == length:
-            if v == start:
-                out.append(tuple(acc))
-            return
-        for aidx in adj[v]:
-            acc.append(aidx)
-            walk(start, transition.arcs[aidx].target, depth + 1, acc)
-            acc.pop()
-
-    for s in range(n):
-        walk(s, s, 0, [])
-    return out
-
-
 @dataclass(frozen=True)
 class ShadowPolytope:
     ambient_dim: int
@@ -248,21 +194,6 @@ class SubgraphSelection:
     data: tuple           # the functional, or the vertex
     arc_indices: frozenset
     max_value: Fraction = None
-
-
-def extremal_subgraph(transition, omega, cap=DEFAULT_CYCLE_CAP):
-    """Union of the simple cycles maximizing the functional on normalized
-    translations.  Every cycle decomposes into simple ones, so this union
-    carries all maximizing cycles."""
-    omega = tuple(Fraction(x) for x in omega)
-    cycles = simple_cycles(transition, cap)
-    if not cycles:
-        return SubgraphSelection("extremal", omega, frozenset(), None)
-    values = [sum(w * x for w, x in zip(omega, c.normalized)) for c in cycles]
-    m = max(values)
-    arcs = frozenset(i for c, v in zip(cycles, values) if v == m
-                     for i in c.arc_indices)
-    return SubgraphSelection("extremal", omega, arcs, m)
 
 
 def vertex_subgraph(transition, u, cap=DEFAULT_CYCLE_CAP):
@@ -296,8 +227,14 @@ def _growth_is_one(transition):
 
     Every edge image is non-empty, so the radius is at least 1, and it is
     at most 1 exactly when every eigenvalue is 0 or a root of unity.
+    Decided once per transition graph: ``dilatation`` and
+    ``dimension_diagnostic`` both ask.
     """
-    return unit_circle_test(charpoly_int(transition.counts)).all_on_circle
+    cached = transition._cache.get("growth_is_one")
+    if cached is None:
+        cached = transition._cache["growth_is_one"] = unit_circle_test(
+            charpoly_int(transition.counts)).all_on_circle
+    return cached
 
 
 def dilatation(transition):
@@ -308,24 +245,6 @@ def dilatation(transition):
     if _growth_is_one(transition):
         return 1.0
     return spectral_radius(transition.counts)
-
-
-def positive_power(vertex_matrices, vertices, bound):
-    """Smallest k <= bound with every vertex trace a single positive monomial
-    at k times the vertex; None if no such k within the bound."""
-    for mat in vertex_matrices:
-        if not is_stable(mat):
-            raise ValidationError("positive_power requires stable vertices")
-    def positive_monomial(mat, v, k):
-        tr = magnus.trace_power(mat, k)
-        return len(tr.terms) == 1 and tr.coefficient(
-            tuple(k * x for x in v)) > 0
-
-    for k in range(1, bound + 1):
-        if all(positive_monomial(mat, v, k)
-               for mat, v in zip(vertex_matrices, vertices)):
-            return k
-    return None
 
 
 @dataclass(frozen=True)

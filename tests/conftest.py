@@ -17,7 +17,7 @@ def pytest_runtest_logreport(report):
 
 @pytest.fixture(scope="session")
 def corpus_maps():
-    return corpus.load_all()
+    return {name: corpus.load(name) for name in corpus.names()}
 
 
 @pytest.fixture(scope="session")

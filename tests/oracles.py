@@ -1,0 +1,471 @@
+"""Reference computations for the paper's identities, and the test-only
+helpers they need.
+
+The shipped path certifies a tower level from its Galois-orbit norm
+polynomials (``covers.orbit_polynomials``) and Kronecker's test.  The
+functions here compute the same objects the direct way, over the whole
+cover or in exact cyclotomic arithmetic, so the tests can check one
+against the other:
+
+- the lifted chain action on cover 1-chains, and on the isotypic part of a
+  character, which the specialized Magnus matrix must equal;
+- the deck group's action on a cover, on its paths and on the lift's own
+  dynamical quotient;
+- the averaging identity, which recovers a lattice restriction from the
+  specializations at the characters annihilating the lattice;
+- the characteristic polynomial over the group ring (Faddeev-LeVerrier),
+  whose specialization at a character is that of the specialized matrix;
+- composite arc data, based cycles, extremal subgraphs and positive powers
+  of the transition graph.
+
+Only the tests import this module; nothing under ``src/homolift`` does.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import lcm, sqrt
+
+from homolift import linalg
+from homolift.covers import _at
+from homolift.cyclotomic import Cyclotomic
+from homolift.errors import ResourceLimitError, ValidationError
+from homolift.graphs import EdgePath, empty_path
+from homolift.homology import basis_loop, path_class
+from homolift.laurent import (Character, LaurentElement, l2_norm_squared,
+                              specialize)
+from homolift.magnus import MagnusMatrix, specialize_matrix, trace_power
+from homolift.search import Analysis, SearchConfig, _certify
+from homolift.transition import (DEFAULT_CYCLE_CAP, SubgraphSelection,
+                                 is_stable, simple_cycles)
+
+
+# ---------------------------------------------------------------------------
+# elements of the group ring and of Q(zeta)
+
+
+def laurent_zero(dim):
+    return LaurentElement(dim)
+
+
+def laurent_constant(dim, value):
+    return LaurentElement(dim, {(0,) * dim: value})
+
+
+def monomial(vec, coeff=1):
+    return LaurentElement(len(vec), {tuple(vec): coeff})
+
+
+def coefficient(t, vec):
+    return t.terms.get(tuple(vec), 0)
+
+
+def l2_norm(t):
+    return sqrt(l2_norm_squared(t))
+
+
+def cyclotomic_zero(order=1):
+    return Cyclotomic(order, (0,) * order)
+
+
+@lru_cache(maxsize=None)
+def root_of_unity(order, exponent):
+    """zeta_order^exponent."""
+    coeffs = [0] * order
+    coeffs[exponent % order] = 1
+    return Cyclotomic(order, coeffs)
+
+
+def character_value(chi, vec):
+    """chi(vec), a root of unity of order dividing chi.order."""
+    return root_of_unity(chi.order, chi.value_exponent(vec))
+
+
+# ---------------------------------------------------------------------------
+# lattices and the averaging identity
+
+
+def is_finite_index(lat):
+    if lat.dim == 0:
+        return True
+    if not lat.basis:
+        return False
+    _s, diag, _t = lat._snf_data()
+    return sum(1 for x in diag if x) == lat.dim
+
+
+def lattice_index(lat):
+    if not is_finite_index(lat):
+        raise ValidationError("lattice does not have finite index")
+    if lat.dim == 0:
+        return 1
+    _s, diag, _t = lat._snf_data()
+    out = 1
+    for x in diag:
+        out *= x
+    return out
+
+
+def annihilator_characters(lat):
+    """The characters of Z^d trivial on the lattice (finite index required).
+
+    There are index-many; they are the character group of Z^d / L, read off
+    the Smith form of the basis.
+    """
+    if not is_finite_index(lat):
+        raise ValidationError("annihilator requires a finite-index lattice")
+    d = lat.dim
+    if d == 0:
+        return [Character(0, 1, ())]
+    _s, diag, t = lat._snf_data()
+    n = lcm(*diag)
+    chars = []
+    for ys in product(*[range(x) for x in diag]):
+        # with D = S B T, exponent vectors a with B a^T = 0 mod n are
+        # a^T = T y^T where y_i runs over multiples of n/d_i
+        weights = [y * (n // dd) for y, dd in zip(ys, diag)]
+        exps = tuple(sum(t[j][i] * weights[i] for i in range(d)) % n
+                     for j in range(d))
+        chars.append(Character(d, n, exps))
+    return chars
+
+
+def average_over_annihilator(t, lat):
+    """(1/|N_L|) sum over annihilator characters of conj(chi(w)) * t(chi).
+
+    Equals the lattice restriction of t over L + w; with w = 0 this is the
+    plain averaging identity.
+    """
+    chars = annihilator_characters(lat)
+    total = cyclotomic_zero()
+    for chi in chars:
+        twist = root_of_unity(chi.order, -chi.value_exponent(lat.translate))
+        total = total + twist * specialize(t, chi)
+    return total / len(chars)
+
+
+# ---------------------------------------------------------------------------
+# dense integer matrices
+
+
+def mat_mul(a, b):
+    m = len(b[0]) if b else 0
+    return [[sum(ai[t] * b[t][j] for t in range(len(b))) for j in range(m)]
+            for ai in a]
+
+
+def mat_vec(a, v):
+    return [sum(ai[j] * v[j] for j in range(len(v))) for ai in a]
+
+
+def section(quotient):
+    """An integer right inverse of the dynamical quotient's projection
+    (projection @ section = I_d), from the projection alone: it is onto, so
+    S P T = [I 0] and T[:, :d] S is one.  Any right inverse serves the deck
+    actions P sigma section, since sigma commutes with f* and so preserves
+    ker P."""
+    if quotient.rank == 0:
+        return ()
+    s, _d, t = linalg.smith_normal_form([list(r) for r in quotient.projection])
+    return tuple(map(tuple, mat_mul([r[:quotient.rank] for r in t], s)))
+
+
+# ---------------------------------------------------------------------------
+# the deck group on a cover, and the lifted chain action
+
+
+def deck_vertex(cover, name, elem):
+    v, x = cover.vertex_info[name]
+    return _at(v, cover.quotient.add(x, elem))
+
+
+def deck_edge(cover, name, elem):
+    e, x = cover.edge_info[name]
+    return _at(e, cover.quotient.add(x, elem))
+
+
+def deck_path(cover, path, elem):
+    if path.is_empty():
+        return empty_path(deck_vertex(cover, path.anchor, elem))
+    return EdgePath(tuple((deck_edge(cover, n, elem), d)
+                          for n, d in path.steps))
+
+
+def project_path(cover, path):
+    if path.is_empty():
+        return empty_path(cover.vertex_info[path.anchor][0])
+    return EdgePath(tuple((cover.edge_info[n][0], d) for n, d in path.steps))
+
+
+def deck_commutes(lm):
+    """Check the lift commutes with every deck transformation."""
+    cover = lm.cover
+    for s in cover.elements:
+        for name in lm.map.edge_image:
+            lhs = lm.map.edge_image[deck_edge(cover, name, s)]
+            if lhs != deck_path(cover, lm.map.edge_image[name], s):
+                return False
+    return True
+
+
+def chain_action_matrix(lm):
+    """Signed edge-traversal counts of the lifted map: row e, column e'."""
+    names = [e.name for e in lm.cover.graph.edges]
+    index = {n: i for i, n in enumerate(names)}
+    mat = [[0] * len(names) for _ in names]
+    for i, name in enumerate(names):
+        for sname, d in lm.map.edge_image[name].steps:
+            mat[i][index[sname]] += d
+    return mat
+
+
+def cover_chain_action_check(lm, chi, base_magnus):
+    """Compare the lifted chain action on the isotypic subspace of cover
+    1-chains with the specialized matrix; exact cyclotomic equality.
+
+    The isotypic vector for base edge e is the sum over fiber labels x of
+    conj(chi(x)) times the cover edge (e, x).  The cover must be a
+    reduction-mod-k one, whose fiber labels are lattice points themselves.
+    """
+    cover = lm.cover
+    q = cover.quotient
+    if q.modulus is None:
+        raise ValidationError("the chain check takes a reduction-mod-k cover")
+    for row in q.basis:
+        if chi.value_exponent(row) != 0:
+            raise ValidationError("character incompatible with the cover quotient")
+
+    names = [e.name for e in cover.graph.edges]
+    index = {n: i for i, n in enumerate(names)}
+    chain = chain_action_matrix(lm)
+    spec = specialize_matrix(base_magnus, chi)
+    base_edges = [e.name for e in cover.base_graph.edges]
+    order = chi.order
+    weights = {x: root_of_unity(order, -chi.value_exponent(x))
+               for x in cover.elements}
+
+    for i, base_e in enumerate(base_edges):
+        lhs = [cyclotomic_zero(order) for _ in names]
+        for x in cover.elements:
+            row = chain[index[_at(base_e, x)]]
+            wx = weights[x]
+            for jj, c in enumerate(row):
+                if c:
+                    lhs[jj] = lhs[jj] + wx * c
+        for j, base_e2 in enumerate(base_edges):
+            aij = spec[i][j]
+            for x in cover.elements:
+                target = index[_at(base_e2, x)]
+                if not (lhs[target] - aij * weights[x]).is_zero():
+                    return False
+    return True
+
+
+def deck_action_on_quotient(lm, st_cover, q_cover, elem):
+    """Matrix of the deck element's action on the lift's dynamical quotient."""
+    cover = lm.cover
+    if q_cover.rank == 0:
+        return []
+    cols = [path_class(deck_path(cover, basis_loop(cover.graph, st_cover,
+                                                   name), elem), st_cover)
+            for name in st_cover.h1_basis]
+    r = len(st_cover.h1_basis)
+    sigma = [[cols[j][i] for j in range(r)] for i in range(r)]
+    proj = [list(row) for row in q_cover.projection]
+    sect = [list(row) for row in section(q_cover)]
+    return mat_mul(mat_mul(proj, sigma), sect)
+
+
+# ---------------------------------------------------------------------------
+# Magnus matrices and characteristic polynomials over the group ring
+
+
+def matrix_from_rows(edge_order, dim, rows):
+    return MagnusMatrix(len(rows), dim, tuple(edge_order),
+                        {(i, j, v): c for i, row in enumerate(rows)
+                         for j, e in enumerate(row)
+                         for v, c in e.terms.items()})
+
+
+def identity_magnus(edge_order, dim):
+    m = len(edge_order)
+    return MagnusMatrix(m, dim, tuple(edge_order),
+                        {(i, i, (0,) * dim): 1 for i in range(m)})
+
+
+def matrix_is_zero(a):
+    return not a.terms
+
+
+@dataclass(frozen=True)
+class EquivariantCharPoly:
+    """det(xI - A) with group-ring coefficients, lowest degree first."""
+
+    dim: int
+    coefficients: tuple   # m+1 LaurentElements, leading one is 1
+
+    def specialize(self, chi):
+        return [specialize(c, chi) for c in self.coefficients]
+
+
+def charpoly_generic(entries, zero, one):
+    """Characteristic polynomial over any commutative Q-algebra.
+
+    Faddeev-LeVerrier: only ring operations plus exact division by integers.
+    Returns coefficients lowest degree first (monic).
+    """
+    n = len(entries)
+    coeffs_desc = [one]
+    mk = [[zero for _ in range(n)] for _ in range(n)]
+    ck = one
+    for k in range(1, n + 1):
+        b = [[mk[i][j] + (ck if i == j else zero) for j in range(n)]
+             for i in range(n)]
+        mk = [[sum((entries[i][t] * b[t][j] for t in range(n)), zero)
+               for j in range(n)] for i in range(n)]
+        tr = sum((mk[i][i] for i in range(n)), zero)
+        ck = tr / (-k)
+        coeffs_desc.append(ck)
+    return list(reversed(coeffs_desc))
+
+
+def equivariant_charpoly(a, max_size=12):
+    if a.size > max_size:
+        raise ResourceLimitError(
+            f"characteristic polynomial over the group ring limited to "
+            f"size {max_size}, got {a.size}")
+    coeffs = charpoly_generic([list(r) for r in a.entries],
+                              laurent_zero(a.dim), laurent_constant(a.dim, 1))
+    return EquivariantCharPoly(a.dim, tuple(coeffs))
+
+
+def charpoly_complex_exact(entries):
+    """Characteristic polynomial of a square matrix of Cyclotomic numbers."""
+    order = lcm(*{e.order for row in entries for e in row})
+    ents = [[e.promoted(order) for e in row] for row in entries]
+    return charpoly_generic(ents, cyclotomic_zero(order),
+                            Cyclotomic.from_rational(1, order))
+
+
+def cyc_mat_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][t] * b[t][j] for t in range(n)), cyclotomic_zero())
+             for j in range(n)] for i in range(n)]
+
+
+def cyc_trace(a):
+    return sum((a[i][i] for i in range(len(a))), cyclotomic_zero())
+
+
+# ---------------------------------------------------------------------------
+# paths and cycles of the transition graph
+
+
+def iterate_edge_image(f, edge_name, k):
+    """The literal, unreduced path f^k(e)."""
+    if k < 1:
+        raise ValidationError("iteration exponent must be >= 1")
+    if edge_name not in f.graph.edge_by_name:
+        raise ValidationError(f"unknown edge {edge_name}")
+    path = EdgePath(((edge_name, 1),))
+    for _ in range(k):
+        path = f.apply_to_path(path)
+    return path
+
+
+def path_data(transition, arcs):
+    """Sign, translation, and prefix path of a composable arc sequence.
+
+    The prefix follows the left-to-right recursion
+    prefix(d . a) = f(prefix(d)) . prefix(a); the translation is the sum of
+    the arc translations, which agrees with the closed-up class of the
+    recursive prefix because the map acts trivially on the quotient.
+    """
+    if not arcs:
+        raise ValidationError("arc sequence must be nonempty")
+    f = transition.graph_map
+    sign = 1
+    translation = (0,) * transition.dim
+    prefix = None
+    prev = None
+    for arc in arcs:
+        if prev is not None and arc.source != prev.target:
+            raise ValidationError("arcs do not form a composable path")
+        sign *= arc.sign
+        translation = tuple(x + y for x, y in zip(translation, arc.translation))
+        prefix = arc.prefix if prefix is None else \
+            f.apply_to_path(prefix).concat(arc.prefix, f.graph)
+        prev = arc
+    return sign, translation, prefix
+
+
+def based_cycles(transition, length, arc_subset=None):
+    """All based cycles of exactly the given length, as arc index tuples."""
+    n = len(transition.nodes)
+    allowed = (set(range(len(transition.arcs))) if arc_subset is None
+               else set(arc_subset))
+    adj = [[] for _ in range(n)]
+    for idx in sorted(allowed):
+        adj[transition.arcs[idx].source].append(idx)
+    out = []
+
+    def walk(start, v, depth, acc):
+        if depth == length:
+            if v == start:
+                out.append(tuple(acc))
+            return
+        for aidx in adj[v]:
+            acc.append(aidx)
+            walk(start, transition.arcs[aidx].target, depth + 1, acc)
+            acc.pop()
+
+    for s in range(n):
+        walk(s, s, 0, [])
+    return out
+
+
+def extremal_subgraph(transition, omega, cap=DEFAULT_CYCLE_CAP):
+    """Union of the simple cycles maximizing the functional on normalized
+    translations.  Every cycle decomposes into simple ones, so this union
+    carries all maximizing cycles."""
+    omega = tuple(Fraction(x) for x in omega)
+    cycles = simple_cycles(transition, cap)
+    if not cycles:
+        return SubgraphSelection("extremal", omega, frozenset(), None)
+    values = [sum(w * x for w, x in zip(omega, c.normalized)) for c in cycles]
+    m = max(values)
+    arcs = frozenset(i for c, v in zip(cycles, values) if v == m
+                     for i in c.arc_indices)
+    return SubgraphSelection("extremal", omega, arcs, m)
+
+
+def positive_power(vertex_matrices, vertices, bound):
+    """Smallest k <= bound with every vertex trace a single positive monomial
+    at k times the vertex; None if no such k within the bound."""
+    for mat in vertex_matrices:
+        if not is_stable(mat):
+            raise ValidationError("positive_power requires stable vertices")
+
+    def positive_monomial(mat, v, k):
+        tr = trace_power(mat, k)
+        return len(tr.terms) == 1 and coefficient(
+            tr, tuple(k * x for x in v)) > 0
+
+    for k in range(1, bound + 1):
+        if all(positive_monomial(mat, v, k)
+               for mat, v in zip(vertex_matrices, vertices)):
+            return k
+    return None
+
+
+# ---------------------------------------------------------------------------
+# certificates
+
+
+def build_certificate(f, finding, cfg=None):
+    """Convert a criterion hit on the base map into an exactly verified
+    cover certificate, as the search does for the finding it acts on."""
+    if finding is None:
+        raise ValidationError("no finding to convert")
+    return _certify(f, (), 1, Analysis.of(f), finding, cfg or SearchConfig())

@@ -209,6 +209,9 @@ def test_verify_non_object_is_error(tmp_path, silver_cert):
     path.write_text(json.dumps([silver_cert]))
     code, _, err = run("verify", str(path))
     assert code == 1 and err == "error: certificate is not a JSON object\n"
+    path.write_text('{"a":' * 100000)     # nested past the parser's depth
+    code, out, err = run("verify", str(path))
+    assert code == 1 and not out and err.startswith("error: ")
 
 
 # Every field verify checks, with the certificate's path to it.  Integers
@@ -278,14 +281,15 @@ def gm_documents(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=gm_documents())
+@given(doc=gm_documents().map(str.encode) | st.binary(max_size=48))
 def test_random_documents_exit_cleanly(tmp_path, doc):
     path = tmp_path / "fuzz.gm"
-    path.write_text(doc)
+    path.write_bytes(doc)
     for argv in (("analyze", str(path), "--json"),
-                 ("search", str(path), "--json", "--max-degree", "16")):
+                 ("search", str(path), "--json", "--max-degree", "16"),
+                 ("verify", str(path))):
         code, out, err = run(*argv)
         assert code in (0, 1, 2, 3), (argv, doc)
         assert code != 1 or err.startswith("error: "), (argv, doc, err)

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from homolift import corpus, linalg, magnus
 from homolift.covers import (_fiber_zero, _galois_orbits, abelian_cover,
-                             chain_action_matrix, cover_chain_action_check,
-                             deck_action_on_quotient, deck_commutes,
                              h1_action_on_cover, lift_map, orbit_polynomials,
                              spectral_radius, unit_circle_test)
 from homolift.errors import LiftError, ResourceLimitError, ValidationError
@@ -23,6 +21,9 @@ from homolift.search import Analysis
 from homolift.transition import (SubgraphSelection, dilatation,
                                  subgraph_matrix, transition_graph,
                                  vertex_subgraph)
+from oracles import (chain_action_matrix, cover_chain_action_check,
+                     deck_action_on_quotient, deck_commutes, deck_edge,
+                     deck_vertex, mat_vec, project_path)
 
 AB_MAP = """vertices: v
 edges: a: v -> v ; b: v -> v
@@ -98,7 +99,7 @@ def test_lift_projects_and_commutes(analyses):
         f, cov = an.graph_map, lm.cover
         multi_vertex += len(f.graph.vertices) > 1
         for ename, (base_e, _x) in cov.edge_info.items():
-            proj = cov.project_path(lm.map.edge_image[ename])
+            proj = project_path(cov, lm.map.edge_image[ename])
             assert proj.steps == f.edge_image[base_e].steps, label
         for vname, (v, _x) in cov.vertex_info.items():
             assert cov.vertex_info[lm.map.vertex_image[vname]][0] == \
@@ -445,6 +446,14 @@ def test_chain_action_check_incompatible(analyses):
         cover_chain_action_check(lm, Character(2, 3, (1, 0)), an.matrix)
 
 
+def test_chain_action_check_takes_reduction_covers_only(analyses):
+    # a basis quotient's labels are Smith coordinates, not lattice points
+    an = analyses["example_s3"]
+    lm = lift_map(an.graph_map, cover_of(an, [[2, 0], [0, 1]]))
+    with pytest.raises(ValidationError):
+        cover_chain_action_check(lm, Character(2, 2, (1, 0)), an.matrix)
+
+
 def test_covering_axioms_random(analyses):
     rng = random.Random(11)
     checked = 0
@@ -466,9 +475,9 @@ def test_covering_axioms_random(analyses):
             if all(x == 0 for x in s):
                 continue
             for vname in list(cov.vertex_info)[:8]:
-                assert cov.deck_vertex(vname, s) != vname
+                assert deck_vertex(cov, vname, s) != vname
             for ename in list(cov.edge_info)[:8]:
-                assert cov.deck_edge(ename, s) != ename
+                assert deck_edge(cov, ename, s) != ename
         # projection commutes with incidence
         for e in cov.graph.edges:
             base_e, _x = cov.edge_info[e.name]
@@ -480,7 +489,7 @@ def test_covering_axioms_random(analyses):
 def _apply_matrix_to_exponents(mat, element):
     moved = {}
     for vec, c in element.terms.items():
-        nv = tuple(linalg.mat_vec(mat, list(vec))) if mat else vec
+        nv = tuple(mat_vec(mat, list(vec))) if mat else vec
         moved[nv] = moved.get(nv, 0) + c
     return LaurentElement(element.dim, moved)
 
@@ -506,7 +515,7 @@ def test_deck_invariance_and_multiplicity(analyses):
             for vec, coeff in tr.terms.items():
                 stab = sum(
                     1 for sigma in actions
-                    if tuple(linalg.mat_vec(sigma, list(vec))) == tuple(vec))
+                    if tuple(mat_vec(sigma, list(vec))) == tuple(vec))
                 assert coeff % stab == 0
 
 

@@ -3,8 +3,8 @@ import pytest
 from homolift import corpus
 from homolift.errors import ParseError, ValidationError
 from homolift.graphs import (EdgePath, check_immersion, empty_path,
-                             iterate_edge_image, parse_graph_map,
-                             serialize_graph_map)
+                             parse_graph_map, serialize_graph_map)
+from oracles import iterate_edge_image
 
 
 def steps(word):

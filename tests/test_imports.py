@@ -1,21 +1,49 @@
 import ast
+import runpy
+import sys
 from pathlib import Path
 
+import pytest
+
 import homolift
+
+PACKAGE = Path(homolift.__file__).parent
+TESTS = Path(__file__).parent
+SCRIPTS = TESTS.parent / "scripts"
+
+
+def _imported_modules(path):
+    """The module names the file imports, absolute or relative."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
 
 
 def test_numpy_is_imported_only_by_covers():
     # the exact machinery answers every verdict; numpy only computes the
     # display floats in covers (spectral radius, the witness's root modulus)
-    importers = set()
-    for path in Path(homolift.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(m.split(".")[0] == "numpy" for m in modules):
-                importers.add(path.name)
+    importers = {path.name for path in PACKAGE.glob("*.py")
+                 if any(m.split(".")[0] == "numpy"
+                        for m in _imported_modules(path))}
     assert importers == {"covers.py"}
+
+
+def test_package_imports_nothing_from_the_tests():
+    # the oracles check the package, so the package must not lean on them
+    test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
+    for path in PACKAGE.glob("*.py"):
+        for module in _imported_modules(path):
+            assert module.split(".")[0] not in test_modules, (path.name,
+                                                              module)
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_scripts_load(monkeypatch, script):
+    # loading binds every name a script imports from homolift; main() is
+    # not run
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    namespace = runpy.run_path(str(script), run_name="not_main")
+    assert callable(namespace["main"])

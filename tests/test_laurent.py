@@ -11,34 +11,36 @@ from homolift import cyclotomic
 from homolift.cyclotomic import Cyclotomic
 from homolift.errors import (DimensionMismatchError, HomoliftError,
                              ResourceLimitError, ValidationError)
-from homolift.laurent import (Character, Lattice, LaurentElement,
-                              annihilator_characters,
-                              average_over_annihilator, character_grid,
-                              l2_norm, l2_norm_squared, lattice_restriction,
+from homolift.laurent import (Character, Lattice, character_grid,
+                              l2_norm_squared, lattice_restriction,
                               specialize)
+from oracles import (annihilator_characters, average_over_annihilator,
+                     character_value, coefficient, cyclotomic_zero,
+                     is_finite_index, l2_norm, lattice_index,
+                     laurent_constant, laurent_zero, monomial, root_of_unity)
 
-X = LaurentElement.monomial((1, 0))
-Y = LaurentElement.monomial((0, 1))
-ONE = LaurentElement.constant(2, 1)
+X = monomial((1, 0))
+Y = monomial((0, 1))
+ONE = laurent_constant(2, 1)
 
 
 def laurent_elements(dim, max_terms=5, coeff_bound=5, exp_bound=3):
     vec = st.tuples(*[st.integers(-exp_bound, exp_bound)] * dim)
     term = st.tuples(vec, st.integers(-coeff_bound, coeff_bound))
     return st.lists(term, max_size=max_terms).map(
-        lambda terms: sum((LaurentElement.monomial(v, c) for v, c in terms),
-                          LaurentElement.zero(dim)))
+        lambda terms: sum((monomial(v, c) for v, c in terms),
+                          laurent_zero(dim)))
 
 
 def test_ring_examples():
     assert (ONE + Y) * (ONE - Y) == ONE - Y * Y
-    assert X * LaurentElement.monomial((-1, 0)) == ONE
+    assert X * monomial((-1, 0)) == ONE
     assert (ONE - X) + X == ONE
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        X * LaurentElement.monomial((1,))
+        X * monomial((1,))
 
 
 @settings(max_examples=60)
@@ -70,7 +72,7 @@ def test_specialize_is_ring_homomorphism(a, b, order, exps):
 
 def test_l2_examples():
     assert abs(l2_norm(ONE + Y) - math.sqrt(2)) < 1e-12
-    assert l2_norm(LaurentElement.zero(2)) == 0
+    assert l2_norm(laurent_zero(2)) == 0
     assert l2_norm(3 * X - 4 * Y) == 5.0
     assert l2_norm_squared(ONE + Y) == 2
 
@@ -84,7 +86,7 @@ def test_lattice_restriction_examples():
 
 def test_lattice_membership_and_index():
     lat = Lattice(2, ((2, 1), (0, 3)))
-    assert lat.index() == 6
+    assert lattice_index(lat) == 6
     assert lat.contains((2, 1))
     assert lat.contains((2, 4))
     assert not lat.contains((1, 0))
@@ -97,7 +99,7 @@ def test_degenerate_lattice():
     point = Lattice(2, (), (1, 2))
     assert point.contains((1, 2))
     assert not point.contains((1, 3))
-    assert not point.is_finite_index()
+    assert not is_finite_index(point)
     with pytest.raises(ValidationError):
         annihilator_characters(point)
 
@@ -107,7 +109,8 @@ def test_character_grid_examples():
     assert len(character_grid(2, 1)) == 1
     grid3 = character_grid(1, 3)
     assert len(grid3) == 3
-    vals = sorted(round(c.eval((1,)).to_complex().real, 6) for c in grid3)
+    vals = sorted(round(character_value(c, (1,)).to_complex().real, 6)
+                  for c in grid3)
     assert vals == [-0.5, -0.5, 1.0]
 
 
@@ -119,10 +122,10 @@ def test_average_examples():
 
 
 def _random_element(rng, d, max_terms=8, coeff=5, exp=4):
-    t = LaurentElement.zero(d)
+    t = laurent_zero(d)
     for _ in range(rng.randint(1, max_terms)):
         vec = tuple(rng.randint(-exp, exp) for _ in range(d))
-        t = t + LaurentElement.monomial(vec, rng.randint(-coeff, coeff))
+        t = t + monomial(vec, rng.randint(-coeff, coeff))
     return t
 
 
@@ -135,7 +138,7 @@ def _random_lattice(rng, d, max_index=27):
                 if j != i:
                     basis[i][j] = rng.randint(-2, 2)
         lat = Lattice(d, tuple(tuple(r) for r in basis))
-        if lat.is_finite_index() and lat.index() <= max_index:
+        if is_finite_index(lat) and lattice_index(lat) <= max_index:
             return lat
 
 
@@ -169,7 +172,7 @@ def test_finite_parseval_randomized():
         bound = 2
         t = _random_element(rng, d, exp=bound)
         q = 2 * bound + 1
-        total = Cyclotomic.zero(1)
+        total = cyclotomic_zero(1)
         for chi in character_grid(d, q):
             total = total + specialize(t, chi).magnitude_squared()
         assert (total / q ** d).rational_value() == l2_norm_squared(t)
@@ -181,7 +184,7 @@ def test_annihilator_characters_kill_lattice():
         d = rng.randint(1, 3)
         lat = _random_lattice(rng, d)
         chars = annihilator_characters(lat)
-        assert len(chars) == lat.index()
+        assert len(chars) == lattice_index(lat)
         for chi in chars[:5]:
             for row in lat.basis:
                 assert chi.value_exponent(row) == 0
@@ -199,14 +202,14 @@ def test_annihilator_of_a_scaled_lattice_is_the_grid():
 
 
 def test_text_form():
-    t = ONE - X + 2 * LaurentElement.monomial((-1, 3))
+    t = ONE - X + 2 * monomial((-1, 3))
     assert t.to_text() == "2*X1^-1*X2^3 + 1 + -1*X1^1"
-    assert LaurentElement.zero(2).to_text() == "0"
-    assert LaurentElement.constant(0, 3).to_text() == "3"
+    assert laurent_zero(2).to_text() == "0"
+    assert laurent_constant(0, 3).to_text() == "3"
 
 
 def test_cyclotomic_compare():
-    z5 = Cyclotomic.root_of_unity(5, 1)
+    z5 = root_of_unity(5, 1)
     golden_ratio_part = z5 + z5.conjugate()   # 2cos(72) = golden ratio - 1
     assert golden_ratio_part.compare(Fraction(618, 1000)) == 1
     assert golden_ratio_part.compare(Fraction(619, 1000)) == -1
@@ -215,7 +218,7 @@ def test_cyclotomic_compare():
 
 def test_sign_of_a_non_real_element_is_a_homolift_error():
     with pytest.raises(HomoliftError, match="non-real"):
-        Cyclotomic.root_of_unity(5, 1).real_sign()
+        root_of_unity(5, 1).real_sign()
 
 
 def test_sign_refinement_that_never_separates_is_a_resource_limit(
@@ -223,7 +226,7 @@ def test_sign_refinement_that_never_separates_is_a_resource_limit(
     # cos enclosures that never tighten: the refinement must give up loudly
     monkeypatch.setattr(cyclotomic, "_cos_enclosure",
                         lambda num, den, prec: (Fraction(-1), Fraction(1)))
-    z5 = Cyclotomic.root_of_unity(5, 1)
+    z5 = root_of_unity(5, 1)
     with pytest.raises(ResourceLimitError, match="did not converge"):
         (z5 + z5.conjugate()).real_sign()
 
@@ -242,16 +245,16 @@ def test_cos_enclosure_tightens_with_the_precision():
 
 
 def test_cyclotomic_mixed_orders():
-    z6 = Cyclotomic.root_of_unity(6, 1)
-    z3 = Cyclotomic.root_of_unity(3, 1)
+    z6 = root_of_unity(6, 1)
+    z3 = root_of_unity(3, 1)
     assert z6 * z6 == z3
     assert (1 + z3 + z3 * z3).is_zero()
 
 
 def test_division_is_exact():
     # an int coefficient over an int divisor is a Fraction, never a float
-    third = LaurentElement.constant(1, 1) / 3
-    assert third.coefficient((0,)) == Fraction(1, 3)
+    third = laurent_constant(1, 1) / 3
+    assert coefficient(third, (0,)) == Fraction(1, 3)
     assert (Cyclotomic(1, [1]) / 3).coeffs == (Fraction(1, 3),)
     assert (Cyclotomic(2, [2, 0]) / 2).coeffs == (1, 0)
 
@@ -259,14 +262,14 @@ def test_division_is_exact():
 @pytest.mark.parametrize("bad", [0.5, 2.0, 1j, float("nan")])
 def test_inexact_coefficients_are_refused(bad):
     with pytest.raises(ValidationError):
-        LaurentElement.constant(1, bad)
+        laurent_constant(1, bad)
     with pytest.raises(ValidationError):
         Cyclotomic(2, [1, bad])
 
 
 def test_integral_coefficients_become_ints():
-    t = LaurentElement.monomial((1,), np.int64(3))
-    assert type(t.coefficient((1,))) is int and t.coefficient((1,)) == 3
+    t = monomial((1,), np.int64(3))
+    assert type(coefficient(t, (1,))) is int and coefficient(t, (1,)) == 3
     z = Cyclotomic(2, [np.int32(-2), Fraction(1, 2)])
     assert [type(c) for c in z.coeffs] == [int, Fraction]
     assert z.coeffs == (-2, Fraction(1, 2))

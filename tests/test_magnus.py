@@ -6,15 +6,19 @@ import pytest
 from homolift import magnus
 from homolift.cyclotomic import Cyclotomic
 from homolift.errors import ResourceLimitError
-from homolift.laurent import Character, LaurentElement, specialize
+from homolift.laurent import Character, specialize
 from homolift.search import (SearchConfig, character_scan, check_anchored,
                              check_l2)
 from homolift.transition import (Arc, TransitionGraph, is_stable, shadow,
                                  subgraph_matrix, vertex_subgraph)
+from oracles import (charpoly_complex_exact, coefficient, cyc_mat_mul,
+                     cyc_trace, equivariant_charpoly, identity_magnus,
+                     laurent_constant, laurent_zero, matrix_from_rows,
+                     matrix_is_zero, monomial)
 
-X = LaurentElement.monomial((1, 0))
-Y = LaurentElement.monomial((0, 1))
-ONE = LaurentElement.constant(2, 1)
+X = monomial((1, 0))
+Y = monomial((0, 1))
+ONE = laurent_constant(2, 1)
 
 
 def test_magnus_matrix_s3(analyses):
@@ -27,7 +31,7 @@ def test_magnus_matrix_s3(analyses):
 
 def test_magnus_matrix_golden(analyses):
     a = analyses["golden_mean"].matrix
-    vals = [[e.coefficient(()) for e in row] for row in a.entries]
+    vals = [[coefficient(e, ()) for e in row] for row in a.entries]
     assert vals == [[1, 1], [1, 0]]
 
 
@@ -40,7 +44,7 @@ def test_magnus_matrix_identity(analyses):
 def test_fox_calculus_cross_check(analyses):
     # abelianized Fox derivatives of (a -> b a b^-1, b -> b), rows indexed by
     # the source generator: [[Y, 1 - X], [0, 1]]
-    fox = [[Y, ONE - X], [LaurentElement.zero(2), ONE]]
+    fox = [[Y, ONE - X], [laurent_zero(2), ONE]]
     a = analyses["example_s3"].matrix
     for i in range(2):
         for j in range(2):
@@ -51,7 +55,7 @@ def test_trace_power_examples(analyses):
     a3 = analyses["example_s3"].matrix
     assert magnus.trace_power(a3, 2) == ONE + Y * Y
     ag = analyses["golden_mean"].matrix
-    assert magnus.trace_power(ag, 2).coefficient(()) == 3
+    assert coefficient(magnus.trace_power(ag, 2), ()) == 3
     ai = analyses["identity"].matrix
     for k in (1, 3, 5):
         assert magnus.trace_power(ai, k) == 2 * ONE
@@ -80,22 +84,22 @@ def test_specialize_matrix_trivial_is_augmentation(analyses):
 
 def test_equivariant_charpoly_examples(analyses):
     a3 = analyses["example_s3"].matrix
-    cp = magnus.equivariant_charpoly(a3)
+    cp = equivariant_charpoly(a3)
     assert cp.coefficients[2] == ONE
     assert cp.coefficients[1] == -(ONE + Y)
     assert cp.coefficients[0] == Y
     ag = analyses["golden_mean"].matrix
-    cpg = magnus.equivariant_charpoly(ag)
-    assert [c.coefficient(()) for c in cpg.coefficients] == [-1, -1, 1]
+    cpg = equivariant_charpoly(ag)
+    assert [coefficient(c, ()) for c in cpg.coefficients] == [-1, -1, 1]
     ai = analyses["identity"].matrix
-    cpi = magnus.equivariant_charpoly(ai)
-    assert [c.coefficient((0, 0)) for c in cpi.coefficients] == [1, -2, 1]
+    cpi = equivariant_charpoly(ai)
+    assert [coefficient(c, (0, 0)) for c in cpi.coefficients] == [1, -2, 1]
 
 
 def test_charpoly_size_cap():
-    big = magnus.identity_magnus(tuple(f"e{i}" for i in range(13)), 0)
+    big = identity_magnus(tuple(f"e{i}" for i in range(13)), 0)
     with pytest.raises(ResourceLimitError):
-        magnus.equivariant_charpoly(big)
+        equivariant_charpoly(big)
 
 
 def _random_characters(rng, d, n, max_order=8):
@@ -111,10 +115,10 @@ def test_specialization_commutes_with_charpoly(analyses):
     rng = random.Random(4)
     for an in analyses.values():
         a = an.matrix
-        cp = magnus.equivariant_charpoly(a)
+        cp = equivariant_charpoly(a)
         for chi in _random_characters(rng, a.dim, 12):
             spec = magnus.specialize_matrix(a, chi)
-            lhs = magnus.charpoly_complex_exact(spec)
+            lhs = charpoly_complex_exact(spec)
             rhs = cp.specialize(chi)
             assert len(lhs) == len(rhs)
             for x, y in zip(lhs, rhs):
@@ -130,9 +134,9 @@ def test_trace_power_specialization_identity(analyses):
             power = spec
             for k in range(1, 7):
                 if k > 1:
-                    power = magnus.cyc_mat_mul(power, spec)
+                    power = cyc_mat_mul(power, spec)
                 lhs = specialize(magnus.trace_power(a, k), chi)
-                rhs = magnus.cyc_trace(power)
+                rhs = cyc_trace(power)
                 assert (lhs - rhs).is_zero()
 
 
@@ -167,7 +171,7 @@ def test_search_path_builds_no_dense_rows(levels):
         for k in range(1, 9):
             magnus.trace_power(a, k)
             assert _no_zero_terms(a._cache["power"])
-        assert magnus.matrix_from_rows(a.edge_order, a.dim, a.entries) == a
+        assert matrix_from_rows(a.edge_order, a.dim, a.entries) == a
 
 
 def test_cancelling_arcs_leave_no_term():
@@ -175,23 +179,23 @@ def test_cancelling_arcs_leave_no_term():
     t = TransitionGraph(("a", "b"), 1, arcs, ((0, 2), (0, 0)), None, None,
                         None)
     a = magnus.magnus_matrix(t)
-    assert a.terms == {} and a.is_zero()
-    assert a == magnus.matrix_from_rows(("a", "b"), 1,
-                                        [[LaurentElement.zero(1)] * 2] * 2)
-    assert not magnus.magnus_matrix(
+    assert a.terms == {} and matrix_is_zero(a)
+    assert a == matrix_from_rows(("a", "b"), 1,
+                                 [[laurent_zero(1)] * 2] * 2)
+    assert not matrix_is_zero(magnus.magnus_matrix(
         TransitionGraph(("a", "b"), 1, arcs[:1], ((0, 1), (0, 0)), None,
-                        None, None)).is_zero()
+                        None, None)))
 
 
 def test_trace_equals_based_cycle_sum(levels):
     # trace of the k-th power expands over based cycles of length k, on the
     # roses and on multi-vertex tower levels
-    from homolift.transition import based_cycles
+    from oracles import based_cycles
     for an in levels:
         t = an.transition
         a = an.matrix
         for k in range(1, 5):
-            expected = LaurentElement.zero(a.dim)
+            expected = laurent_zero(a.dim)
             for cyc in based_cycles(t, k):
                 sign = 1
                 total = (0,) * a.dim
@@ -200,7 +204,7 @@ def test_trace_equals_based_cycle_sum(levels):
                     sign *= arc.sign
                     total = tuple(x + y for x, y in
                                   zip(total, arc.translation))
-                expected = expected + LaurentElement.monomial(total, sign)
+                expected = expected + monomial(total, sign)
             assert magnus.trace_power(a, k) == expected
 
 
@@ -210,13 +214,13 @@ def test_newton_identities(analyses):
     for an in analyses.values():
         a = an.matrix
         m = a.size
-        cp = magnus.equivariant_charpoly(a)
+        cp = equivariant_charpoly(a)
         # e_i = (-1)^i * coefficient of x^(m-i)
         es = [cp.coefficients[m - i] * ((-1) ** i) for i in range(m + 1)]
         ps = [None] + [magnus.trace_power(a, k) for k in range(1, m + 1)]
         # p_k = sum_{i=1}^{k-1} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k
         for k in range(1, m + 1):
-            acc = LaurentElement.zero(a.dim)
+            acc = laurent_zero(a.dim)
             for i in range(1, k):
                 acc = acc + ((-1) ** (i - 1)) * es[i] * ps[k - i]
             rhs = acc + ((-1) ** (k - 1)) * (k * es[k])

@@ -10,12 +10,13 @@ from homolift import corpus, geometry, magnus
 from homolift.cli import main
 from homolift.errors import ValidationError
 from homolift.graphs import EdgePath, parse_graph_map
-from homolift.laurent import LaurentElement
-from homolift.transition import (TransitionGraph, based_cycles, dilatation,
-                                 dimension_diagnostic, extremal_subgraph,
-                                 is_stable, path_data, positive_power, shadow,
+from homolift.transition import (TransitionGraph, dilatation,
+                                 dimension_diagnostic, is_stable, shadow,
                                  simple_cycles, subgraph_matrix,
                                  transition_graph, vertex_subgraph)
+from oracles import (based_cycles, extremal_subgraph, laurent_constant,
+                     laurent_zero, matrix_from_rows, matrix_is_zero,
+                     monomial, path_data, positive_power)
 
 AB_MAP = """vertices: v
 edges: a: v -> v ; b: v -> v
@@ -146,29 +147,28 @@ def test_vertex_subgraph_examples(analyses):
 
 def test_subgraph_matrix_examples(analyses):
     t = analyses["example_s3"].transition
-    Y = LaurentElement.monomial((0, 1))
+    Y = monomial((0, 1))
     mat = subgraph_matrix(t, vertex_subgraph(t, (0, 1)))
     assert mat.entries[0][0] == Y
     assert all(mat.entries[i][j].is_zero() for i in range(2) for j in range(2)
                if (i, j) != (0, 0))
     mat0 = subgraph_matrix(t, vertex_subgraph(t, (0, 0)))
-    assert mat0.entries[1][1] == LaurentElement.constant(2, 1)
+    assert mat0.entries[1][1] == laurent_constant(2, 1)
     from homolift.transition import SubgraphSelection
     empty = subgraph_matrix(t, SubgraphSelection("extremal", (), frozenset()))
-    assert empty.is_zero()
+    assert matrix_is_zero(empty)
 
 
 def test_stability_examples(analyses):
     t = analyses["example_s3"].transition
     assert is_stable(subgraph_matrix(t, vertex_subgraph(t, (0, 1))))
-    zero = magnus.matrix_from_rows(
-        ("a", "b"), 2, [[LaurentElement.zero(2)] * 2] * 2)
+    zero = matrix_from_rows(
+        ("a", "b"), 2, [[laurent_zero(2)] * 2] * 2)
     assert not is_stable(zero)
-    X = LaurentElement.monomial((1, 0))
-    nilp = magnus.matrix_from_rows(
+    X = monomial((1, 0))
+    nilp = matrix_from_rows(
         ("a", "b"), 2,
-        [[LaurentElement.zero(2), X], [LaurentElement.zero(2),
-                                       LaurentElement.zero(2)]])
+        [[laurent_zero(2), X], [laurent_zero(2), laurent_zero(2)]])
     assert not is_stable(nilp)
 
 
@@ -181,7 +181,7 @@ def test_stability_matches_brute_force(analyses):
             power = mat
             for _ in range(mat.size - 1):
                 power = magnus.mat_mul(power, mat)
-            assert is_stable(mat) == (not power.is_zero())
+            assert is_stable(mat) == (not matrix_is_zero(power))
 
 
 def test_dilatation_examples(analyses):
@@ -198,17 +198,17 @@ def test_positive_power_examples(analyses):
     mats = [subgraph_matrix(t, vertex_subgraph(t, u))
             for u in ((0, 0), (0, 1))]
     assert positive_power(mats, [(0, 0), (0, 1)], 8) == 1
-    minus_x = magnus.matrix_from_rows(
-        ("e",), 1, [[LaurentElement.monomial((1,), -1)]])
+    minus_x = matrix_from_rows(
+        ("e",), 1, [[monomial((1,), -1)]])
     assert positive_power([minus_x], [(1,)], 8) == 2
-    zero = magnus.matrix_from_rows(("e",), 1, [[LaurentElement.zero(1)]])
+    zero = matrix_from_rows(("e",), 1, [[laurent_zero(1)]])
     with pytest.raises(ValidationError):
         positive_power([zero], [(0,)], 8)
 
 
 def test_positive_power_none_within_bound():
-    minus_x = magnus.matrix_from_rows(
-        ("e",), 1, [[LaurentElement.monomial((1,), -1)]])
+    minus_x = matrix_from_rows(
+        ("e",), 1, [[monomial((1,), -1)]])
     assert positive_power([minus_x], [(1,)], 1) is None
 
 
@@ -263,7 +263,7 @@ map d -> a
 def test_counting_consistency(analyses):
     # row sums are image lengths; paths in the transition graph of length k
     # from i to j count the traversals of j in the k-th iterate of i
-    from homolift.graphs import iterate_edge_image
+    from oracles import iterate_edge_image
     for an in analyses.values():
         f, t = an.graph_map, an.transition
         for i, name in enumerate(t.nodes):
@@ -443,3 +443,21 @@ def test_simple_cycles_against_brute_force():
                     for i in range(len(c.arc_indices))))
                for c in simple_cycles(tg)}
         assert got == brute(n, arc_pairs)
+
+
+def test_analyze_decides_growth_once(monkeypatch):
+    # dilatation and the dimension diagnostic share one Kronecker test
+    from homolift import linalg, transition
+    calls = []
+    charpoly = linalg.charpoly_int
+
+    def counted(rows):
+        calls.append(rows)
+        return charpoly(rows)
+    monkeypatch.setattr(linalg, "charpoly_int", counted)
+    monkeypatch.setattr(transition, "charpoly_int", counted)
+    for name in corpus.names():
+        calls.clear()
+        code = main(["analyze", f"corpus:{name}", "--json"], io.StringIO(),
+                    io.StringIO())
+        assert code == 0 and len(calls) == 1, name
