@@ -20,10 +20,9 @@ import numpy as np
 
 from homolift import magnus
 from homolift.graphs import parse_graph_map
-from homolift.homology import equivariant_quotient, homology_action, spanning_tree
-from homolift.laurent import Character, character_grid
+from homolift.laurent import character_grid
 from homolift.search import Analysis, SearchConfig, brute_force_oracle, check_anchored, check_l2, character_scan
-from homolift.transition import is_stable, shadow, simple_cycles, subgraph_matrix, transition_graph, vertex_subgraph
+from homolift.transition import is_stable, shadow, subgraph_matrix, vertex_subgraph
 
 LETTERS = "abc"
 

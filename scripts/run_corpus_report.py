@@ -10,7 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from homolift import corpus, magnus
+from homolift import corpus
 from homolift.search import (Analysis, SearchConfig, brute_force_oracle,
                              character_scan, check_anchored, check_direct,
                              check_l2, tower_search)

@@ -2,14 +2,18 @@
 certification that an integer characteristic polynomial has roots off the
 unit circle.
 
-A cover is stored as an ordinary Graph whose vertices are (base vertex,
+A cover holds its deck group G and the cocycle c of the dynamical
+quotient reduced into G, and a lift holds its fiber-zero rows; a level's
+verdict reads nothing else.  The cover's graph and the lifted map are
+built on first read, as an ordinary Graph whose vertices are (base vertex,
 group element) pairs, so the homology and transition machinery applies to
-lifted maps unchanged.  The edge e@x runs from o(e)@x to t(e)@(x + c(e)),
-c the cocycle of the dynamical quotient reduced into the deck group G.
-The lift is anchored at the fiber point over the base with the zero label
-and commutes with G, so it is fixed by fiber 0: v@0 goes to f(v)@s(v), with
-s(base) = 0 and s(t(e)) = s(o(e)) + c(f(e)) - c(e) (c summed along the
-path), and e@0 to the lift of f(e) from f(o(e))@s(o(e)), which must end at
+lifted maps unchanged.  The edge e@x runs from o(e)@x to t(e)@(x + c(e)).
+The cover is connected exactly when the loop voltages of c generate G,
+which ``abelian_cover`` decides before any graph exists.  The lift is
+anchored at the fiber point over the base with the zero label and commutes
+with G, so it is fixed by fiber 0: v@0 goes to f(v)@s(v), with s(base) = 0
+and s(t(e)) = s(o(e)) + c(f(e)) - c(e) (c summed along the path), and e@0
+to the lift of f(e) from f(o(e))@s(o(e)), which must end at
 f(t(e))@(c(e) + s(t(e))).  The lifted map is the translates of these
 fiber-zero rows by every x in G.
 
@@ -168,12 +172,12 @@ def _at(name, elem):
 
 @dataclass(frozen=True)
 class CoverGraph:
-    graph: Graph
+    """The cover of ``base_graph`` that ``cocycle`` labels in the deck group
+    ``quotient``.  Its graph is built on first read."""
+
     base_graph: Graph
     quotient: FiniteQuotient   # the deck group G
     cocycle: dict         # base edge name -> quotient element
-    vertex_info: dict     # cover vertex -> (base vertex, element)
-    edge_info: dict       # cover edge -> (base edge, element)
 
     @property
     def degree(self):
@@ -183,6 +187,53 @@ class CoverGraph:
     def elements(self):
         return tuple(self.quotient.elements())
 
+    @cached_property
+    def vertex_info(self):
+        """cover vertex -> (base vertex, element)"""
+        return {_at(v, x): (v, x)
+                for v in self.base_graph.vertices for x in self.elements}
+
+    @cached_property
+    def edge_info(self):
+        """cover edge -> (base edge, element)"""
+        return {_at(e.name, x): (e.name, x)
+                for e in self.base_graph.edges for x in self.elements}
+
+    @cached_property
+    def graph(self):
+        g, q = self.base_graph, self.quotient
+        edges = tuple(Edge(_at(e.name, x), _at(e.origin, x),
+                           _at(e.terminus, q.add(x, self.cocycle[e.name])))
+                      for e in g.edges for x in self.elements)
+        return Graph(tuple(self.vertex_info), edges, _at(g.base, q.zero()))
+
+
+def _connected(graph, fq, cocycle):
+    """Whether the cover that ``cocycle`` labels in ``fq`` is connected.
+
+    With s the cocycle summed along the base graph's spanning tree, the
+    copy v@x is reached from the base's copy at zero exactly when x - s(v)
+    lies in the subgroup H generated by the loop voltages s(o(e)) + c(e) -
+    s(t(e)); so the cover is connected exactly when H = G, that is when the
+    voltages and diag Z^d span Z^d.  The Hermite basis of that lattice is
+    updated one voltage at a time, and the cover is connected once its
+    pivots are all 1."""
+    s = {graph.base: fq.zero()}
+    for e, d in graph.tree_steps():
+        if d > 0:
+            s[e.terminus] = fq.add(s[e.origin], cocycle[e.name])
+        else:
+            s[e.origin] = fq.add(s[e.terminus], fq.neg(cocycle[e.name]))
+    dim = len(fq.diag)
+    basis = [[m * (i == j) for j in range(dim)] for i, m in enumerate(fq.diag)]
+    for e in graph.edges:
+        if all(basis[i][i] == 1 for i in range(dim)):
+            return True
+        voltage = fq.add(fq.add(s[e.origin], cocycle[e.name]),
+                         fq.neg(s[e.terminus]))
+        basis = linalg.hermite_row_form(basis + [list(voltage)])[0][:dim]
+    return all(basis[i][i] == 1 for i in range(dim))
+
 
 def abelian_cover(graph, quot, spec):
     """Cover of the graph determined by a finite quotient of the dynamical
@@ -191,35 +242,41 @@ def abelian_cover(graph, quot, spec):
 
     The cocycle of the dynamical quotient always generates the deck group;
     one that does not would give a disconnected graph, refused with
-    LiftError.
+    LiftError before any graph is built.
     """
     fq = FiniteQuotient.of(quot.rank, spec)
     cocycle = {e.name: fq.reduce(quot.cocycle[e.name]) for e in graph.edges}
-    elements = fq.elements()
-    vertex_info = {_at(v, x): (v, x)
-                   for v in graph.vertices for x in elements}
-    edges = []
-    edge_info = {}
-    for e in graph.edges:
-        for x in elements:
-            name = _at(e.name, x)
-            edges.append(Edge(name, _at(e.origin, x),
-                              _at(e.terminus, fq.add(x, cocycle[e.name]))))
-            edge_info[name] = (e.name, x)
-    try:
-        cover = Graph(tuple(vertex_info), tuple(edges),
-                      _at(graph.base, fq.zero()))
-    except ValidationError as exc:
-        raise LiftError(f"cover {fq.describe()}: {exc}; the cocycle does "
-                        "not generate the deck group") from None
-    return CoverGraph(cover, graph, fq, cocycle, vertex_info, edge_info)
+    if not _connected(graph, fq, cocycle):
+        raise LiftError(f"cover {fq.describe()}: the cover graph is not "
+                        "connected; the cocycle does not generate the deck "
+                        "group")
+    return CoverGraph(graph, fq, cocycle)
 
 
 @dataclass(frozen=True)
 class LiftedMap:
-    map: GraphMap
+    """The lift of ``base_map`` to ``cover``, held as its fiber-zero rows
+    (``_fiber_zero``); the lifted GraphMap is built on first read."""
+
     cover: CoverGraph
     base_map: GraphMap
+    rows: tuple           # (edge rows, vertex rows)
+
+    @cached_property
+    def map(self):
+        """The deck group's translates of the fiber-zero rows."""
+        f, cover = self.base_map, self.cover
+        g, q = f.graph, cover.quotient
+        edge_rows, vertex_rows = self.rows
+        vertex_image = {_at(v, x): _at(w, q.add(y, x))
+                        for v, (w, y) in zip(g.vertices, vertex_rows)
+                        for x in cover.elements}
+        edge_image = {
+            _at(e.name, x): EdgePath(tuple((_at(n, q.add(y, x)), d)
+                                           for n, y, d in row))
+            for e, row in zip(g.edges, edge_rows) for x in cover.elements}
+        return GraphMap(cover.graph, vertex_image, edge_image,
+                        f.boundary_count)
 
 
 def _fiber_zero(f, quotient, cocycle):
@@ -270,21 +327,11 @@ def _fiber_zero(f, quotient, cocycle):
 def lift_map(f, cover):
     """Lift the map to the cover, anchored at the fiber point over the base
     with the zero label: the deck group's translates of the lift at fiber 0
-    (``_fiber_zero``)."""
+    (``_fiber_zero``), whose rows are computed here, so a cocycle the map
+    does not preserve is refused at once."""
     if f.graph is not cover.base_graph and f.graph != cover.base_graph:
         raise ValidationError("cover was built over a different graph")
-    g, q = f.graph, cover.quotient
-    edge_rows, vertex_rows = _fiber_zero(f, q, cover.cocycle)
-    vertex_image = {_at(v, x): _at(w, q.add(y, x))
-                    for v, (w, y) in zip(g.vertices, vertex_rows)
-                    for x in cover.elements}
-    edge_image = {
-        _at(e.name, x): EdgePath(tuple((_at(n, q.add(y, x)), d)
-                                       for n, y, d in row))
-        for e, row in zip(g.edges, edge_rows) for x in cover.elements}
-    lifted_map = GraphMap(cover.graph, vertex_image, edge_image,
-                          f.boundary_count)
-    return LiftedMap(lifted_map, cover, f)
+    return LiftedMap(cover, f, _fiber_zero(f, cover.quotient, cover.cocycle))
 
 
 def _galois_orbits(diag):
@@ -311,16 +358,20 @@ def orbit_polynomials(f, cover=None):
     """The exact characteristic polynomial of the H1 action of a tower
     level, factored: one integer norm polynomial N_O (ascending) per Galois
     orbit of the deck group's characters, the trivial orbit's first, whose
-    product is the charpoly (see the module docstring).  The level is the
-    lift of ``f`` to ``cover``, or ``f`` itself when ``cover`` is None
-    (G = 1, a single factor)."""
-    if cover is None:
-        quotient = FiniteQuotient.from_modulus(0, 1)
-        cocycle = dict.fromkeys(f.edge_image, ())
+    product is the charpoly (see the module docstring).  The level is
+    ``f``: a LiftedMap, read from its stored fiber-zero rows, or a graph
+    map, which stands for its lift to ``cover``, or for itself when
+    ``cover`` is None (G = 1, a single factor)."""
+    if cover is not None:
+        f = lift_map(f, cover)
+    if isinstance(f, LiftedMap):
+        quotient, (edge_rows, vertex_rows) = f.cover.quotient, f.rows
+        f = f.base_map
     else:
-        quotient, cocycle = cover.quotient, cover.cocycle
+        quotient = FiniteQuotient.from_modulus(0, 1)
+        edge_rows, vertex_rows = _fiber_zero(
+            f, quotient, dict.fromkeys(f.edge_image, ()))
     graph, diag = f.graph, quotient.diag
-    edge_rows, vertex_rows = _fiber_zero(f, quotient, cocycle)
     eidx = {e.name: i for i, e in enumerate(graph.edges)}
     vidx = {v: i for i, v in enumerate(graph.vertices)}
     order = lcm(*diag)
@@ -481,6 +532,12 @@ def _checked(value, ok, name, kind):
         raise CertificateError(f"{name} {value!r} is not {kind}")
 
 
+def _require(obj, keys, what):
+    for key in keys:
+        if key not in obj:
+            raise CertificateError(f"{what} has no field {key}")
+
+
 @dataclass(frozen=True)
 class TowerStep:
     quotient: str
@@ -505,6 +562,7 @@ class TowerStep:
     @staticmethod
     def from_json(obj):
         _checked(obj, lambda x: isinstance(x, dict), "tower step", "an object")
+        _require(obj, ("quotient", "degree"), "tower step")
         degree, modulus = obj["degree"], obj.get("modulus")
         basis = obj.get("basis")
         _checked(degree, _is_int, "tower step degree", "an integer")
@@ -516,6 +574,8 @@ class TowerStep:
         return TowerStep(obj["quotient"], degree, modulus,
                          tuple(tuple(r) for r in basis) if basis else None)
 
+
+CERTIFICATE_FORMAT = "homolift-certificate-1"
 
 _CERTIFICATE_FIELDS = (
     ("power", _is_int, "an integer"), ("degree", _is_int, "an integer"),
@@ -543,7 +603,7 @@ class CoverCertificate:
 
     def to_json(self):
         return {
-            "format": "homolift-certificate-1",
+            "format": CERTIFICATE_FORMAT,
             "input_digest": self.input_digest,
             "input_text": self.input_text,
             "power": self.power,
@@ -562,6 +622,11 @@ class CoverCertificate:
     def from_json(obj):
         if not isinstance(obj, dict):
             raise CertificateError("certificate is not a JSON object")
+        _require(obj, ("format", "input_digest", "input_text", "verdict",
+                       "method", *(f[0] for f in _CERTIFICATE_FIELDS)),
+                 "certificate")
+        _checked(obj["format"], lambda x: x == CERTIFICATE_FORMAT,
+                 "certificate format", CERTIFICATE_FORMAT)
         for key, ok, kind in _CERTIFICATE_FIELDS:
             _checked(obj[key], ok, f"certificate {key}", kind)
         return CoverCertificate(

@@ -19,7 +19,7 @@ from functools import cached_property
 from math import sqrt
 
 from . import linalg, magnus
-from .covers import (CoverCertificate, FiniteQuotient, TowerStep,
+from .covers import (CoverCertificate, FiniteQuotient, LiftedMap, TowerStep,
                      abelian_cover, lift_map, monic_coefficients,
                      orbit_polynomials, unit_circle_test)
 from .errors import CertificateError, ResourceLimitError, ValidationError
@@ -74,17 +74,22 @@ class Finding:
 
 
 class Analysis:
-    """One tower level: a graph map (the base map, or a lift to a cover
-    with its LiftedMap in ``lifted``) and its pipeline products, each
-    computed once, on first use."""
+    """One tower level: the base map, or a LiftedMap (also in ``lifted``),
+    and its pipeline products, each computed once, on first use.  A lifted
+    level's verdict reads only the lift's fiber-zero rows; its graph map
+    is built when something else reads it."""
 
-    def __init__(self, graph_map, lifted=None):
-        self.graph_map = graph_map
-        self.lifted = lifted
+    def __init__(self, level):
+        self.level = level
+        self.lifted = level if isinstance(level, LiftedMap) else None
 
     @staticmethod
-    def of(f, lifted=None):
-        return Analysis(f, lifted)
+    def of(level):
+        return Analysis(level)
+
+    @property
+    def graph_map(self):
+        return self.level if self.lifted is None else self.lifted.map
 
     @cached_property
     def tree(self):
@@ -110,9 +115,7 @@ class Analysis:
     def orbit_polynomials(self):
         """The integer characteristic polynomial of the H1 action, factored
         over the Galois orbits of the deck group's characters."""
-        if self.lifted is None:
-            return orbit_polynomials(self.graph_map)
-        return orbit_polynomials(self.lifted.base_map, self.lifted.cover)
+        return orbit_polynomials(self.level)
 
     @cached_property
     def charpoly(self):
@@ -129,8 +132,8 @@ class Analysis:
         or a basis matrix, or the FiniteQuotient they name), with the
         lifted map.  Returns that level and the tower step recording it."""
         cover = abelian_cover(self.graph_map.graph, self.quotient, spec)
-        lifted = lift_map(self.graph_map, cover)
-        return Analysis.of(lifted.map, lifted), TowerStep.of(cover.quotient)
+        return (Analysis.of(lift_map(self.graph_map, cover)),
+                TowerStep.of(cover.quotient))
 
 
 def input_digest(f):
@@ -142,7 +145,9 @@ def input_digest(f):
 
 
 def check_direct(f, analysis=None):
-    """Off-circle eigenvalue of the homology action itself."""
+    """Off-circle eigenvalue of the homology action itself.  ``f`` is a
+    tower level (a graph map or a LiftedMap), read only when ``analysis``,
+    its Analysis, is not given."""
     verdict = (analysis or Analysis.of(f)).verdict
     if verdict.all_on_circle:
         return None
@@ -484,7 +489,7 @@ def tower_search(f, cfg=None, diagnostics=None):
 
 
 def _tower_search(base_map, an, tower, degree, depth, cfg, diagnostics):
-    finding = check_direct(an.graph_map, an)
+    finding = check_direct(an.level, an)
     if finding is not None:
         return _certify(base_map, tower, degree, an, finding, cfg)
 

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from homolift import corpus, magnus
 from homolift.cli import main as cli_main
@@ -24,8 +23,8 @@ from homolift.homology import (equivariant_quotient, homology_action,
 from homolift.laurent import (Character, Lattice, LaurentElement,
                               character_grid, l2_norm_squared,
                               lattice_restriction, specialize)
-from homolift.search import (Analysis, SearchConfig, brute_force_oracle,
-                             tower_search, verify_certificate)
+from homolift.search import (SearchConfig, brute_force_oracle, tower_search,
+                             verify_certificate)
 from homolift.transition import (SubgraphSelection, dilatation, is_stable,
                                  shadow, subgraph_matrix, transition_graph,
                                  vertex_subgraph)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from homolift import corpus, magnus
+from homolift import corpus
 from homolift.cli import main
 from homolift.search import (Analysis, SearchConfig, character_scan,
                              check_anchored, check_direct, check_l2,
@@ -190,18 +190,28 @@ def test_verify_rejects_tampered_values(tmp_path, silver_cert, field, value,
     assert "certificate INVALID" in out and f"{failed}: FAIL" in out
 
 
+MISSING = object()    # the field is deleted
+
+
 @pytest.mark.parametrize("field, value", [
     ("witness_factor", [-1.2, -2, 1]), ("witness_factor", None),
     ("charpoly", ["x", 1]), ("charpoly", [1, True]), ("power", 1.0),
     ("degree", "2"), ("zero_eigenvalues", 0.5), ("modulus", "big"),
-    ("tower", "abc"), ("tower", ["abc"])])
+    ("tower", "abc"), ("tower", ["abc"]),
+    ("tower", [{"quotient": "H_f/2H_f", "modulus": 2}]),
+    ("format", MISSING), ("format", "homolift-certificate-9"),
+    ("format", None), ("charpoly", MISSING), ("method", MISSING)])
 def test_verify_malformed_field_is_error(tmp_path, silver_cert, field, value):
+    data = {k: v for k, v in dict(silver_cert, **{field: value}).items()
+            if v is not MISSING}
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(dict(silver_cert, **{field: value})))
+    path.write_text(json.dumps(data))
     code, out, err = run("verify", str(path))
     assert code == 1 and not out
     assert err.startswith("error: certificate") or \
         err.startswith("error: tower step")
+    if value is MISSING:
+        assert err == f"error: certificate has no field {field}\n"
 
 
 def test_verify_non_object_is_error(tmp_path, silver_cert):

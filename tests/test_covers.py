@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
 
@@ -9,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homolift import corpus, linalg, magnus
-from homolift.covers import (_fiber_zero, _galois_orbits, abelian_cover,
+from homolift.covers import (CoverGraph, FiniteQuotient, _connected,
+                             _fiber_zero, _galois_orbits, abelian_cover,
                              h1_action_on_cover, lift_map, orbit_polynomials,
                              spectral_radius, unit_circle_test)
 from homolift.errors import LiftError, ResourceLimitError, ValidationError
-from homolift.graphs import parse_graph_map
+from homolift.graphs import Edge, Graph, parse_graph_map
 from homolift.homology import (EquivariantQuotient, equivariant_quotient,
                                homology_action, spanning_tree)
 from homolift.laurent import Character, LaurentElement
@@ -286,6 +286,42 @@ def test_restricted_cover_is_refused(analyses):
         {e: tuple(2 * x for x in v) for e, v in q.cocycle.items()})
     with pytest.raises(LiftError, match="H_f/4H_f.*does not generate"):
         abelian_cover(an.graph_map.graph, doubled, 4)
+
+
+THETA = Graph(("u", "v"), (Edge("a", "u", "v"), Edge("b", "u", "v"),
+                           Edge("c", "v", "u")), "u")
+TRIANGLE = Graph(("u", "v", "w"), (
+    Edge("a", "u", "v"), Edge("b", "v", "w"), Edge("c", "w", "u"),
+    Edge("d", "u", "w"), Edge("e", "v", "v")), "u")
+
+
+@pytest.mark.parametrize("graph", [parse_graph_map(AB_MAP).graph, THETA,
+                                   TRIANGLE], ids=["rose", "theta",
+                                                   "triangle"])
+@pytest.mark.parametrize("dim, spec", [
+    (1, 2), (1, 6), (2, 2), (2, 3), (2, [[2, 0], [0, 3]]),
+    (2, [[2, 1], [0, 4]]), (3, 2)])
+def test_connectivity_check_matches_the_built_graph(graph, dim, spec):
+    # abelian_cover decides connectivity from the loop voltages before any
+    # graph exists; the graph built anyway must agree, on cocycles that
+    # generate the deck group and on cocycles that do not
+    fq = FiniteQuotient.of(dim, spec)
+    rng = random.Random(f"{dim} {spec}")
+    seen = set()
+    for _ in range(60):
+        cocycle = {e.name: tuple(rng.randrange(m) for m in fq.diag)
+                   for e in graph.edges}
+        try:
+            CoverGraph(graph, fq, cocycle).graph
+            built = True
+        except ValidationError:
+            built = False
+        assert _connected(graph, fq, cocycle) == built
+        seen.add(built)
+    # fewer independent loops than the deck group's generators never span it
+    rank = len(graph.edges) - len(graph.vertices) + 1
+    assert seen == ({True, False} if rank >= sum(m > 1 for m in fq.diag)
+                    else {False})
 
 
 def test_exact_poly_product_matches_schoolbook():

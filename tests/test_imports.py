@@ -39,6 +39,28 @@ def test_package_imports_nothing_from_the_tests():
                                                               module)
 
 
+def _unused_imports(path):
+    """The names the file's module-level imports bind that it never reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return bound - {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", sorted(
+    path for root in (PACKAGE, TESTS, SCRIPTS) for path in root.glob("*.py")
+    if path.name != "__init__.py"),
+    ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_unused_imports(path):
+    # __init__.py re-exports the package's names, so it is not scanned
+    assert not _unused_imports(path)
+
+
 @pytest.mark.parametrize("script", sorted(SCRIPTS.glob("*.py")),
                          ids=lambda path: path.name)
 def test_scripts_load(monkeypatch, script):

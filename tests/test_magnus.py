@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from homolift import magnus
-from homolift.cyclotomic import Cyclotomic
 from homolift.errors import ResourceLimitError
 from homolift.laurent import Character, specialize
 from homolift.search import (SearchConfig, character_scan, check_anchored,

@@ -12,6 +12,7 @@ from homolift import linalg, magnus, search
 from homolift.covers import CoverCertificate, _value_mod, unit_circle_test
 from homolift.cyclotomic import Cyclotomic
 from homolift.errors import CertificateError, ResourceLimitError
+from homolift.graphs import Graph
 from homolift.laurent import Lattice, LaurentElement, lattice_restriction
 from homolift.search import (Analysis, Finding, SearchConfig,
                              brute_force_oracle, character_scan,
@@ -338,6 +339,60 @@ def test_each_level_is_built_once(corpus_maps, monkeypatch, name, run,
     assert RUNS[run](corpus_maps[name]) is not None
     assert calls == {"orbit_polynomials": charpolys, "abelian_cover": covers,
                      "rebuild_tower": 1}
+
+
+def _count_graphs(monkeypatch):
+    """The Graphs constructed from now on, as a list that grows."""
+    built = []
+    init = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__",
+                        lambda self: built.append(self) or init(self))
+    return built
+
+
+def test_oracle_levels_build_no_cover_graph(s3, monkeypatch):
+    # a level's verdict reads the deck group, the cocycle and the lift's
+    # fiber-zero rows, never the cover graph or the lifted map
+    built = _count_graphs(monkeypatch)
+    assert brute_force_oracle(s3, 256) is None
+    assert built == []
+
+
+def _two_step_certificate(f):
+    level, first = Analysis.of(f).cover(2)
+    level, second = level.cover(3)
+    return search._certificate(f, (first, second),
+                               first.degree * second.degree, level, "tower",
+                               None)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("unipotent_silver", lambda f: brute_force_oracle(f, 2000)),
+    ("unipotent_rank2", lambda f: brute_force_oracle(f, 2000)),
+    ("unipotent_silver", _two_step_certificate)],
+    ids=["silver-oracle", "rank2-oracle", "silver-two-step"])
+def test_replay_builds_no_final_cover_graph(corpus_maps, monkeypatch, name,
+                                            make):
+    # the replay parses the embedded input (one graph) and builds the
+    # graph of every level but the last: the next step is a quotient of
+    # that level's dynamical quotient, which reads its graph
+    cert = make(corpus_maps[name])
+    built = _count_graphs(monkeypatch)
+    assert verify_certificate(cert)["ok"]
+    assert len(built) == len(cert.tower)
+
+
+def test_conversion_level_builds_no_cover_graph(silver, monkeypatch):
+    levels = []
+    certificate = search._certificate
+    monkeypatch.setattr(search, "_certificate", lambda *args: levels.append(
+        args[3]) or certificate(*args))
+    fnd = check_l2(Analysis.of(silver).matrix, CFG)
+    built = _count_graphs(monkeypatch)
+    cert = build_certificate(silver, fnd, CFG)
+    assert len(cert.tower) == 1 and len(built) == 1    # the replay's parse
+    lifted = levels[0].lifted
+    assert "map" not in vars(lifted) and "graph" not in vars(lifted.cover)
 
 
 def test_replay_skips_the_final_quotient(silver, monkeypatch):

@@ -13,7 +13,7 @@ from homolift.graphs import EdgePath, parse_graph_map
 from homolift.transition import (TransitionGraph, dilatation,
                                  dimension_diagnostic, is_stable, shadow,
                                  simple_cycles, subgraph_matrix,
-                                 transition_graph, vertex_subgraph)
+                                 vertex_subgraph)
 from oracles import (based_cycles, extremal_subgraph, laurent_constant,
                      laurent_zero, matrix_from_rows, matrix_is_zero,
                      monomial, path_data, positive_power)
