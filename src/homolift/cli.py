@@ -82,7 +82,8 @@ def _shadow_report(an, cap):
         gens = [_cycle_arcs(an.transition, cycles[i])
                 for i in poly.generators[v]]
         generators[key] = gens
-        mat = subgraph_matrix(an.transition, vertex_subgraph(an.transition, v))
+        mat = subgraph_matrix(an.transition,
+                              vertex_subgraph(an.transition, v, cap))
         stability.append({"vertex": [_frac_str(x) for x in v],
                           "stable": is_stable(mat)})
     integral = all(Fraction(x).denominator == 1 for v in poly.vertices

@@ -354,16 +354,13 @@ def _galois_orbits(diag):
     return orbits
 
 
-def orbit_polynomials(f, cover=None):
+def orbit_polynomials(f):
     """The exact characteristic polynomial of the H1 action of a tower
     level, factored: one integer norm polynomial N_O (ascending) per Galois
     orbit of the deck group's characters, the trivial orbit's first, whose
     product is the charpoly (see the module docstring).  The level is
-    ``f``: a LiftedMap, read from its stored fiber-zero rows, or a graph
-    map, which stands for its lift to ``cover``, or for itself when
-    ``cover`` is None (G = 1, a single factor)."""
-    if cover is not None:
-        f = lift_map(f, cover)
+    ``f``: a LiftedMap, read from its stored fiber-zero rows, or the base
+    map (G = 1, a single factor)."""
     if isinstance(f, LiftedMap):
         quotient, (edge_rows, vertex_rows) = f.cover.quotient, f.rows
         f = f.base_map
@@ -452,9 +449,16 @@ def spectral_radius(matrix):
 class UnitCircleVerdict:
     all_on_circle: bool
     witness: tuple            # non-cyclotomic factor when off circle, else ()
-    modulus: float            # largest root modulus of the witness
     zero_multiplicity: int
     cyclotomic_factors: tuple  # ((order, multiplicity), ...)
+
+    @cached_property
+    def modulus(self):
+        """Largest root modulus of the witness: display only, in floating
+        point, on first read."""
+        if self.all_on_circle:
+            return 1.0
+        return float(max(abs(np.roots(list(reversed(self.witness))))))
 
     @property
     def tag(self):
@@ -484,7 +488,8 @@ def unit_circle_test(*factors):
     Each factor is stripped of powers of x and cyclotomic factors on its
     own.  The multiplicities add up, and the witness is the product of the
     remainders, which by unique factorisation is that of the product; only
-    the display modulus is computed on it, in floating point."""
+    the display modulus, on first read, is computed on it in floating
+    point."""
     zero_mult, mults, rests = 0, {}, []
     for coeffs in factors:
         coeffs = monic_coefficients(coeffs)
@@ -508,11 +513,8 @@ def unit_circle_test(*factors):
     cyclotomic = tuple(sorted(mults.items()))
     witness = linalg.poly_product(rests)
     if witness == [1]:
-        return UnitCircleVerdict(True, (), 1.0, zero_mult, cyclotomic)
-    roots = np.roots(list(reversed(witness)))
-    modulus = float(max(abs(roots)))
-    return UnitCircleVerdict(False, tuple(witness), modulus, zero_mult,
-                             cyclotomic)
+        return UnitCircleVerdict(True, (), zero_mult, cyclotomic)
+    return UnitCircleVerdict(False, tuple(witness), zero_mult, cyclotomic)
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,20 @@ exact arithmetic: ties never fire.
 
 An independent brute-force oracle enumerates the reduction-mod-k covers
 directly, and a tower search iterates abelian covers (so every certified
-cover group is solvable).
+cover group is solvable).  A tower level, an ``Analysis``, carries its base
+map, tower and degree, so the level is all that these pass on.
 """
 
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import sqrt
+from math import prod, sqrt
 
 from . import linalg, magnus
-from .covers import (CoverCertificate, FiniteQuotient, LiftedMap, TowerStep,
-                     abelian_cover, lift_map, monic_coefficients,
-                     orbit_polynomials, unit_circle_test)
+from .covers import (CoverCertificate, FiniteQuotient, TowerStep, abelian_cover,
+                     lift_map, monic_coefficients, orbit_polynomials,
+                     unit_circle_test)
 from .errors import CertificateError, ResourceLimitError, ValidationError
 from .graphs import parse_graph_map, serialize_graph_map
 from .homology import equivariant_quotient, homology_action, spanning_tree
@@ -74,18 +75,25 @@ class Finding:
 
 
 class Analysis:
-    """One tower level: the base map, or a LiftedMap (also in ``lifted``),
-    and its pipeline products, each computed once, on first use.  A lifted
-    level's verdict reads only the lift's fiber-zero rows; its graph map
-    is built when something else reads it."""
+    """One tower level and its products, each computed once, on first use:
+    ``level`` is the base map ``base`` or the LiftedMap (also ``lifted``)
+    that the TowerSteps in ``tower``, of total ``degree``, lead to.  A
+    lifted level's verdict reads only the lift's fiber-zero rows; its
+    graph map is built when something else reads it."""
 
-    def __init__(self, level):
+    def __init__(self, level, base, tower):
         self.level = level
-        self.lifted = level if isinstance(level, LiftedMap) else None
+        self.lifted = level if tower else None
+        self.base = base
+        self.tower = tower
 
     @staticmethod
-    def of(level):
-        return Analysis(level)
+    def of(f):
+        return Analysis(f, f, ())
+
+    @property
+    def degree(self):
+        return prod(step.degree for step in self.tower)
 
     @property
     def graph_map(self):
@@ -130,10 +138,10 @@ class Analysis:
         """The next tower level: the cover of this level's graph given by a
         finite quotient of its dynamical quotient (a modulus k for H_f/kH_f,
         or a basis matrix, or the FiniteQuotient they name), with the
-        lifted map.  Returns that level and the tower step recording it."""
+        lifted map, its tower one step longer."""
         cover = abelian_cover(self.graph_map.graph, self.quotient, spec)
-        return (Analysis.of(lift_map(self.graph_map, cover)),
-                TowerStep.of(cover.quotient))
+        return Analysis(lift_map(self.graph_map, cover), self.base,
+                        self.tower + (TowerStep.of(cover.quotient),))
 
 
 def input_digest(f):
@@ -251,17 +259,20 @@ METHODS = {"direct": "direct", "l2": "l2trace", "anchored": "anchoring",
 
 
 def _order_bound(degree, d, cap):
-    """Largest order B with degree * B**d <= cap: the character orders whose
-    H_f/B H_f cover still fits under the cap at this tower level.  With
-    d = 0 every order fits, and the cap stands in for B."""
-    if d == 0:
-        return cap
-    b = max(1, int((cap / degree) ** (1 / d)))
-    while degree * (b + 1) ** d <= cap:
-        b += 1
-    while b > 1 and degree * b ** d > cap:
-        b -= 1
-    return b
+    """Largest order B with degree * B**d <= cap, that is B**d <= n = cap
+    // degree: the character orders whose H_f/B H_f cover still fits under
+    the cap at a tower level of this degree, or 0 when none does.  In
+    integers, so any cap is exact: B doubles past the bound, then bisects."""
+    n = cap // degree
+    if n < 1:
+        return 0
+    lo, hi = 1, 2
+    while d and hi ** d <= n:    # with d = 0 every character is trivial,
+        lo, hi = hi, 2 * hi      # and 1 stands for every order
+    while hi - lo > 1:    # lo**d <= n < hi**d
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** d <= n else (lo, mid)
+    return lo
 
 
 def _locate_character(an, finding, bound):
@@ -308,21 +319,22 @@ def _locate_character(an, finding, bound):
         f"the threshold; this contradicts the averaging identity")
 
 
-def _certificate(base_map, tower, degree, level, method, finding):
-    """Assemble the certificate for ``level``, the final level of ``tower``
-    (total ``degree``) held by the caller, and check it with
-    verify_certificate, the one replay of the tower."""
+def _certificate(level, method, finding):
+    """Assemble the certificate for the tower level ``level`` held by the
+    caller, and check it with verify_certificate, the one replay of its
+    tower."""
     verdict = level.verdict
     if verdict.all_on_circle:
         raise CertificateError(
-            f"finding did not convert: tower {[s.quotient for s in tower]} has "
-            f"all eigenvalues on the unit circle (method {method})")
+            f"finding did not convert: tower "
+            f"{[s.quotient for s in level.tower]} has all eigenvalues on the "
+            f"unit circle (method {method})")
     cert = CoverCertificate(
-        input_digest=input_digest(base_map),
-        input_text=serialize_graph_map(base_map),
+        input_digest=input_digest(level.base),
+        input_text=serialize_graph_map(level.base),
         power=1,
-        tower=tower,
-        degree=degree,
+        tower=level.tower,
+        degree=level.degree,
         charpoly=tuple(level.charpoly),
         verdict=verdict.tag,
         witness_factor=verdict.witness,
@@ -337,52 +349,44 @@ def _certificate(base_map, tower, degree, level, method, finding):
     return cert
 
 
-def _certify(base_map, tower, degree, an, finding, cfg):
-    """Turn a finding on the tower level ``an`` (reached from the base map
-    through ``tower``, of total ``degree``) into a verified certificate:
-    the level itself for the direct check or a trivial character, else one
-    more H_f/nH_f step with n the located character's exact order."""
-    method = "tower" if tower else METHODS[finding.kind]
+def _certify(an, finding, cfg):
+    """Turn a finding on the tower level ``an`` into a verified
+    certificate: the level itself for the direct check or a trivial
+    character, else one more H_f/nH_f step with n the located character's
+    exact order."""
+    method = "tower" if an.tower else METHODS[finding.kind]
     if finding.kind != "direct":
         d = an.quotient.rank
-        bound = _order_bound(degree, d, cfg.max_cover_degree)
+        bound = _order_bound(an.degree, d, cfg.max_cover_degree)
         order = _locate_character(an, finding, bound).exact_order()
         if order > bound:  # only a character-scan hit comes unbounded
             raise ResourceLimitError(
-                f"conversion cover degree {degree * order ** d} exceeds cap "
-                f"{cfg.max_cover_degree}")
+                f"conversion cover degree {an.degree * order ** d} exceeds "
+                f"cap {cfg.max_cover_degree}")
         if order > 1:
-            an, step = an.cover(order)
-            tower += (step,)
-            degree *= step.degree
-    return _certificate(base_map, tower, degree, an, method, finding)
+            an = an.cover(order)
+    return _certificate(an, method, finding)
 
 
 def rebuild_tower(f, tower):
-    """Replay a tower of abelian covers from the base map.
-
-    Returns (the final level's Analysis, total degree).  Each step's
+    """Replay a tower of abelian covers from the base map ``f`` and return
+    its final level, whose ``tower`` is then the recorded one.  Each step's
     quotient is taken of the current level's own dynamical quotient, and
     the step it rebuilds must equal the recorded one before its cover is
     built.
     """
     level = Analysis.of(f)
-    total = 1
     for step in tower:
-        if step.modulus is not None:
-            spec = step.modulus
-        elif step.basis is not None:
-            spec = [list(r) for r in step.basis]
-        else:
+        spec = step.modulus if step.modulus is not None else step.basis
+        if spec is None:
             raise CertificateError(f"tower step {step.quotient} not rebuildable")
         fq = FiniteQuotient.of(level.quotient.rank, spec)
         rebuilt = TowerStep.of(fq)
         if rebuilt != step:
             raise CertificateError(f"tower step {step.to_json()} rebuilds "
                                    f"as {rebuilt.to_json()}")
-        level, _step = level.cover(fq)
-        total *= rebuilt.degree
-    return level, total
+        level = level.cover(fq)
+    return level
 
 
 def verify_certificate(cert):
@@ -414,7 +418,7 @@ def verify_certificate(cert):
         check("charpoly-monic", False, str(exc))
         return {"ok": False, "checks": checks, "failures": failures}
     try:
-        level, total = rebuild_tower(f, cert.tower)
+        level = rebuild_tower(f, cert.tower)
     except CertificateError as exc:
         level, rebuild_error = None, exc
     rebuilt = level is not None and level.charpoly == cp
@@ -442,8 +446,8 @@ def verify_certificate(cert):
     if level is None:
         check("tower-rebuild", False, str(rebuild_error))
     else:
-        check("tower-degree", total == cert.degree,
-              f"rebuilt total degree {total}, stored {cert.degree}")
+        check("tower-degree", level.degree == cert.degree,
+              f"rebuilt total degree {level.degree}, stored {cert.degree}")
         check("charpoly-rebuild", rebuilt,
               "characteristic polynomial of the rebuilt tower differs")
     return {"ok": not failures, "checks": checks, "failures": failures}
@@ -458,19 +462,10 @@ def brute_force_oracle(f, max_degree):
     lifted homology action leaves the unit circle; independent of the
     criteria machinery."""
     base = Analysis.of(f)
-    d = base.quotient.rank
-    k = 1
-    while (k ** d if d else 1) <= max_degree:
-        if k == 1:
-            level, tower, degree = base, (), 1
-        else:
-            level, step = base.cover(k)
-            tower, degree = (step,), step.degree
+    for k in range(1, _order_bound(1, base.quotient.rank, max_degree) + 1):
+        level = base.cover(k) if k > 1 else base
         if not level.verdict.all_on_circle:
-            return _certificate(f, tower, degree, level, "brute-force", None)
-        if d == 0:
-            break
-        k += 1
+            return _certificate(level, "brute-force", None)
     return None
 
 
@@ -485,34 +480,30 @@ def tower_search(f, cfg=None, diagnostics=None):
     cfg = cfg or SearchConfig()
     if diagnostics is None:
         diagnostics = []
-    return _tower_search(f, Analysis.of(f), (), 1, 0, cfg, diagnostics)
+    return _tower_search(Analysis.of(f), cfg, diagnostics)
 
 
-def _tower_search(base_map, an, tower, degree, depth, cfg, diagnostics):
+def _tower_search(an, cfg, diagnostics):
+    """Search from the tower level ``an``, at depth ``len(an.tower)``."""
     finding = check_direct(an.level, an)
     if finding is not None:
-        return _certify(base_map, tower, degree, an, finding, cfg)
+        return _certify(an, finding, cfg)
 
     for criterion in (check_l2, check_anchored, character_scan):
         finding = criterion(an.matrix, cfg)
         if finding is None:
             continue
         try:
-            return _certify(base_map, tower, degree, an, finding, cfg)
+            return _certify(an, finding, cfg)
         except (CertificateError, ResourceLimitError) as exc:
-            diagnostics.append(
-                f"depth {depth}: {finding.kind} finding did not convert: {exc}")
+            diagnostics.append(f"depth {len(an.tower)}: {finding.kind} "
+                               f"finding did not convert: {exc}")
 
-    if depth >= cfg.max_tower_depth:
+    if len(an.tower) >= cfg.max_tower_depth:
         return None
-    d = an.quotient.rank
-    if d == 0:
-        return None
-    for k in range(2, _order_bound(degree, d, cfg.max_cover_degree) + 1):
-        level, step = an.cover(k)
-        found = _tower_search(base_map, level, tower + (step,),
-                              degree * step.degree, depth + 1, cfg,
-                              diagnostics)
+    bound = _order_bound(an.degree, an.quotient.rank, cfg.max_cover_degree)
+    for k in range(2, bound + 1):
+        found = _tower_search(an.cover(k), cfg, diagnostics)
         if found is not None:
             return found
     return None

@@ -92,10 +92,14 @@ def simple_cycles(transition, cap=DEFAULT_CYCLE_CAP):
     """All simple directed cycles (no repeated node), Johnson's algorithm.
 
     Deterministic order: by smallest node, then discovery order.  Raises
-    ResourceLimitError beyond the cap rather than truncating.
+    ResourceLimitError beyond the cap rather than truncating.  The list is
+    enumerated once per transition graph; a later call checks its cap
+    against the stored count.
     """
     cached = transition._cache.get("cycles")
-    if cached is not None and transition._cache.get("cycle_cap") == cap:
+    if cached is not None:
+        if len(cached) > cap:
+            raise ResourceLimitError(f"simple cycle count exceeds cap {cap}")
         return cached
     n = len(transition.nodes)
     adj = [[] for _ in range(n)]
@@ -151,7 +155,6 @@ def simple_cycles(transition, cap=DEFAULT_CYCLE_CAP):
                 arc_stack.pop()
                 frames[-1][2] |= found
     transition._cache["cycles"] = out
-    transition._cache["cycle_cap"] = cap
     return out
 
 
@@ -176,24 +179,23 @@ class ShadowPolytope:
 
 
 def shadow(transition, cap=DEFAULT_CYCLE_CAP):
-    """Convex hull of normalized translations of simple cycles, exact."""
+    """Convex hull of normalized translations of simple cycles, exact;
+    built once per transition graph, and the cap checked on every call."""
     cycles = simple_cycles(transition, cap)
-    d = transition.dim
-    points = [c.normalized for c in cycles]
-    verts = geometry.hull_vertices(points)
-    dim = geometry.affine_dimension(verts) if verts else -1
-    gens = {}
-    for v in verts:
-        gens[v] = tuple(i for i, c in enumerate(cycles) if c.normalized == v)
-    return ShadowPolytope(d, max(dim, 0) if verts else 0, tuple(verts), gens)
+    if "shadow" not in transition._cache:
+        verts = geometry.hull_vertices([c.normalized for c in cycles])
+        gens = {v: tuple(i for i, c in enumerate(cycles) if c.normalized == v)
+                for v in verts}
+        transition._cache["shadow"] = ShadowPolytope(
+            transition.dim, max(geometry.affine_dimension(verts), 0),
+            tuple(verts), gens)
+    return transition._cache["shadow"]
 
 
 @dataclass(frozen=True)
 class SubgraphSelection:
-    kind: str             # "extremal" or "vertex"
-    data: tuple           # the functional, or the vertex
+    data: tuple           # the shadow vertex the arcs were selected by
     arc_indices: frozenset
-    max_value: Fraction = None
 
 
 def vertex_subgraph(transition, u, cap=DEFAULT_CYCLE_CAP):
@@ -204,7 +206,7 @@ def vertex_subgraph(transition, u, cap=DEFAULT_CYCLE_CAP):
     cycles = simple_cycles(transition, cap)
     arcs = frozenset(i for c in cycles if c.normalized == u
                      for i in c.arc_indices)
-    return SubgraphSelection("vertex", u, arcs)
+    return SubgraphSelection(u, arcs)
 
 
 def subgraph_matrix(transition, selection):

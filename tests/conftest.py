@@ -54,9 +54,9 @@ def rank2(corpus_maps):
 def multi_vertex_levels(analyses):
     """The multi-vertex cover levels silver/2 -> 2, s3/2 -> {2, 3} and
     rank2/{2, 3}."""
-    silver2 = analyses["unipotent_silver"].cover(2)[0]
-    s3_2 = analyses["example_s3"].cover(2)[0]
-    levels = [level.cover(k)[0] for level, k in (
+    silver2 = analyses["unipotent_silver"].cover(2)
+    s3_2 = analyses["example_s3"].cover(2)
+    levels = [level.cover(k) for level, k in (
         (silver2, 2), (s3_2, 2), (s3_2, 3), (analyses["unipotent_rank2"], 2),
         (analyses["unipotent_rank2"], 3))]
     assert all(len(top.graph_map.graph.vertices) > 1 for top in levels)

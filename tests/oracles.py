@@ -427,17 +427,18 @@ def based_cycles(transition, length, arc_subset=None):
 
 def extremal_subgraph(transition, omega, cap=DEFAULT_CYCLE_CAP):
     """Union of the simple cycles maximizing the functional on normalized
-    translations.  Every cycle decomposes into simple ones, so this union
-    carries all maximizing cycles."""
+    translations, and the maximum (None when there is no cycle).  Every
+    cycle decomposes into simple ones, so this union carries all
+    maximizing cycles."""
     omega = tuple(Fraction(x) for x in omega)
     cycles = simple_cycles(transition, cap)
     if not cycles:
-        return SubgraphSelection("extremal", omega, frozenset(), None)
+        return SubgraphSelection(omega, frozenset()), None
     values = [sum(w * x for w, x in zip(omega, c.normalized)) for c in cycles]
     m = max(values)
     arcs = frozenset(i for c, v in zip(cycles, values) if v == m
                      for i in c.arc_indices)
-    return SubgraphSelection("extremal", omega, arcs, m)
+    return SubgraphSelection(omega, arcs), m
 
 
 def positive_power(vertex_matrices, vertices, bound):
@@ -468,4 +469,4 @@ def build_certificate(f, finding, cfg=None):
     cover certificate, as the search does for the finding it acts on."""
     if finding is None:
         raise ValidationError("no finding to convert")
-    return _certify(f, (), 1, Analysis.of(f), finding, cfg or SearchConfig())
+    return _certify(Analysis.of(f), finding, cfg or SearchConfig())

@@ -207,8 +207,8 @@ def test_criterion_06_groupoid_and_extremal(analyses, dense_translation):
             continue
         for _ in range(20):
             omega = tuple(Fraction(rng.randint(-3, 3)) for _ in range(t.dim))
-            sel = extremal_subgraph(t, omega)
-            if sel.max_value is None:
+            sel, max_value = extremal_subgraph(t, omega)
+            if max_value is None:
                 continue
             for k in range(1, 7):
                 for cyc in based_cycles(t, k, sel.arc_indices):
@@ -218,7 +218,7 @@ def test_criterion_06_groupoid_and_extremal(analyses, dense_translation):
                             total[i] += v
                     val = sum(w * Fraction(v, k)
                               for w, v in zip(omega, total))
-                    assert val == sel.max_value
+                    assert val == max_value
     _report(6, started, 60.0,
             "500 random paths per map are translation-additive; extremal "
             "subgraph cycles all achieve the maximum")
@@ -299,7 +299,7 @@ def test_criterion_08_trace_properties(analyses):
                 idx for idx, arc in enumerate(tc.arcs)
                 if (names.index(lm.cover.edge_info[tc.nodes[arc.source]][0]),
                     arc.step_index) in keys)
-            mat = subgraph_matrix(tc, SubgraphSelection("vertex", u, lifted))
+            mat = subgraph_matrix(tc, SubgraphSelection(u, lifted))
             for kk in range(1, 7):
                 for coeff in magnus.trace_power(mat, kk).terms.values():
                     assert coeff % p == 0

@@ -336,6 +336,36 @@ def test_resource_cap_is_an_error_not_a_miss():
     assert "cap" in err
 
 
+def test_search_with_a_degree_cap_past_float_range():
+    # the cover-order bound is decided in integers, so a cap of 10^400
+    # searches like the default one and finds the same certificate
+    code, out, err = run("search", "corpus:unipotent_silver", "--json",
+                         "--max-degree", "1" + "0" * 400)
+    assert (code, err) == (0, "")
+    assert out == run("search", "corpus:unipotent_silver", "--json")[1]
+
+
+@pytest.mark.parametrize("flags", [(), ("--cycle-cap", "1000")],
+                         ids=["default-cap", "cap-1000"])
+def test_shadow_enumerates_cycles_and_builds_the_hull_once(monkeypatch,
+                                                          flags):
+    # the polytope's vertex subgraphs reuse its cycles and its hull, under
+    # the cap the command was given
+    from homolift import geometry, transition
+    t = Analysis.of(corpus.load("unipotent_rank2")).transition
+    count = len(transition.simple_cycles(t))
+    made, hulls = [], []
+    make_cycle, hull = transition._make_cycle, geometry.hull_vertices
+    monkeypatch.setattr(transition, "_make_cycle",
+                        lambda *args: made.append(1) or make_cycle(*args))
+    monkeypatch.setattr(geometry, "hull_vertices",
+                        lambda *args: hulls.append(1) or hull(*args))
+    code, out, _ = run("shadow", "corpus:unipotent_rank2", "--json", *flags)
+    assert code == 0
+    assert len(json.loads(out)["stability"]) > 1
+    assert len(made) == count and len(hulls) == 1
+
+
 # sha256 of the canonical --json output and the exit code, per command line;
 # any change to a corpus report's bytes must show up here
 CLI_DIGESTS = [

@@ -87,7 +87,7 @@ def _lifted_levels(analyses):
         for k in range(1, 4) if an.quotient.rank else (1,):
             yield f"{name}/{k}", an, lift_map(an.graph_map, cover_of(an, k))
     for name in ("unipotent_silver", "example_s3"):
-        level, _step = analyses[name].cover(2)
+        level = analyses[name].cover(2)
         for k in (2, 3):
             yield (f"{name}/2/{k}", level,
                    lift_map(level.graph_map, cover_of(level, k)))
@@ -145,6 +145,21 @@ def test_charpoly_prime_pool_exhausted_is_resource_limit():
         linalg.charpoly_int([[2 ** 5000]])
 
 
+def test_growth_test_computes_no_display_modulus(monkeypatch):
+    # Kronecker's growth test reads only the verdict; the np.roots modulus
+    # is computed when something reads it, once
+    from homolift.transition import _growth_is_one
+    calls = []
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(1) or roots(p))
+    an = Analysis.of(corpus.load("golden_mean"))
+    assert not _growth_is_one(an.transition)
+    v = unit_circle_test([-1, -1, 1])
+    assert calls == []
+    assert v.modulus == v.modulus == roots([1, -1, -1]).max()
+    assert len(calls) == 1
+
+
 def test_unit_circle_examples():
     v = unit_circle_test([-1, -1, 1])
     assert not v.all_on_circle
@@ -184,7 +199,7 @@ def test_block_charpoly_matches_dense_on_corpus(analyses, name):
     an = analyses[name]
     assert an.charpoly == linalg.charpoly_int(an.action.matrix)   # G = 1
     for k in range(2, 5) if an.quotient.rank else ():
-        level, _step = an.cover(k)
+        level = an.cover(k)
         assert _matches_dense(level)
 
 
@@ -195,9 +210,9 @@ def test_block_charpoly_matches_dense_on_corpus(analyses, name):
     ("identity", 2, 2)])
 def test_block_charpoly_matches_dense_on_multi_vertex_levels(analyses, name,
                                                             k1, k2):
-    level, _step = analyses[name].cover(k1)
+    level = analyses[name].cover(k1)
     assert len(level.graph_map.graph.vertices) > 1
-    top, _step = level.cover(k2)
+    top = level.cover(k2)
     assert _matches_dense(top)
 
 
@@ -205,7 +220,7 @@ def test_block_charpoly_matches_dense_on_multi_vertex_levels(analyses, name,
 @pytest.mark.parametrize("basis", [[[2, 1], [0, 4]], [[3, 0], [0, 6]]])
 def test_block_charpoly_matches_dense_on_lattice_quotients(analyses, name,
                                                            basis):
-    level, _step = analyses[name].cover(basis)
+    level = analyses[name].cover(basis)
     assert len(set(level.lifted.cover.quotient.diag)) == 2   # not k * I
     assert _matches_dense(level)
 
@@ -232,7 +247,7 @@ def test_galois_orbits_are_the_unit_classes(diag):
     # (Z/6)^2: one orbit per cyclic subgroup, (1 + 3) * (1 + 4) of them
     ("unipotent_rank2", 6, {1, 2}, 20)])
 def test_orbit_charpoly_matches_dense(analyses, name, k, sizes, count):
-    level, _step = analyses[name].cover(k)
+    level = analyses[name].cover(k)
     diag = level.lifted.cover.quotient.diag
     orbits = _galois_orbits(diag)
     assert {len(o) for o in orbits} == sizes and len(orbits) == count
@@ -244,7 +259,7 @@ def test_orbit_charpoly_matches_dense(analyses, name, k, sizes, count):
 def test_orbit_charpoly_makes_few_block_charpolys(silver, monkeypatch):
     # one CRT over the whole level would pay 13 primes x 192 characters x
     # 2 blocks = 4992 calls; per-orbit bounds make 1216
-    level, _step = Analysis.of(silver).cover(192)
+    level = Analysis.of(silver).cover(192)
     calls = []
     real = linalg.charpoly_mod
     monkeypatch.setattr(linalg, "charpoly_mod",
@@ -256,7 +271,7 @@ def test_orbit_charpoly_makes_few_block_charpolys(silver, monkeypatch):
 def test_orbit_prime_cap_is_checked_before_any_residue(analyses,
                                                        monkeypatch):
     # Z/96: the orbit of the order-96 characters (degree 64) needs 3 primes
-    lifted = analyses["unipotent_silver"].cover(96)[0].lifted
+    lifted = analyses["unipotent_silver"].cover(96).lifted
     calls = []
     real = linalg.charpoly_mod
     monkeypatch.setattr(linalg, "charpoly_mod",
@@ -265,7 +280,7 @@ def test_orbit_prime_cap_is_checked_before_any_residue(analyses,
     while True:
         monkeypatch.setattr(linalg, "CRT_PRIME_CAP", cap)
         try:
-            orbit_polynomials(lifted.base_map, lifted.cover)
+            orbit_polynomials(lifted)
             break
         except ResourceLimitError as exc:
             assert "prime pool" in str(exc)
@@ -414,8 +429,8 @@ def test_factored_verdict_on_cover_levels(analyses, multi_vertex_levels):
     # the orbit factors multiply to the dense oracle's polynomial, and the
     # verdict decided one factor at a time is the whole polynomial's
     silver, rank2 = analyses["unipotent_silver"], analyses["unipotent_rank2"]
-    levels = [*multi_vertex_levels, rank2.cover(6)[0]]
-    levels += [silver.cover(k)[0] for k in range(2, 65)]
+    levels = [*multi_vertex_levels, rank2.cover(6)]
+    levels += [silver.cover(k) for k in range(2, 65)]
     for level in levels:
         diag = level.lifted.cover.quotient.diag
         assert len(level.orbit_polynomials) == len(_galois_orbits(diag))
@@ -443,14 +458,14 @@ def _block_radius(level):
 
 
 def test_block_radius_is_the_silver_ratio(analyses):
-    level = analyses["unipotent_rank2"].cover(6)[0]
+    level = analyses["unipotent_rank2"].cover(6)
     assert abs(_block_radius(level) - (1 + 2 ** 0.5)) < 1e-12
 
 
 @pytest.mark.xfail(strict=True, reason="np.roots on the degree-50 witness "
                    "is off by 7e-6 (ROADMAP item 6)")
 def test_modulus_is_the_largest_block_eigenvalue(analyses):
-    level = analyses["unipotent_rank2"].cover(6)[0]
+    level = analyses["unipotent_rank2"].cover(6)
     assert abs(level.verdict.modulus - _block_radius(level)) < 1e-9
 
 
@@ -583,7 +598,7 @@ def _lifted_vertex_selection(an, lm, t_cover, u):
         base_e, _x = lm.cover.edge_info[cov_edge]
         if (base_names.index(base_e), arc.step_index) in base_keys:
             lifted.add(idx)
-    return SubgraphSelection("vertex", u, frozenset(lifted))
+    return SubgraphSelection(u, frozenset(lifted))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -66,9 +66,9 @@ def _declaration_scan_tree(graph):
 def test_spanning_tree_matches_declaration_scan(analyses):
     graphs = [an.graph_map.graph for an in analyses.values()]
     for name in ("unipotent_silver", "example_s3", "unipotent_rank2"):
-        level, _step = analyses[name].cover(2)
+        level = analyses[name].cover(2)
         graphs.append(level.graph_map.graph)
-        graphs.append(level.cover(3)[0].graph_map.graph)
+        graphs.append(level.cover(3).graph_map.graph)
     for g in graphs:
         parent = _declaration_scan_tree(g)
         st = spanning_tree(g)
@@ -85,7 +85,7 @@ def test_spanning_tree_matches_declaration_scan(analyses):
 def test_spanning_tree_stores_one_step_per_vertex(analyses):
     # a cyclic cover's tree is a long path: one parent step per vertex keeps
     # it linear, where a stored path per vertex would hold about V^2 / 4
-    level, _step = analyses["unipotent_silver"].cover(64)
+    level = analyses["unipotent_silver"].cover(64)
     g = level.graph_map.graph
     st = spanning_tree(g)
     assert len(st.parents) == len(g.vertices) - 1

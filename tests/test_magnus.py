@@ -143,10 +143,10 @@ def test_trace_power_specialization_identity(analyses):
 def levels(analyses):
     """Every corpus map and the multi-vertex levels s3/2, silver/2 -> 2 and
     rank2/2."""
-    silver2 = analyses["unipotent_silver"].cover(2)[0]
+    silver2 = analyses["unipotent_silver"].cover(2)
     return (list(analyses.values())
-            + [analyses["example_s3"].cover(2)[0], silver2.cover(2)[0],
-               analyses["unipotent_rank2"].cover(2)[0]])
+            + [analyses["example_s3"].cover(2), silver2.cover(2),
+               analyses["unipotent_rank2"].cover(2)])
 
 
 def _no_zero_terms(a):

@@ -12,7 +12,7 @@ from homolift import linalg, magnus, search
 from homolift.covers import CoverCertificate, _value_mod, unit_circle_test
 from homolift.cyclotomic import Cyclotomic
 from homolift.errors import CertificateError, ResourceLimitError
-from homolift.graphs import Graph
+from homolift.graphs import Graph, serialize_graph_map
 from homolift.laurent import Lattice, LaurentElement, lattice_restriction
 from homolift.search import (Analysis, Finding, SearchConfig,
                              brute_force_oracle, character_scan,
@@ -273,6 +273,30 @@ def test_oracle_golden(golden):
     assert verify_certificate(cert)["ok"]
 
 
+@pytest.mark.parametrize("max_degree", [-3, 0])
+def test_oracle_below_degree_one_is_none(golden, max_degree):
+    assert brute_force_oracle(golden, max_degree) is None
+
+
+def test_order_bound_is_exact_in_integers():
+    for degree in (1, 2, 3, 36, 1000):
+        for d in range(5):
+            for cap in range(-2, 300):
+                if degree > cap:
+                    expected = 0
+                elif d == 0:       # every character is trivial
+                    expected = 1
+                else:
+                    expected = max(b for b in range(1, cap + 1)
+                                   if degree * b ** d <= cap)
+                assert search._order_bound(degree, d, cap) == expected
+    huge = 10 ** 400
+    assert search._order_bound(1, 1, huge) == huge
+    assert search._order_bound(1, 2, huge) == 10 ** 200
+    assert search._order_bound(7, 3, 7 * 10 ** 300 - 1) == 10 ** 100 - 1
+    assert search._order_bound(2, 0, huge) == 1
+
+
 def test_oracle_s3_none(s3):
     assert brute_force_oracle(s3, 100) is None
 
@@ -359,11 +383,22 @@ def test_oracle_levels_build_no_cover_graph(s3, monkeypatch):
 
 
 def _two_step_certificate(f):
-    level, first = Analysis.of(f).cover(2)
-    level, second = level.cover(3)
-    return search._certificate(f, (first, second),
-                               first.degree * second.degree, level, "tower",
+    return search._certificate(Analysis.of(f).cover(2).cover(3), "tower",
                                None)
+
+
+@pytest.mark.parametrize("name, make, steps", [
+    ("golden_mean", tower_search, 0), ("unipotent_silver", tower_search, 1),
+    ("unipotent_rank2", tower_search, 1),
+    ("unipotent_silver", _two_step_certificate, 2)],
+    ids=["golden", "silver", "rank2", "silver-two-step"])
+def test_replayed_level_carries_its_tower(corpus_maps, name, make, steps):
+    f = corpus_maps[name]
+    cert = make(f)
+    level = rebuild_tower(f, cert.tower)
+    assert len(cert.tower) == steps
+    assert level.tower == cert.tower and level.degree == cert.degree
+    assert serialize_graph_map(level.base) == cert.input_text
 
 
 @pytest.mark.parametrize("name, make", [
@@ -386,7 +421,7 @@ def test_conversion_level_builds_no_cover_graph(silver, monkeypatch):
     levels = []
     certificate = search._certificate
     monkeypatch.setattr(search, "_certificate", lambda *args: levels.append(
-        args[3]) or certificate(*args))
+        args[0]) or certificate(*args))
     fnd = check_l2(Analysis.of(silver).matrix, CFG)
     built = _count_graphs(monkeypatch)
     cert = build_certificate(silver, fnd, CFG)
@@ -451,9 +486,8 @@ def test_non_monic_charpoly_fails_before_any_cover(silver, monkeypatch,
 def test_valid_certificate_sieves_orbit_factors_only(silver, monkeypatch):
     # the verdict of a rebuilt level is decided one Galois orbit at a time:
     # no polynomial above the largest orbit factor reaches the sieve
-    level, step = Analysis.of(silver).cover(12)
-    cert = search._certificate(silver, (step,), step.degree, level,
-                               "brute-force", None)
+    level = Analysis.of(silver).cover(12)
+    cert = search._certificate(level, "brute-force", None)
     largest = max(map(len, level.orbit_polynomials))
     assert largest < len(cert.charpoly)
     sizes = []
@@ -475,9 +509,9 @@ def test_certificate_wrong_input_detected(silver, golden):
 
 def test_rebuild_tower_deterministic(silver):
     cert = brute_force_oracle(silver, 2000)
-    level, deg = rebuild_tower(silver, cert.tower)
-    assert deg == 2
-    level2, _ = rebuild_tower(silver, cert.tower)
+    level = rebuild_tower(silver, cert.tower)
+    assert level.degree == 2
+    level2 = rebuild_tower(silver, cert.tower)
     assert level.graph_map.edge_image == level2.graph_map.edge_image
 
 

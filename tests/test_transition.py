@@ -121,14 +121,14 @@ def test_shadow_generators(analyses):
 
 def test_extremal_subgraph_examples(analyses):
     t = analyses["example_s3"].transition
-    sel = extremal_subgraph(t, (0, 1))
-    assert sel.max_value == 1
+    sel, max_value = extremal_subgraph(t, (0, 1))
+    assert max_value == 1
     assert {(t.nodes[t.arcs[i].source], t.arcs[i].dec)
             for i in sel.arc_indices} == {("a", 1)}
-    sel0 = extremal_subgraph(t, (0, 0))
-    assert sel0.max_value == 0
+    sel0, max_value = extremal_subgraph(t, (0, 0))
+    assert max_value == 0
     assert len(sel0.arc_indices) == 2  # both one-cycles
-    seln = extremal_subgraph(t, (0, -1))
+    seln, _ = extremal_subgraph(t, (0, -1))
     assert {t.nodes[t.arcs[i].source] for i in seln.arc_indices} == {"b"}
 
 
@@ -155,7 +155,7 @@ def test_subgraph_matrix_examples(analyses):
     mat0 = subgraph_matrix(t, vertex_subgraph(t, (0, 0)))
     assert mat0.entries[1][1] == laurent_constant(2, 1)
     from homolift.transition import SubgraphSelection
-    empty = subgraph_matrix(t, SubgraphSelection("extremal", (), frozenset()))
+    empty = subgraph_matrix(t, SubgraphSelection((), frozenset()))
     assert matrix_is_zero(empty)
 
 
@@ -337,8 +337,7 @@ def test_arc_translations_match_dense_projection(analyses, name,
 @pytest.mark.parametrize("name", ["unipotent_silver", "example_s3"])
 def test_arc_translations_match_dense_projection_on_covers(analyses, name,
                                                            dense_translation):
-    level, _step = analyses[name].cover(2)
-    top, _step = level.cover(2)
+    top = analyses[name].cover(2).cover(2)
     assert len(top.graph_map.graph.vertices) > 1
     assert any(a.sign < 0 for a in top.transition.arcs)
     _assert_translations_are_dense(top, dense_translation)
@@ -370,8 +369,8 @@ def test_extremal_lemma(analyses):
             continue
         for _ in range(20):
             omega = tuple(Fraction(rng.randint(-3, 3)) for _ in range(t.dim))
-            sel = extremal_subgraph(t, omega)
-            if sel.max_value is None:
+            sel, max_value = extremal_subgraph(t, omega)
+            if max_value is None:
                 continue
             for k in range(1, 7):
                 for cyc in based_cycles(t, k, sel.arc_indices):
@@ -381,7 +380,7 @@ def test_extremal_lemma(analyses):
                             total[i] += x
                     val = sum(w * Fraction(x, k)
                               for w, x in zip(omega, total))
-                    assert val == sel.max_value
+                    assert val == max_value
 
 
 def test_cycle_cap_fails_loudly(analyses):
@@ -391,6 +390,32 @@ def test_cycle_cap_fails_loudly(analyses):
                             t.graph_map, t.tree, t.quotient)
     with pytest.raises(ResourceLimitError):
         simple_cycles(fresh, cap=1)
+
+
+def test_smaller_cap_raises_on_the_cached_count(analyses, monkeypatch):
+    # the cycles are enumerated once per graph; a later, smaller cap is
+    # refused from the stored count, with the enumeration's own message
+    from homolift import transition
+    from homolift.errors import ResourceLimitError
+    t = analyses["unipotent_rank2"].transition
+    fresh, again = (TransitionGraph(t.nodes, t.dim, t.arcs, t.counts,
+                                    t.graph_map, t.tree, t.quotient)
+                    for _ in range(2))
+    cycles = simple_cycles(fresh)
+    poly = shadow(fresh)
+    n = len(cycles)
+    with pytest.raises(ResourceLimitError) as enumerated:
+        simple_cycles(again, cap=n - 1)
+    made = []
+    monkeypatch.setattr(transition, "_make_cycle",
+                        lambda *args: made.append(1))
+    assert simple_cycles(fresh, cap=n) is cycles
+    assert shadow(fresh, cap=n) is poly
+    for call in (simple_cycles, shadow):
+        with pytest.raises(ResourceLimitError) as cached:
+            call(fresh, cap=n - 1)
+        assert str(cached.value) == str(enumerated.value)
+    assert made == []
 
 
 def test_simple_cycles_long_path_needs_no_recursion():
