@@ -51,7 +51,8 @@ eigenvalues of the A(chi), bounded by L, the longest edge image, which
 bounds each block's row sums; so CRT recombines N_O on its own against
 C(m_O, i) * L^i, and charpoly(H1) is the product of the N_O over Z.  The
 primes are shared by the orbits, and the largest orbit's count is checked
-against the cap before any residue.  The base map is the case G = 1, a
+against the cap before any character is listed: a character of order the
+exponent of G has the largest orbit.  The base map is the case G = 1, a
 single orbit.  A level's polynomial stays factored as the tuple of its
 N_O all the way to the verdict.  The dense charpoly of the cover's H1
 matrix (``h1_action_on_cover``) is the reference the tests hold it to;
@@ -192,12 +193,6 @@ class CoverGraph:
         """cover vertex -> (base vertex, element)"""
         return {_at(v, x): (v, x)
                 for v in self.base_graph.vertices for x in self.elements}
-
-    @cached_property
-    def edge_info(self):
-        """cover edge -> (base edge, element)"""
-        return {_at(e.name, x): (e.name, x)
-                for e in self.base_graph.edges for x in self.elements}
 
     @cached_property
     def graph(self):
@@ -415,14 +410,16 @@ def orbit_polynomials(f):
             return linalg.poly_product(out, q)
         return residues
 
-    orbits = _galois_orbits(diag)
     rank = len(eidx) - len(vidx)
+    longest = max((len(row) for row in edge_rows), default=1)
+    # the cap, before any character is listed: the largest orbit has size
+    # phi(order)
+    top = max(linalg.totient(order) * rank, rank + 1)
+    linalg.crt_primes(linalg.coefficient_bound(top, longest), order)
+    orbits = _galois_orbits(diag)
     degrees = [len(o) * rank for o in orbits]
     degrees[0] += 1        # H0, in the trivial orbit
-    longest = max((len(row) for row in edge_rows), default=1)
     bounds = {n: linalg.coefficient_bound(n, longest) for n in set(degrees)}
-    if len(orbits) > 1:    # the cap, before the first residue of any orbit
-        linalg.crt_primes(bounds[max(degrees)], order)
     return tuple(linalg.multimodular(n, bounds[n], orbit_residues(o), order)
                  for o, n in zip(orbits, degrees))
 

@@ -8,7 +8,7 @@ are lists of coefficients, lowest degree first, with no trailing zeros
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -373,13 +373,11 @@ def prime_root(n, i):
 
 def coefficient_bound(n, radius):
     """Bound on |e_i| for a monic degree-n polynomial whose roots all have
-    modulus at most ``radius``: max_i C(n, i) * radius^i."""
-    bound = binom = power = 1
-    for i in range(1, n + 1):
-        binom = binom * (n - i + 1) // i
-        power *= radius
-        bound = max(bound, binom * power)
-    return bound
+    modulus at most ``radius``: max_i C(n, i) * radius^i.  The terms grow
+    while (n - i) * radius > i + 1, so the largest is the first i with
+    i >= (n * radius - 1) / (radius + 1)."""
+    i = max(0, -(-(n * radius - 1) // (radius + 1)))
+    return comb(n, i) * radius ** i
 
 
 def crt_primes(bound, order=1):

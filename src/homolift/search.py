@@ -113,7 +113,7 @@ class Analysis:
 
     @cached_property
     def transition(self):
-        return transition_graph(self.graph_map, self.tree, self.quotient)
+        return transition_graph(self.graph_map, self.quotient)
 
     @cached_property
     def matrix(self):

@@ -2,10 +2,13 @@
 
 Nodes are the edges of the underlying graph; each traversal of edge j inside
 the image of edge i contributes one arc i -> j, decorated with its ordinal,
-its sign, the prefix path before the traversal (including the reversed step
-for a negative traversal, so the prefix always ends at the origin of edge j),
-and the translation of that prefix in the dynamical quotient: the running
-sum of the quotient's per-edge cocycle along the image.
+its position in the image, its sign, and the translation of its prefix in
+the dynamical quotient: the running sum of the quotient's per-edge cocycle
+along the image.  The prefix is the image's steps before the traversal,
+including the reversed step for a negative traversal, so it always ends at
+the origin of edge j; it is determined by the position and the sign, so
+only the tests spell it out (``tests/oracles.py``).  The graph is its arcs:
+the traversal count matrix is built from them where it is read.
 
 Simple cycles, the rational polytope spanned by their normalized
 translations, its vertex subgraphs, per-vertex stability and the growth
@@ -18,7 +21,6 @@ from fractions import Fraction
 from . import geometry, magnus
 from .covers import spectral_radius, unit_circle_test
 from .errors import ResourceLimitError, ValidationError
-from .graphs import EdgePath, empty_path
 from .linalg import charpoly_int
 
 DEFAULT_CYCLE_CAP = 10 ** 6
@@ -31,7 +33,6 @@ class Arc:
     dec: int             # 1-based ordinal among traversals of the target edge
     step_index: int      # 0-based position inside the image path
     sign: int
-    prefix: EdgePath
     translation: tuple
 
 
@@ -40,43 +41,39 @@ class TransitionGraph:
     nodes: tuple          # edge names, declaration order
     dim: int
     arcs: tuple
-    counts: tuple         # counts[i][j] = number of arcs i -> j
     graph_map: object
-    tree: object
-    quotient: object
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def transition_graph(f, st, q):
-    g = f.graph
-    nodes = tuple(e.name for e in g.edges)
+def transition_graph(f, q):
+    """The transition graph of ``f``, with translations in the dynamical
+    quotient ``q``: a positive step's arc takes the cocycle sum before the
+    step, a negative step's the sum after it."""
+    nodes = tuple(e.name for e in f.graph.edges)
     index = {name: i for i, name in enumerate(nodes)}
-    m = len(nodes)
-    counts = [[0] * m for _ in range(m)]
     arcs = []
-    for e in g.edges:
-        i = index[e.name]
-        img = f.edge_image[e.name]
-        start_vertex = img.start(g)
+    for i, name in enumerate(nodes):
         before = (0,) * q.rank
-        for idx, (name, direction) in enumerate(img.steps):
-            j = index[name]
-            counts[i][j] += 1
+        dec = {}
+        for idx, (target, direction) in enumerate(f.edge_image[name].steps):
+            j = index[target]
+            dec[j] = dec.get(j, 0) + 1
             after = tuple(x + direction * c
-                          for x, c in zip(before, q.cocycle[name]))
-            if direction > 0:
-                prefix_steps, translation = img.steps[:idx], before
-            else:
-                prefix_steps, translation = img.steps[:idx + 1], after
-            prefix = (EdgePath(prefix_steps) if prefix_steps
-                      else empty_path(start_vertex))
-            arcs.append(Arc(
-                source=i, target=j, dec=counts[i][j], step_index=idx,
-                sign=1 if direction > 0 else -1,
-                prefix=prefix, translation=translation))
+                          for x, c in zip(before, q.cocycle[target]))
+            arcs.append(Arc(i, j, dec[j], idx, direction,
+                            before if direction > 0 else after))
             before = after
-    return TransitionGraph(nodes, q.rank, tuple(arcs),
-                           tuple(tuple(r) for r in counts), f, st, q)
+    return TransitionGraph(nodes, q.rank, tuple(arcs), f)
+
+
+def count_matrix(transition):
+    """The unsigned traversal counts: entry (i, j) is the number of arcs
+    i -> j."""
+    n = len(transition.nodes)
+    counts = [[0] * n for _ in range(n)]
+    for arc in transition.arcs:
+        counts[arc.source][arc.target] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,13 @@ class Cycle:
 def simple_cycles(transition, cap=DEFAULT_CYCLE_CAP):
     """All simple directed cycles (no repeated node), Johnson's algorithm.
 
-    Deterministic order: by smallest node, then discovery order.  Raises
-    ResourceLimitError beyond the cap rather than truncating.  The list is
-    enumerated once per transition graph; a later call checks its cap
-    against the stored count.
+    Each round moves the start s to the least node of the least strongly
+    connected component among the nodes >= s that carries a cycle, and
+    searches for the cycles through s inside that component only: every
+    other node starts blocked.  Deterministic order: by smallest node, then
+    discovery order.  Raises ResourceLimitError beyond the cap rather than
+    truncating.  The list is enumerated once per transition graph; a later
+    call checks its cap against the stored count.
     """
     cached = transition._cache.get("cycles")
     if cached is not None:
@@ -104,24 +104,23 @@ def simple_cycles(transition, cap=DEFAULT_CYCLE_CAP):
     n = len(transition.nodes)
     adj = [[] for _ in range(n)]
     for idx, arc in enumerate(transition.arcs):
-        adj[arc.source].append(idx)
+        adj[arc.source].append((idx, arc.target))
     out = []
-
-    for s in range(n):
-        blocked = [False] * n
+    s = 0
+    while (component := _least_cyclic_component(adj, s)) is not None:
+        s = min(component)
+        blocked = [v not in component or v == s for v in range(n)]
         bsets = [set() for _ in range(n)]
         arc_stack = []
         # one frame per node on the current path: node, next arc position,
         # whether a cycle was found below it
-        blocked[s] = True
         frames = [[s, 0, False]]
         while frames:
             frame = frames[-1]
             v, pos, found = frame
             if pos < len(adj[v]):
                 frame[1] += 1
-                aidx = adj[v][pos]
-                w = transition.arcs[aidx].target
+                aidx, w = adj[v][pos]
                 if w == s:
                     seq = tuple(arc_stack) + (aidx,)
                     out.append(_make_cycle(transition, seq))
@@ -129,7 +128,7 @@ def simple_cycles(transition, cap=DEFAULT_CYCLE_CAP):
                         raise ResourceLimitError(
                             f"simple cycle count exceeds cap {cap}")
                     frame[2] = True
-                elif w > s and not blocked[w]:
+                elif not blocked[w]:
                     arc_stack.append(aidx)
                     blocked[w] = True
                     frames.append([w, 0, False])
@@ -147,15 +146,56 @@ def simple_cycles(transition, cap=DEFAULT_CYCLE_CAP):
                             todo.append(w)
                     bsets[u].clear()
             else:
-                for aidx in adj[v]:
-                    w = transition.arcs[aidx].target
-                    if w >= s:
-                        bsets[w].add(v)
+                for _aidx, w in adj[v]:
+                    bsets[w].add(v)
             if frames:
                 arc_stack.pop()
                 frames[-1][2] |= found
+        s += 1
     transition._cache["cycles"] = out
     return out
+
+
+def _least_cyclic_component(adj, s):
+    """Of the strongly connected components among the nodes >= s that carry
+    a cycle (more than one node, or a loop), the one with the least node, as
+    a set; None when there is none.  Tarjan's algorithm on explicit stacks:
+    ``adj[v]`` lists the (arc, target) pairs leaving v."""
+    index, low, on_stack = {}, {}, set()
+    stack, best = [], None
+    for root in range(s, len(adj)):
+        if root in index:
+            continue
+        frames = [(root, iter(adj[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while frames:
+            v, targets = frames[-1]
+            for _aidx, w in targets:
+                if w >= s and w not in index:
+                    frames.append((w, iter(adj[w])))
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] < index[v]:
+                    continue
+                component = set()
+                while v not in component:
+                    component.add(stack.pop())
+                on_stack -= component
+                if (len(component) > 1 or any(w == v for _a, w in adj[v])) \
+                        and (best is None or min(component) < min(best)):
+                    best = component
+    return best
 
 
 def _make_cycle(transition, arc_indices):
@@ -235,18 +275,18 @@ def _growth_is_one(transition):
     cached = transition._cache.get("growth_is_one")
     if cached is None:
         cached = transition._cache["growth_is_one"] = unit_circle_test(
-            charpoly_int(transition.counts)).all_on_circle
+            charpoly_int(count_matrix(transition))).all_on_circle
     return cached
 
 
 def dilatation(transition):
     """Spectral radius of the unsigned traversal count matrix; exactly 1.0
     when the growth is 1."""
-    if not transition.counts:
+    if not transition.nodes:
         return 0.0
     if _growth_is_one(transition):
         return 1.0
-    return spectral_radius(transition.counts)
+    return spectral_radius(count_matrix(transition))
 
 
 @dataclass(frozen=True)
@@ -269,14 +309,14 @@ def dimension_diagnostic(transition, poly):
     formula's hypotheses rather than as mismatches.
     """
     b = transition.graph_map.boundary_count
-    q = transition.quotient
+    rank = transition.dim
     applicable = not _growth_is_one(transition)
     if b is not None:
         mode = "surface"
-        expected = q.rank + 1 - b
+        expected = rank + 1 - b
     else:
         mode = "free"
-        expected = q.rank
+        expected = rank
     matches = poly.dim == expected
     if not applicable:
         note = "growth rate is 1; dimension formula assumes exponential growth"
@@ -284,6 +324,6 @@ def dimension_diagnostic(transition, poly):
         note = "dimension matches"
     else:
         note = f"dimension {poly.dim} differs from expected {expected}"
-    return DimensionDiagnostic(mode, poly.dim, q.rank,
+    return DimensionDiagnostic(mode, poly.dim, rank,
                                -1 if b is None else b,
                                expected, matches, applicable, note)

@@ -30,7 +30,8 @@ from math import lcm, sqrt
 from homolift import linalg
 from homolift.covers import _at
 from homolift.cyclotomic import Cyclotomic
-from homolift.errors import ResourceLimitError, ValidationError
+from homolift.errors import (DimensionMismatchError, ResourceLimitError,
+                             ValidationError)
 from homolift.graphs import EdgePath, empty_path
 from homolift.homology import basis_loop, path_class
 from homolift.laurent import (Character, LaurentElement, l2_norm_squared,
@@ -45,16 +46,75 @@ from homolift.transition import (DEFAULT_CYCLE_CAP, SubgraphSelection,
 # elements of the group ring and of Q(zeta)
 
 
+class Laurent(LaurentElement):
+    """A LaurentElement with the ring operations and equality, which only
+    the tests use; ``Laurent.of`` reads a package element as one."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, t):
+        return cls._raw(t.dim, t.terms)
+
+    def _coerce(self, other):
+        """``other`` as a Laurent of this dimension; a number is a
+        constant."""
+        if isinstance(other, (int, Fraction)):
+            return laurent_constant(self.dim, other)
+        if self.dim != other.dim:
+            raise DimensionMismatchError(
+                f"dimension mismatch: {self.dim} vs {other.dim}")
+        return Laurent.of(other)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for v, c in self._coerce(other).terms.items():
+            out[v] = out.get(v, 0) + c
+        return Laurent(self.dim, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Laurent(self.dim, {v: -c for v, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other, out = self._coerce(other), {}
+        for v1, c1 in self.terms.items():
+            for v2, c2 in other.terms.items():
+                v = tuple(a + b for a, b in zip(v1, v2))
+                out[v] = out.get(v, 0) + c1 * c2
+        return Laurent(self.dim, out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        return Laurent(self.dim,
+                       {v: Fraction(c) / k for v, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = laurent_constant(self.dim, other)
+        if not isinstance(other, LaurentElement):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+
 def laurent_zero(dim):
-    return LaurentElement(dim)
+    return Laurent(dim)
 
 
 def laurent_constant(dim, value):
-    return LaurentElement(dim, {(0,) * dim: value})
+    return Laurent(dim, {(0,) * dim: value})
 
 
 def monomial(vec, coeff=1):
-    return LaurentElement(len(vec), {tuple(vec): coeff})
+    return Laurent(len(vec), {tuple(vec): coeff})
 
 
 def coefficient(t, vec):
@@ -175,13 +235,19 @@ def section(quotient):
 # the deck group on a cover, and the lifted chain action
 
 
+def edge_info(cover):
+    """cover edge -> (base edge, element)"""
+    return {_at(e.name, x): (e.name, x)
+            for e in cover.base_graph.edges for x in cover.elements}
+
+
 def deck_vertex(cover, name, elem):
     v, x = cover.vertex_info[name]
     return _at(v, cover.quotient.add(x, elem))
 
 
 def deck_edge(cover, name, elem):
-    e, x = cover.edge_info[name]
+    e, x = edge_info(cover)[name]
     return _at(e, cover.quotient.add(x, elem))
 
 
@@ -195,7 +261,8 @@ def deck_path(cover, path, elem):
 def project_path(cover, path):
     if path.is_empty():
         return empty_path(cover.vertex_info[path.anchor][0])
-    return EdgePath(tuple((cover.edge_info[n][0], d) for n, d in path.steps))
+    info = edge_info(cover)
+    return EdgePath(tuple((info[n][0], d) for n, d in path.steps))
 
 
 def deck_commutes(lm):
@@ -374,6 +441,17 @@ def iterate_edge_image(f, edge_name, k):
     return path
 
 
+def arc_prefix(transition, arc):
+    """The arc's prefix: the image steps before its traversal, and the
+    reversed step itself for a negative traversal, so it ends at the origin
+    of the target edge; the empty path at the image's start when there are
+    none."""
+    f = transition.graph_map
+    img = f.edge_image[transition.nodes[arc.source]]
+    steps = img.steps[:arc.step_index + (arc.sign < 0)]
+    return EdgePath(steps) if steps else empty_path(img.start(f.graph))
+
+
 def path_data(transition, arcs):
     """Sign, translation, and prefix path of a composable arc sequence.
 
@@ -394,10 +472,63 @@ def path_data(transition, arcs):
             raise ValidationError("arcs do not form a composable path")
         sign *= arc.sign
         translation = tuple(x + y for x, y in zip(translation, arc.translation))
-        prefix = arc.prefix if prefix is None else \
-            f.apply_to_path(prefix).concat(arc.prefix, f.graph)
+        step = arc_prefix(transition, arc)
+        prefix = step if prefix is None else \
+            f.apply_to_path(prefix).concat(step, f.graph)
         prev = arc
     return sign, translation, prefix
+
+
+def cycles_from_every_start(transition):
+    """The simple cycles as arc index tuples, in ``simple_cycles``' order,
+    by Johnson's search from every start node s over all the nodes above s,
+    without narrowing to a strongly connected component first."""
+    n = len(transition.nodes)
+    adj = [[] for _ in range(n)]
+    for idx, arc in enumerate(transition.arcs):
+        adj[arc.source].append(idx)
+    out = []
+    for s in range(n):
+        blocked = [False] * n
+        bsets = [set() for _ in range(n)]
+        arc_stack = []
+        blocked[s] = True
+        frames = [[s, 0, False]]
+        while frames:
+            frame = frames[-1]
+            v, pos, found = frame
+            if pos < len(adj[v]):
+                frame[1] += 1
+                aidx = adj[v][pos]
+                w = transition.arcs[aidx].target
+                if w == s:
+                    out.append(tuple(arc_stack) + (aidx,))
+                    frame[2] = True
+                elif w > s and not blocked[w]:
+                    arc_stack.append(aidx)
+                    blocked[w] = True
+                    frames.append([w, 0, False])
+                continue
+            frames.pop()
+            if found:
+                blocked[v] = False
+                todo = [v]
+                while todo:
+                    u = todo.pop()
+                    for w in bsets[u]:
+                        if blocked[w]:
+                            blocked[w] = False
+                            todo.append(w)
+                    bsets[u].clear()
+            else:
+                for aidx in adj[v]:
+                    w = transition.arcs[aidx].target
+                    if w >= s:
+                        bsets[w].add(v)
+            if frames:
+                arc_stack.pop()
+                frames[-1][2] |= found
+    return out
 
 
 def based_cycles(transition, length, arc_subset=None):

@@ -20,18 +20,19 @@ from homolift.covers import (abelian_cover, h1_action_on_cover, lift_map,
 from homolift.graphs import parse_graph_map
 from homolift.homology import (equivariant_quotient, homology_action,
                                spanning_tree)
-from homolift.laurent import (Character, Lattice, LaurentElement,
-                              character_grid, l2_norm_squared,
-                              lattice_restriction, specialize)
+from homolift.laurent import (Character, Lattice, character_grid,
+                              l2_norm_squared, lattice_restriction,
+                              specialize)
 from homolift.search import (SearchConfig, brute_force_oracle, tower_search,
                              verify_certificate)
 from homolift.transition import (SubgraphSelection, dilatation, is_stable,
                                  shadow, subgraph_matrix, transition_graph,
                                  vertex_subgraph)
-from oracles import (annihilator_characters, average_over_annihilator,
-                     based_cycles, chain_action_matrix, charpoly_complex_exact,
+from oracles import (Laurent, annihilator_characters, arc_prefix,
+                     average_over_annihilator, based_cycles,
+                     chain_action_matrix, charpoly_complex_exact,
                      cover_chain_action_check, cyc_mat_mul, cyc_trace,
-                     cyclotomic_zero, deck_action_on_quotient,
+                     cyclotomic_zero, deck_action_on_quotient, edge_info,
                      equivariant_charpoly, extremal_subgraph, is_finite_index,
                      lattice_index, laurent_constant, laurent_zero, mat_vec,
                      monomial, path_data, positive_power)
@@ -56,7 +57,7 @@ def test_criterion_01_worked_example(tmp_path, analyses):
     f = parse_graph_map(path.read_text())
     st = spanning_tree(f.graph)
     q = equivariant_quotient(homology_action(f, st), st)
-    t = transition_graph(f, st, q)
+    t = transition_graph(f, q)
 
     assert len(t.arcs) == 4
     by_key = {(t.nodes[a.source], t.nodes[a.target], a.dec): a for a in t.arcs}
@@ -67,7 +68,7 @@ def test_criterion_01_worked_example(tmp_path, analyses):
     assert eta4.sign == -1
     assert eta2.translation == (0, 1)
     assert eta4.translation == (1, 0)
-    assert eta1.prefix.is_empty() and eta3.prefix.is_empty()
+    assert arc_prefix(t, eta1).is_empty() and arc_prefix(t, eta3).is_empty()
     assert eta1.sign == eta2.sign == eta3.sign == 1
     assert eta3.translation == (0, 0) and eta1.translation == (0, 0)
 
@@ -250,7 +251,7 @@ def test_criterion_08_trace_properties(analyses):
         lm = lift_map(an.graph_map, cov)
         stc = spanning_tree(cov.graph)
         qc = equivariant_quotient(homology_action(lm.map, stc), stc)
-        ac = magnus.magnus_matrix(transition_graph(lm.map, stc, qc))
+        ac = magnus.magnus_matrix(transition_graph(lm.map, qc))
         actions = [deck_action_on_quotient(lm, stc, qc, s)
                    for s in cov.elements]
         for kk in range(1, 6):
@@ -260,7 +261,7 @@ def test_criterion_08_trace_properties(analyses):
                 for vec, c in tr.terms.items():
                     nv = tuple(mat_vec(sigma, list(vec)))
                     moved[nv] = moved.get(nv, 0) + c
-                assert LaurentElement(tr.dim, moved) == tr
+                assert Laurent(tr.dim, moved) == tr
             for vec, coeff in tr.terms.items():
                 stab = sum(1 for sigma in actions
                            if tuple(mat_vec(sigma, list(vec)))
@@ -289,15 +290,16 @@ def test_criterion_08_trace_properties(analyses):
             lm = lift_map(an.graph_map, cov)
             stc = spanning_tree(cov.graph)
             qc = equivariant_quotient(homology_action(lm.map, stc), stc)
-            tc = transition_graph(lm.map, stc, qc)
+            tc = transition_graph(lm.map, qc)
             base_t = an.transition
             sel = vertex_subgraph(base_t, u)
             keys = {(base_t.arcs[i].source, base_t.arcs[i].step_index)
                     for i in sel.arc_indices}
             names = list(base_t.nodes)
+            info = edge_info(lm.cover)
             lifted = frozenset(
                 idx for idx, arc in enumerate(tc.arcs)
-                if (names.index(lm.cover.edge_info[tc.nodes[arc.source]][0]),
+                if (names.index(info[tc.nodes[arc.source]][0]),
                     arc.step_index) in keys)
             mat = subgraph_matrix(tc, SubgraphSelection(u, lifted))
             for kk in range(1, 7):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -188,6 +189,26 @@ def test_verify_rejects_tampered_values(tmp_path, silver_cert, field, value,
     code, out, err = run("verify", str(path))
     assert code == 1 and not err
     assert "certificate INVALID" in out and f"{failed}: FAIL" in out
+
+
+@pytest.mark.parametrize("name, modulus", [("unipotent_silver", 10 ** 6),
+                                           ("unipotent_rank2", 20000)])
+def test_verify_refuses_a_huge_cover_before_listing_characters(
+        tmp_path, name, modulus):
+    # the largest Galois orbit's prime count is known from the deck group's
+    # exponent, so the cap is checked before its |G| characters are listed
+    f = corpus.load(name)
+    degree = modulus ** Analysis.of(f).quotient.rank
+    data = dict(tower_search(f, SearchConfig()).to_json(), degree=degree,
+                tower=[{"quotient": f"H_f/{modulus}H_f", "degree": degree,
+                        "modulus": modulus}])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    started = time.perf_counter()
+    code, out, err = run("verify", str(path))
+    assert time.perf_counter() - started < 15
+    assert code == 1 and not out
+    assert err == "error: charpoly: prime pool exhausted\n"
 
 
 MISSING = object()    # the field is deleted

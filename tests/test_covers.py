@@ -16,14 +16,14 @@ from homolift.errors import LiftError, ResourceLimitError, ValidationError
 from homolift.graphs import Edge, Graph, parse_graph_map
 from homolift.homology import (EquivariantQuotient, equivariant_quotient,
                                homology_action, spanning_tree)
-from homolift.laurent import Character, LaurentElement
+from homolift.laurent import Character
 from homolift.search import Analysis
 from homolift.transition import (SubgraphSelection, dilatation,
                                  subgraph_matrix, transition_graph,
                                  vertex_subgraph)
-from oracles import (chain_action_matrix, cover_chain_action_check,
+from oracles import (Laurent, chain_action_matrix, cover_chain_action_check,
                      deck_action_on_quotient, deck_commutes, deck_edge,
-                     deck_vertex, mat_vec, project_path)
+                     deck_vertex, edge_info, mat_vec, project_path)
 
 AB_MAP = """vertices: v
 edges: a: v -> v ; b: v -> v
@@ -98,7 +98,7 @@ def test_lift_projects_and_commutes(analyses):
     for label, an, lm in _lifted_levels(analyses):
         f, cov = an.graph_map, lm.cover
         multi_vertex += len(f.graph.vertices) > 1
-        for ename, (base_e, _x) in cov.edge_info.items():
+        for ename, (base_e, _x) in edge_info(cov).items():
             proj = project_path(cov, lm.map.edge_image[ename])
             assert proj.steps == f.edge_image[base_e].steps, label
         for vname, (v, _x) in cov.vertex_info.items():
@@ -137,6 +137,20 @@ def test_s3_cover_action_roots_of_unity(analyses):
     assert len(matrix) == 5
     verdict = unit_circle_test(linalg.charpoly_int(matrix))
     assert verdict.all_on_circle
+
+
+def test_coefficient_bound_is_the_largest_term():
+    # the closed form against the scan over every term C(n, i) * radius^i
+    def scanned(n, radius):
+        bound = binom = power = 1
+        for i in range(1, n + 1):
+            binom = binom * (n - i + 1) // i
+            power *= radius
+            bound = max(bound, binom * power)
+        return bound
+    for n in range(120):
+        for radius in range(7):
+            assert linalg.coefficient_bound(n, radius) == scanned(n, radius)
 
 
 def test_charpoly_prime_pool_exhausted_is_resource_limit():
@@ -527,11 +541,11 @@ def test_covering_axioms_random(analyses):
                 continue
             for vname in list(cov.vertex_info)[:8]:
                 assert deck_vertex(cov, vname, s) != vname
-            for ename in list(cov.edge_info)[:8]:
+            for ename in list(edge_info(cov))[:8]:
                 assert deck_edge(cov, ename, s) != ename
         # projection commutes with incidence
         for e in cov.graph.edges:
-            base_e, _x = cov.edge_info[e.name]
+            base_e, _x = edge_info(cov)[e.name]
             be = g.edge_by_name[base_e]
             assert cov.vertex_info[e.origin][0] == be.origin
             assert cov.vertex_info[e.terminus][0] == be.terminus
@@ -542,7 +556,7 @@ def _apply_matrix_to_exponents(mat, element):
     for vec, c in element.terms.items():
         nv = tuple(mat_vec(mat, list(vec))) if mat else vec
         moved[nv] = moved.get(nv, 0) + c
-    return LaurentElement(element.dim, moved)
+    return Laurent(element.dim, moved)
 
 
 def test_deck_invariance_and_multiplicity(analyses):
@@ -555,7 +569,7 @@ def test_deck_invariance_and_multiplicity(analyses):
         lm = lift_map(an.graph_map, cov)
         stc = spanning_tree(cov.graph)
         qc = equivariant_quotient(homology_action(lm.map, stc), stc)
-        tc = transition_graph(lm.map, stc, qc)
+        tc = transition_graph(lm.map, qc)
         ac = magnus.magnus_matrix(tc)
         actions = [deck_action_on_quotient(lm, stc, qc, s)
                    for s in cov.elements]
@@ -595,7 +609,7 @@ def _lifted_vertex_selection(an, lm, t_cover, u):
     lifted = set()
     for idx, arc in enumerate(t_cover.arcs):
         cov_edge = t_cover.nodes[arc.source]
-        base_e, _x = lm.cover.edge_info[cov_edge]
+        base_e, _x = edge_info(lm.cover)[cov_edge]
         if (base_names.index(base_e), arc.step_index) in base_keys:
             lifted.add(idx)
     return SubgraphSelection(u, frozenset(lifted))
@@ -616,7 +630,7 @@ def test_cyclic_cover_multiplicity(analyses, p):
         lm = lift_map(an.graph_map, cov)
         stc = spanning_tree(cov.graph)
         qc = equivariant_quotient(homology_action(lm.map, stc), stc)
-        tc = transition_graph(lm.map, stc, qc)
+        tc = transition_graph(lm.map, qc)
         sel = _lifted_vertex_selection(an, lm, tc, u)
         mat = subgraph_matrix(tc, sel)
         for k in range(1, 7):

@@ -4,6 +4,7 @@ from homolift import corpus
 from homolift.errors import ParseError, ValidationError
 from homolift.graphs import (EdgePath, check_immersion, empty_path,
                              parse_graph_map, serialize_graph_map)
+from homolift.transition import count_matrix
 from oracles import iterate_edge_image
 
 
@@ -120,7 +121,7 @@ def test_iterate_functoriality(corpus_maps):
 def test_iterate_length_matches_count_matrix(analyses):
     for an in analyses.values():
         f = an.graph_map
-        counts = an.transition.counts
+        counts = count_matrix(an.transition)
         names = [e.name for e in f.graph.edges]
         power = counts
         for k in range(1, 5):

@@ -1,4 +1,5 @@
 import ast
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import homolift
 PACKAGE = Path(homolift.__file__).parent
 TESTS = Path(__file__).parent
 SCRIPTS = TESTS.parent / "scripts"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _imported_modules(path):
@@ -69,3 +71,32 @@ def test_scripts_load(monkeypatch, script):
     monkeypatch.setattr(sys, "path", list(sys.path))
     namespace = runpy.run_path(str(script), run_name="not_main")
     assert callable(namespace["main"])
+
+
+def _names_read(path):
+    """Every name the file mentions other than in a def: variables,
+    attributes, and the parts of dotted identifiers in strings (perfbench
+    labels its timers ``module.function``)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[\w.]+", node.value):
+            yield from node.value.split(".")
+
+
+def test_every_package_function_is_called():
+    # a function or method only the tests reach belongs in tests/oracles.py
+    readers = [path for path in PACKAGE.glob("*.py")
+               if path.name != "__init__.py"]
+    readers += sorted(PERFBENCH.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    read = {name for path in readers for name in _names_read(path)}
+    unread = [f"{path.name}:{node.name}" for path in PACKAGE.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (node.name.startswith("__")
+                       and node.name.endswith("__"))
+              and node.name not in read]
+    assert not unread

@@ -2,6 +2,8 @@ import io
 import json
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,13 +12,15 @@ from homolift import corpus, geometry, magnus
 from homolift.cli import main
 from homolift.errors import ValidationError
 from homolift.graphs import EdgePath, parse_graph_map
-from homolift.transition import (TransitionGraph, dilatation,
-                                 dimension_diagnostic, is_stable, shadow,
-                                 simple_cycles, subgraph_matrix,
-                                 vertex_subgraph)
-from oracles import (based_cycles, extremal_subgraph, laurent_constant,
-                     laurent_zero, matrix_from_rows, matrix_is_zero,
-                     monomial, path_data, positive_power)
+from homolift.homology import EquivariantQuotient
+from homolift.transition import (Arc, TransitionGraph, count_matrix,
+                                 dilatation, dimension_diagnostic, is_stable,
+                                 shadow, simple_cycles, subgraph_matrix,
+                                 transition_graph, vertex_subgraph)
+from oracles import (arc_prefix, based_cycles, cycles_from_every_start,
+                     extremal_subgraph, laurent_constant, laurent_zero,
+                     matrix_from_rows, matrix_is_zero, monomial, path_data,
+                     positive_power)
 
 AB_MAP = """vertices: v
 edges: a: v -> v ; b: v -> v
@@ -42,14 +46,14 @@ def test_s3_arcs(analyses):
     eta3 = arc_by(t, "a", "b", 1)
     eta4 = arc_by(t, "a", "b", 2)
     assert (eta1.sign, eta1.translation) == (1, (0, 0))
-    assert eta1.prefix.is_empty()
+    assert arc_prefix(t, eta1).is_empty()
     assert (eta2.sign, eta2.translation) == (1, (0, 1))
-    assert eta2.prefix.steps == (("b", 1),)
+    assert arc_prefix(t, eta2).steps == (("b", 1),)
     assert (eta3.sign, eta3.translation) == (1, (0, 0))
-    assert eta3.prefix.is_empty()
+    assert arc_prefix(t, eta3).is_empty()
     assert (eta4.sign, eta4.translation) == (-1, (1, 0))
-    assert eta4.prefix.steps == (("b", 1), ("a", 1), ("b", -1))
-    assert t.counts == ((1, 2), (0, 1))
+    assert arc_prefix(t, eta4).steps == (("b", 1), ("a", 1), ("b", -1))
+    assert count_matrix(t) == [[1, 2], [0, 1]]
 
 
 def test_identity_arcs(analyses):
@@ -91,7 +95,7 @@ def test_simple_cycles_examples(analyses):
 
 
 def test_simple_cycles_empty():
-    empty = TransitionGraph(("a", "b"), 0, (), ((0, 0), (0, 0)), None, None, None)
+    empty = TransitionGraph(("a", "b"), 0, (), None)
     assert simple_cycles(empty) == []
 
 
@@ -266,19 +270,15 @@ def test_counting_consistency(analyses):
     from oracles import iterate_edge_image
     for an in analyses.values():
         f, t = an.graph_map, an.transition
+        counts = count_matrix(t)
         for i, name in enumerate(t.nodes):
-            assert sum(t.counts[i]) == len(f.edge_image[name])
+            assert sum(counts[i]) == len(f.edge_image[name])
         n = len(t.nodes)
         for k in range(1, 5):
-            power = [[0] * n for _ in range(n)]
-            for seq_start in range(n):
-                pass
-            # matrix power of counts
-            power = t.counts
+            power = counts
             for _ in range(k - 1):
-                power = tuple(tuple(sum(power[i][x] * t.counts[x][j]
-                                        for x in range(n)) for j in range(n))
-                              for i in range(n))
+                power = [[sum(power[i][x] * counts[x][j] for x in range(n))
+                          for j in range(n)] for i in range(n)]
             for i in range(n):
                 img = iterate_edge_image(f, t.nodes[i], k)
                 for j in range(n):
@@ -325,7 +325,8 @@ def _assert_translations_are_dense(level, dense_translation):
         step = EdgePath(((e.name, 1),))
         assert q.cocycle[e.name] == dense_translation(q, st, step)
     for arc in level.transition.arcs:
-        assert arc.translation == dense_translation(q, st, arc.prefix)
+        assert arc.translation == dense_translation(
+            q, st, arc_prefix(level.transition, arc))
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -386,8 +387,7 @@ def test_extremal_lemma(analyses):
 def test_cycle_cap_fails_loudly(analyses):
     from homolift.errors import ResourceLimitError
     t = analyses["example_s3"].transition
-    fresh = TransitionGraph(t.nodes, t.dim, t.arcs, t.counts,
-                            t.graph_map, t.tree, t.quotient)
+    fresh = TransitionGraph(t.nodes, t.dim, t.arcs, t.graph_map)
     with pytest.raises(ResourceLimitError):
         simple_cycles(fresh, cap=1)
 
@@ -398,8 +398,7 @@ def test_smaller_cap_raises_on_the_cached_count(analyses, monkeypatch):
     from homolift import transition
     from homolift.errors import ResourceLimitError
     t = analyses["unipotent_rank2"].transition
-    fresh, again = (TransitionGraph(t.nodes, t.dim, t.arcs, t.counts,
-                                    t.graph_map, t.tree, t.quotient)
+    fresh, again = (TransitionGraph(t.nodes, t.dim, t.arcs, t.graph_map)
                     for _ in range(2))
     cycles = simple_cycles(fresh)
     poly = shadow(fresh)
@@ -420,11 +419,9 @@ def test_smaller_cap_raises_on_the_cached_count(analyses, monkeypatch):
 
 def test_simple_cycles_long_path_needs_no_recursion():
     # one 2000-arc cycle: far deeper than Python's recursion limit
-    from homolift.transition import Arc
     n = 2000
-    arcs = tuple(Arc(i, (i + 1) % n, 1, 0, 1, None, ()) for i in range(n))
-    tg = TransitionGraph(tuple(f"e{i}" for i in range(n)), 0, arcs, (),
-                         None, None, None)
+    arcs = tuple(Arc(i, (i + 1) % n, 1, 0, 1, ()) for i in range(n))
+    tg = TransitionGraph(tuple(f"e{i}" for i in range(n)), 0, arcs, None)
     cycles = simple_cycles(tg)
     assert len(cycles) == 1
     assert cycles[0].length == n
@@ -432,8 +429,6 @@ def test_simple_cycles_long_path_needs_no_recursion():
 
 def test_simple_cycles_against_brute_force():
     # Johnson enumeration vs exhaustive search on random small multigraphs
-    from homolift.transition import Arc
-
     def brute(nodes_n, arcs):
         adj = [[] for _ in range(nodes_n)]
         for idx, (src, dst) in enumerate(arcs):
@@ -458,16 +453,57 @@ def test_simple_cycles_against_brute_force():
         n = rng.randint(1, 4)
         arc_pairs = [(rng.randrange(n), rng.randrange(n))
                      for _ in range(rng.randint(0, 7))]
-        arcs = tuple(Arc(s, t, 1, 0, 1, None, ()) for s, t in arc_pairs)
-        counts = [[0] * n for _ in range(n)]
-        for s, t in arc_pairs:
-            counts[s][t] += 1
-        tg = TransitionGraph(tuple(f"e{i}" for i in range(n)), 0, arcs,
-                             tuple(tuple(r) for r in counts), None, None, None)
+        arcs = tuple(Arc(s, t, 1, 0, 1, ()) for s, t in arc_pairs)
+        tg = TransitionGraph(tuple(f"e{i}" for i in range(n)), 0, arcs, None)
         got = {min((c.arc_indices[i:] + c.arc_indices[:i]
                     for i in range(len(c.arc_indices))))
                for c in simple_cycles(tg)}
         assert got == brute(n, arc_pairs)
+
+
+def test_simple_cycles_match_the_search_from_every_start(analyses):
+    # narrowing each start to its strongly connected component changes
+    # neither the cycles nor their order
+    rng = random.Random(16)
+    graphs = [an.transition for an in analyses.values()]
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        graphs.append(TransitionGraph(
+            tuple(f"e{i}" for i in range(n)), 0,
+            tuple(Arc(rng.randrange(n), rng.randrange(n), 1, 0, 1, ())
+                  for _ in range(rng.randint(0, 16))), None))
+    for tg in graphs:
+        assert [c.arc_indices for c in simple_cycles(tg)] == \
+            cycles_from_every_start(tg)
+
+
+def test_simple_cycles_skip_starts_off_every_cycle():
+    # a 3000-node path into a 3000-node cycle: one search from the cycle's
+    # least node, not one per node that merely reaches the cycle
+    n = 3000
+    arcs = tuple(Arc(i, i + 1, 1, 0, 1, ()) for i in range(2 * n - 1)) + \
+        (Arc(2 * n - 1, n, 1, 0, 1, ()),)
+    tg = TransitionGraph(tuple(f"e{i}" for i in range(2 * n)), 0, arcs, None)
+    started = time.perf_counter()
+    cycles = simple_cycles(tg)
+    assert time.perf_counter() - started < 1.0
+    assert [c.arc_indices for c in cycles] == [tuple(range(n, 2 * n))]
+
+
+def test_transition_graph_stores_no_count_matrix(analyses):
+    # a degree-1024 cover of example_s3 has 2048 edges and 4096 arcs; the
+    # rank-0 quotient keeps the Smith form out of the test
+    level = analyses["example_s3"].cover(32).graph_map
+    names = tuple(level.edge_image)
+    q = EquivariantQuotient(0, (), dict.fromkeys(names, ()))
+    tracemalloc.start()
+    try:
+        t = transition_graph(level, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(t.arcs) == 2 * len(names) == 4096
+    assert peak < len(names) ** 2    # bytes: one per matrix slot
 
 
 def test_analyze_decides_growth_once(monkeypatch):
