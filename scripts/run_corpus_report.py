@@ -42,7 +42,8 @@ def main():
         ] if fnd is not None]
         print(f"  criteria fired: {fired or 'none'}")
         t0 = time.time()
-        cert = tower_search(f, cfg)
+        diagnostics = []
+        cert = tower_search(f, cfg, diagnostics)
         if cert is None:
             oracle = brute_force_oracle(f, 100)
             print(f"  search: none within bounds ({time.time()-t0:.1f}s); "
@@ -52,6 +53,8 @@ def main():
             print(f"  search: certificate via {cert.method}, tower {tower}, "
                   f"degree {cert.degree}, modulus {cert.modulus:.6f} "
                   f"({time.time()-t0:.1f}s)")
+        for note in diagnostics:
+            print(f"  note: {note}")
 
 
 if __name__ == "__main__":

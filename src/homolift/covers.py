@@ -71,7 +71,9 @@ Phi_n a polynomial is evaluated at a primitive n-th root of unity w
 modulo a prime q = 1 (mod n).  Phi_n(w) = 0 in F_q, since w is a root of
 x^n - 1 and of no x^d - 1 with d | n, d < n; so Phi_n | p forces p(w) = 0,
 and a nonzero value rules Phi_n out rigorously.  Only the orders that pass
-are confirmed by exact division.
+are confirmed by exact division.  An orbit factor whose characters have
+order o is evaluated only at the n with phi(lcm(o, n)) at most its degree
+(``unit_circle_test`` gives the argument).
 """
 
 import operator
@@ -329,18 +331,22 @@ def lift_map(f, cover):
     return LiftedMap(cover, f, _fiber_zero(f, cover.quotient, cover.cocycle))
 
 
+def _character_order(a, diag):
+    """The exact order of the character chi_a of prod Z/diag_i."""
+    return lcm(*(d // gcd(ai, d) for ai, d in zip(a, diag)))
+
+
 def _galois_orbits(diag):
     """The characters a of G = prod Z/diag_i, chi_a(x) = w^(sum a_i x_i
     order/diag_i) with w of exact order lcm(diag), grouped into Galois
     orbits {u a mod diag : u a unit modulo the order o of chi_a}, each of
     size phi(o), the trivial character's first.  O(|G|): a character
     already placed is skipped, and the units are listed once per order."""
-    order = lcm(*diag)
     units, seen, orbits = {}, set(), []
     for a in product(*map(range, diag)):
         if a in seen:
             continue
-        o = order // gcd(order, *(ai * (order // d) for ai, d in zip(a, diag)))
+        o = _character_order(a, diag)
         if o not in units:
             units[o] = [u for u in range(1, o + 1) if gcd(u, o) == 1]
         orbit = [tuple(u * ai % d for ai, d in zip(a, diag)) for u in units[o]]
@@ -351,9 +357,10 @@ def _galois_orbits(diag):
 
 def orbit_polynomials(f):
     """The exact characteristic polynomial of the H1 action of a tower
-    level, factored: one integer norm polynomial N_O (ascending) per Galois
-    orbit of the deck group's characters, the trivial orbit's first, whose
-    product is the charpoly (see the module docstring).  The level is
+    level, factored: one pair (o, N_O) per Galois orbit of the deck group's
+    characters, the trivial orbit's first, with o the exact order of the
+    orbit's characters and N_O its integer norm polynomial (ascending); the
+    N_O multiply to the charpoly (see the module docstring).  The level is
     ``f``: a LiftedMap, read from its stored fiber-zero rows, or the base
     map (G = 1, a single factor)."""
     if isinstance(f, LiftedMap):
@@ -415,13 +422,15 @@ def orbit_polynomials(f):
     # the cap, before any character is listed: the largest orbit has size
     # phi(order)
     top = max(linalg.totient(order) * rank, rank + 1)
-    linalg.crt_primes(linalg.coefficient_bound(top, longest), order)
+    linalg.check_prime_cap(top, longest, order)
     orbits = _galois_orbits(diag)
     degrees = [len(o) * rank for o in orbits]
     degrees[0] += 1        # H0, in the trivial orbit
     bounds = {n: linalg.coefficient_bound(n, longest) for n in set(degrees)}
-    return tuple(linalg.multimodular(n, bounds[n], orbit_residues(o), order)
-                 for o, n in zip(orbits, degrees))
+    return tuple(
+        (_character_order(o[0], diag),
+         linalg.multimodular(n, bounds[n], orbit_residues(o), order))
+        for o, n in zip(orbits, degrees))
 
 
 def h1_action_on_cover(lm):
@@ -478,7 +487,7 @@ def monic_coefficients(coeffs):
     return coeffs
 
 
-def unit_circle_test(*factors):
+def unit_circle_test(*factors, orders=None):
     """Decide whether the product of monic integer polynomials has all
     roots on the unit circle; exact, no floating point in the verdict.
 
@@ -486,9 +495,20 @@ def unit_circle_test(*factors):
     own.  The multiplicities add up, and the witness is the product of the
     remainders, which by unique factorisation is that of the product; only
     the display modulus, on first read, is computed on it in floating
-    point."""
+    point.
+
+    ``orders`` gives each factor an order o, 1 when omitted, and Phi_n is
+    tried on it only when phi(lcm(o, n)) is at most its current degree.
+    This is exact for a norm N_O over a Galois orbit of characters of exact
+    order o (``orbit_polynomials``): the orbit's block polynomials have
+    coefficients in Q(zeta_o) and are conjugate, a primitive n-th root of
+    unity has degree phi(lcm(o, n)) / phi(o) over Q(zeta_o), so when Phi_n
+    divides N_O the norm of its minimal polynomial, of degree
+    phi(lcm(o, n)), divides N_O too; and what is left after x and each
+    Phi_m are stripped is again such a norm.  At o = 1 the rule is
+    phi(n) <= degree."""
     zero_mult, mults, rests = 0, {}, []
-    for coeffs in factors:
+    for coeffs, o in zip(factors, orders or [1] * len(factors)):
         coeffs = monic_coefficients(coeffs)
         while coeffs[0] == 0:
             zero_mult += 1
@@ -496,7 +516,7 @@ def unit_circle_test(*factors):
         for n in linalg.cyclotomic_orders_up_to_degree(len(coeffs) - 1):
             if len(coeffs) == 1:
                 break
-            if linalg.totient(n) > len(coeffs) - 1:
+            if linalg.totient(lcm(o, n)) > len(coeffs) - 1:
                 continue
             q, w = linalg.prime_root(n, 0)
             while _value_mod(coeffs, w, q) == 0:   # else Phi_n cannot divide

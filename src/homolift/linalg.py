@@ -394,6 +394,25 @@ def crt_primes(bound, order=1):
     return roots
 
 
+def check_prime_cap(n, radius, order=1):
+    """Raise ResourceLimitError, as ``crt_primes(coefficient_bound(n,
+    radius), order)`` does, when a monic degree-n polynomial whose roots
+    have modulus at most ``radius`` needs more than CRT_PRIME_CAP primes;
+    at a huge n without the bound's binomial, which is slow there.
+
+    The bound is at least the mean of its n + 1 terms, (1 + radius)^n //
+    (n + 1), which grows with n.  At m = 2b, b the bit length of the cap's
+    prime product, the mean exceeds 2^b (radius >= 1), so a degree above m
+    is refused from an integer of about m bits.  Every pool prime exceeds
+    2^62, so b > 62 * CRT_PRIME_CAP, and a smaller degree goes straight to
+    the exact bound."""
+    if n > 2 * 62 * CRT_PRIME_CAP:
+        cap = prod(prime_root(order, i)[0] for i in range(CRT_PRIME_CAP))
+        m = min(n, 2 * cap.bit_length())
+        crt_primes((1 + radius) ** m // (m + 1), order)
+    crt_primes(coefficient_bound(n, radius), order)
+
+
 def multimodular(n, bound, residues, order=1):
     """The integer polynomial of degree n (ascending, n + 1 coefficients)
     whose coefficients are at most ``bound`` in absolute value, from

@@ -27,7 +27,7 @@ from .errors import CertificateError, ResourceLimitError, ValidationError
 from .graphs import parse_graph_map, serialize_graph_map
 from .homology import equivariant_quotient, homology_action, spanning_tree
 from .laurent import Lattice, character_grid, l2_norm_squared, specialize
-from .transition import DEFAULT_CYCLE_CAP, transition_graph
+from .transition import DEFAULT_CYCLE_CAP, _growth_is_one, transition_graph
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,21 @@ class Analysis:
         return magnus.magnus_matrix(self.transition)
 
     @cached_property
-    def orbit_polynomials(self):
+    def orbit_factors(self):
         """The integer characteristic polynomial of the H1 action, factored
-        over the Galois orbits of the deck group's characters."""
+        over the Galois orbits of the deck group's characters: a pair (o,
+        N_O) per orbit, o the exact order of its characters."""
         return orbit_polynomials(self.level)
 
     @cached_property
     def charpoly(self):
         """Integer characteristic polynomial of the H1 action, ascending."""
-        return linalg.poly_product(self.orbit_polynomials)
+        return linalg.poly_product([poly for _o, poly in self.orbit_factors])
 
     @cached_property
     def verdict(self):
-        return unit_circle_test(*self.orbit_polynomials)
+        orders, polys = zip(*self.orbit_factors)
+        return unit_circle_test(*polys, orders=orders)
 
     def cover(self, spec):
         """The next tower level: the cover of this level's graph given by a
@@ -457,15 +459,28 @@ def verify_certificate(cert):
 # oracle and tower search
 
 
+# A count matrix C of spectral radius 1 answers for every finite cover and
+# every lift: a cover edge's image is as long as the image of the edge
+# below it, so the powers of the lifted count matrix have the row sums of
+# the C^j, and its radius is at most 1.  The lift's chain map is dominated
+# entrywise by it, and H1 is an invariant subspace of the 1-chains, so every
+# lifted H1 eigenvalue has modulus at most 1: by Kronecker, 0 or a root of
+# unity.
+GROWTH_ONE = ("depth 0: growth rate is 1, so no lift to any finite cover "
+              "has a homology eigenvalue off the unit circle")
+
+
 def brute_force_oracle(f, max_degree):
     """Enumerate reduction-mod-k covers in order and certify the first whose
     lifted homology action leaves the unit circle; independent of the
-    criteria machinery."""
+    criteria machinery.  At growth rate 1 no cover is built (GROWTH_ONE)."""
     base = Analysis.of(f)
     for k in range(1, _order_bound(1, base.quotient.rank, max_degree) + 1):
         level = base.cover(k) if k > 1 else base
         if not level.verdict.all_on_circle:
             return _certificate(level, "brute-force", None)
+        if k == 1 and _growth_is_one(base.transition):
+            return None
     return None
 
 
@@ -474,8 +489,10 @@ def tower_search(f, cfg=None, diagnostics=None):
 
     Returns the first certificate in a fixed traversal order (direct check,
     then the three criteria, then covers by ascending modulus, depth first),
-    or None when the configured bounds are exhausted.  Resource-cap
-    violations raise instead of being silently absorbed.
+    or None when the configured bounds are exhausted.  At growth rate 1
+    there is none in any cover, and the search says so after the base
+    level's direct check, before any cover is built (GROWTH_ONE).
+    Resource-cap violations raise instead of being silently absorbed.
     """
     cfg = cfg or SearchConfig()
     if diagnostics is None:
@@ -488,6 +505,9 @@ def _tower_search(an, cfg, diagnostics):
     finding = check_direct(an.level, an)
     if finding is not None:
         return _certify(an, finding, cfg)
+    if not an.tower and _growth_is_one(an.transition):
+        diagnostics.append(GROWTH_ONE)
+        return None
 
     for criterion in (check_l2, check_anchored, character_scan):
         finding = criterion(an.matrix, cfg)

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from homolift import corpus
+from homolift.graphs import parse_graph_map
 from homolift.homology import path_class
 from homolift.search import Analysis
 
@@ -48,6 +49,35 @@ def silver(corpus_maps):
 @pytest.fixture(scope="session")
 def rank2(corpus_maps):
     return corpus_maps["unipotent_rank2"]
+
+
+GROWTH_ONE_ROSES = {
+    "u3": """vertices: v
+edges: a: v -> v ; b: v -> v ; c: v -> v
+base: v
+map a -> c b a c
+map b -> c b
+map c -> c
+""",
+    "u22": """vertices: v
+edges: a: v -> v ; b: v -> v ; c: v -> v
+base: v
+map a -> a c c c
+map b -> C b c c
+map c -> c
+"""}
+
+
+@pytest.fixture(scope="session")
+def growth_one_maps(corpus_maps):
+    """The maps with growth rate 1: the corpus's example_s3 and identity,
+    and two random 3-roses whose homology action is unipotent and not the
+    identity (``perfbench/generator.unipotent_maps(5, 60)``, items 3 and
+    22)."""
+    maps = {name: corpus_maps[name] for name in ("example_s3", "identity")}
+    maps.update({name: parse_graph_map(text)
+                 for name, text in GROWTH_ONE_ROSES.items()})
+    return maps
 
 
 @pytest.fixture(scope="session")

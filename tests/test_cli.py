@@ -7,11 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from homolift import corpus
+from homolift import corpus, linalg
 from homolift.cli import main
-from homolift.search import (Analysis, SearchConfig, character_scan,
-                             check_anchored, check_direct, check_l2,
-                             input_digest, tower_search)
+from homolift.search import (GROWTH_ONE, Analysis, SearchConfig,
+                             character_scan, check_anchored, check_direct,
+                             check_l2, input_digest, tower_search)
 
 
 def run(*args):
@@ -132,6 +132,18 @@ def test_search_none_within_bounds(s3_file):
     assert report["result"] == "none_within_bounds"
 
 
+@pytest.mark.parametrize("name", ["example_s3", "identity"])
+def test_search_at_growth_one_says_why(name):
+    # at the default bounds: growth rate 1 answers before any cover
+    code, out, _ = run("search", f"corpus:{name}", "--json")
+    assert code == 3
+    report = json.loads(out)
+    assert report["result"] == "none_within_bounds"
+    assert report["diagnostics"] == [GROWTH_ONE]
+    code, out, _ = run("search", f"corpus:{name}")
+    assert code == 3 and f"note: {GROWTH_ONE}\n" in out
+
+
 def test_verify_ok_and_tampered(tmp_path):
     cert_path = tmp_path / "cert.json"
     code, _, _ = run("search", "corpus:unipotent_silver", "--json",
@@ -192,9 +204,10 @@ def test_verify_rejects_tampered_values(tmp_path, silver_cert, field, value,
 
 
 @pytest.mark.parametrize("name, modulus", [("unipotent_silver", 10 ** 6),
+                                           ("unipotent_silver", 10 ** 30),
                                            ("unipotent_rank2", 20000)])
 def test_verify_refuses_a_huge_cover_before_listing_characters(
-        tmp_path, name, modulus):
+        tmp_path, monkeypatch, name, modulus):
     # the largest Galois orbit's prime count is known from the deck group's
     # exponent, so the cap is checked before its |G| characters are listed
     f = corpus.load(name)
@@ -204,11 +217,18 @@ def test_verify_refuses_a_huge_cover_before_listing_characters(
                         "modulus": modulus}])
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(data))
+    # the exact coefficient bound's binomial is never evaluated: a lower
+    # bound already needs more primes than the cap
+    binomials = []
+    comb = linalg.comb
+    monkeypatch.setattr(linalg, "comb",
+                        lambda *args: binomials.append(args) or comb(*args))
     started = time.perf_counter()
     code, out, err = run("verify", str(path))
     assert time.perf_counter() - started < 15
     assert code == 1 and not out
     assert err == "error: charpoly: prime pool exhausted\n"
+    assert binomials == []
 
 
 MISSING = object()    # the field is deleted
@@ -437,9 +457,9 @@ CLI_DIGESTS = [
     ("search corpus:unipotent_rank2 --json", 0,
      "62d6431fc6941e50ecbfc34de08720d41e0051232e8b7f730555981c56319b32"),
     ("search corpus:example_s3 --max-degree 64 --max-tower-depth 2 --json", 3,
-     "c961b8cc3c201f8a61bb2c217dbab8b7a05fc66d8e8ecf4e836c40925d9a2d4b"),
+     "9e9e3f5ef174c3a6819a771457d732dda7e12abdc63b8352e57c68e1bdffa384"),
     ("search corpus:identity --max-degree 64 --max-tower-depth 2 --json", 3,
-     "c961b8cc3c201f8a61bb2c217dbab8b7a05fc66d8e8ecf4e836c40925d9a2d4b"),
+     "9e9e3f5ef174c3a6819a771457d732dda7e12abdc63b8352e57c68e1bdffa384"),
 ]
 
 

@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 
 from homolift import corpus, linalg, magnus
 from homolift.covers import (CoverGraph, FiniteQuotient, _connected,
-                             _fiber_zero, _galois_orbits, abelian_cover,
-                             h1_action_on_cover, lift_map, orbit_polynomials,
-                             spectral_radius, unit_circle_test)
+                             _fiber_zero, _galois_orbits, _value_mod,
+                             abelian_cover, h1_action_on_cover, lift_map,
+                             orbit_polynomials, spectral_radius,
+                             unit_circle_test)
 from homolift.errors import LiftError, ResourceLimitError, ValidationError
 from homolift.graphs import Edge, Graph, parse_graph_map
 from homolift.homology import (EquivariantQuotient, equivariant_quotient,
                                homology_action, spanning_tree)
 from homolift.laurent import Character
 from homolift.search import Analysis
-from homolift.transition import (SubgraphSelection, dilatation,
-                                 subgraph_matrix, transition_graph,
-                                 vertex_subgraph)
+from homolift.transition import (SubgraphSelection, _growth_is_one,
+                                 dilatation, subgraph_matrix,
+                                 transition_graph, vertex_subgraph)
 from oracles import (Laurent, chain_action_matrix, cover_chain_action_check,
                      deck_action_on_quotient, deck_commutes, deck_edge,
                      deck_vertex, edge_info, mat_vec, project_path)
@@ -153,6 +154,25 @@ def test_coefficient_bound_is_the_largest_term():
             assert linalg.coefficient_bound(n, radius) == scanned(n, radius)
 
 
+def test_prime_cap_check_refuses_as_the_exact_bound_does():
+    # past degree 2 * 62 * CRT_PRIME_CAP = 7936 the check refuses from the
+    # mean of the bound's terms; on both sides of it, and of the degree
+    # where the cap's primes run out, it agrees with the exact bound
+    def refuses(check):
+        try:
+            check()
+        except ResourceLimitError:
+            return True
+        return False
+    for n in (1, 4000, 4050, 4100, 7936, 7937, 8064, 8065, 20000):
+        for radius in (0, 1, 3):
+            for order in (1, 192):
+                exact = refuses(lambda: linalg.crt_primes(
+                    linalg.coefficient_bound(n, radius), order))
+                assert refuses(lambda: linalg.check_prime_cap(
+                    n, radius, order)) == exact, (n, radius, order)
+
+
 def test_charpoly_prime_pool_exhausted_is_resource_limit():
     # the coefficient bound 2^5000 is beyond the 64 primes of 62 bits
     with pytest.raises(ResourceLimitError, match="prime pool"):
@@ -162,7 +182,6 @@ def test_charpoly_prime_pool_exhausted_is_resource_limit():
 def test_growth_test_computes_no_display_modulus(monkeypatch):
     # Kronecker's growth test reads only the verdict; the np.roots modulus
     # is computed when something reads it, once
-    from homolift.transition import _growth_is_one
     calls = []
     roots = np.roots
     monkeypatch.setattr(np, "roots", lambda p: calls.append(1) or roots(p))
@@ -447,9 +466,71 @@ def test_factored_verdict_on_cover_levels(analyses, multi_vertex_levels):
     levels += [silver.cover(k) for k in range(2, 65)]
     for level in levels:
         diag = level.lifted.cover.quotient.diag
-        assert len(level.orbit_polynomials) == len(_galois_orbits(diag))
+        assert len(level.orbit_factors) == len(_galois_orbits(diag))
         assert _matches_dense(level)
         assert level.verdict == unit_circle_test(level.charpoly)
+
+
+def _modulus_levels(an, max_degree):
+    """The H_f/kH_f levels of ``an``, k >= 2, of degree at most
+    ``max_degree``."""
+    d, k, out = an.quotient.rank, 2, []
+    while d and k ** d <= max_degree:
+        out.append(an.cover(k))
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize("name", ["example_s3", "identity", "u3", "u22"])
+def test_growth_one_keeps_every_cover_on_the_circle(growth_one_maps, name):
+    # the theorem behind search.GROWTH_ONE, checked without it: the dense H1
+    # action of every H_f/kH_f level up to degree 36, and of a depth-2
+    # level, the index-2 cyclic cover of H_f/2H_f
+    an = Analysis.of(growth_one_maps[name])
+    assert _growth_is_one(an.transition)
+    mid = an.cover(2)
+    d = mid.quotient.rank
+    top = mid.cover([[(1 + (i == 0)) * (i == j) for j in range(d)]
+                     for i in range(d)])
+    assert len(top.tower) == 2 and top.degree == 2 * mid.degree
+    for level in _modulus_levels(an, 36) + [top]:
+        dense = linalg.charpoly_int(h1_action_on_cover(level.lifted))
+        assert unit_circle_test(dense).all_on_circle, level.tower
+
+
+def test_sieve_by_character_order_matches_the_whole_polynomial(
+        analyses, multi_vertex_levels):
+    # an orbit of characters of order o is sieved only at the n with
+    # phi(lcm(o, n)) at most its degree; field by field the verdict is the
+    # whole polynomial's, also where orbits of order > 1 carry cyclotomic
+    # factors (example_s3 and identity)
+    levels = list(multi_vertex_levels)
+    for an in analyses.values():
+        levels += _modulus_levels(an, 4 ** an.quotient.rank)
+    for name in ("example_s3", "identity"):
+        levels += [analyses[name].cover(k) for k in range(2, 13)]
+    cyclotomic_orbits = 0
+    for level in levels:
+        split, whole = level.verdict, unit_circle_test(level.charpoly)
+        for field in ("witness", "zero_multiplicity", "cyclotomic_factors",
+                      "all_on_circle"):
+            assert getattr(split, field) == getattr(whole, field), field
+        cyclotomic_orbits += sum(
+            1 for o, poly in level.orbit_factors
+            if o > 1 and unit_circle_test(poly).cyclotomic_factors)
+    assert cyclotomic_orbits > 100
+
+
+def test_sieve_evaluates_few_orders(silver, monkeypatch):
+    # silver H_f/192H_f: 771 evaluations when every n with phi(n) at most
+    # the factor's degree was tried
+    level = Analysis.of(silver).cover(192)
+    assert len(level.orbit_factors) == 14
+    calls = []
+    monkeypatch.setattr("homolift.covers._value_mod", lambda *args: (
+        calls.append(1) or _value_mod(*args)))
+    assert not level.verdict.all_on_circle
+    assert len(calls) <= 192
 
 
 def _block_radius(level):

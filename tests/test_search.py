@@ -12,12 +12,13 @@ from homolift import linalg, magnus, search
 from homolift.covers import CoverCertificate, _value_mod, unit_circle_test
 from homolift.cyclotomic import Cyclotomic
 from homolift.errors import CertificateError, ResourceLimitError
-from homolift.graphs import Graph, serialize_graph_map
+from homolift.graphs import Graph, parse_graph_map, serialize_graph_map
 from homolift.laurent import Lattice, LaurentElement, lattice_restriction
-from homolift.search import (Analysis, Finding, SearchConfig,
+from homolift.search import (GROWTH_ONE, Analysis, Finding, SearchConfig,
                              brute_force_oracle, character_scan,
                              check_anchored, check_direct, check_l2,
                              rebuild_tower, tower_search, verify_certificate)
+from homolift.transition import _growth_is_one
 from oracles import (annihilator_characters, build_certificate,
                      laurent_zero, matrix_from_rows, monomial, root_of_unity)
 
@@ -333,6 +334,33 @@ def test_tower_unipotent_matches_oracle(silver, rank2):
         assert verify_certificate(tower)["ok"]
 
 
+@pytest.mark.parametrize("name", ["example_s3", "identity", "u3", "u22"])
+def test_growth_one_builds_no_cover(growth_one_maps, monkeypatch, name):
+    # growth rate 1 answers "none" at the base level, after its direct check
+    f = growth_one_maps[name]
+    calls = []
+    cover = search.abelian_cover
+    monkeypatch.setattr(search, "abelian_cover",
+                        lambda *args: calls.append(1) or cover(*args))
+    diagnostics = []
+    assert tower_search(f, SearchConfig(), diagnostics) is None
+    assert brute_force_oracle(f, 256) is None
+    assert diagnostics == [GROWTH_ONE]
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["unipotent_silver", "unipotent_rank2"])
+def test_growth_above_one_still_searches(analyses, name):
+    # the direct check is silent and the growth rate is above 1, so the
+    # criteria run and convert into a cover
+    an = analyses[name]
+    assert check_direct(an.graph_map, an) is None
+    assert not _growth_is_one(an.transition)
+    diagnostics = []
+    cert = tower_search(an.graph_map, SearchConfig(), diagnostics)
+    assert cert.method == "l2trace" and cert.tower and diagnostics == []
+
+
 RUNS = {
     "tower_search": lambda f: tower_search(f, CFG),
     "oracle": lambda f: brute_force_oracle(f, 2000),
@@ -380,6 +408,21 @@ def test_oracle_levels_build_no_cover_graph(s3, monkeypatch):
     built = _count_graphs(monkeypatch)
     assert brute_force_oracle(s3, 256) is None
     assert built == []
+
+
+def test_oracle_levels_above_growth_one_build_no_cover_graph(monkeypatch):
+    # a 3-rose of growth rate above 1 whose H_f/kH_f levels all stay on the
+    # circle: the oracle decides 63 cover levels without a cover graph
+    f = parse_graph_map("vertices: v\nedges: a: v -> v ; b: v -> v ; "
+                        "c: v -> v\nbase: v\nmap a -> B a a c\n"
+                        "map b -> a C C C\nmap c -> b c B\n")
+    covers = []
+    cover = search.abelian_cover
+    monkeypatch.setattr(search, "abelian_cover",
+                        lambda *args: covers.append(1) or cover(*args))
+    built = _count_graphs(monkeypatch)
+    assert brute_force_oracle(f, 64) is None
+    assert len(covers) == 63 and built == []
 
 
 def _two_step_certificate(f):
@@ -488,7 +531,7 @@ def test_valid_certificate_sieves_orbit_factors_only(silver, monkeypatch):
     # no polynomial above the largest orbit factor reaches the sieve
     level = Analysis.of(silver).cover(12)
     cert = search._certificate(level, "brute-force", None)
-    largest = max(map(len, level.orbit_polynomials))
+    largest = max(len(poly) for _o, poly in level.orbit_factors)
     assert largest < len(cert.charpoly)
     sizes = []
     monkeypatch.setattr("homolift.covers._value_mod", lambda coeffs, w, q: (
