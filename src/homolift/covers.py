@@ -24,7 +24,11 @@ group G, so its chain maps are matrices over Z[G]: A (edges x edges) on
 fiber-zero rows.  Modulo a prime q = 1 (mod the exponent of G), and
 q > 2^62 does not divide |G|, every character chi is a ring map
 Z[G] -> F_q, and the chain complex C1 -> C0 splits into blocks
-A(chi) -> V(chi).  In the cover the cycles Z1 = H1 are an invariant
+A(chi) -> V(chi).  The blocks are evaluated modulo a product m of up to
+four such primes at once, with w a primitive root modulo each: Z/m is the
+product of the fields F_q, so every step is the per-prime step in each
+coordinate (``linalg.charpoly_mod`` splits m where a pivot is zero modulo
+some of its primes).  In the cover the cycles Z1 = H1 are an invariant
 subspace of C1 with C1/Z1 = B0, the boundaries, and C0 = B0 + (one class
 on which the map is the identity), so
 
@@ -34,7 +38,7 @@ and character by character det(xI - V(chi)) divides det(xI - A(chi)),
 times (x - 1) for the trivial character: every edge's lift closes up, so
 the lift is a chain map, and the cover is connected, so only the trivial
 character sees H0.  Each block's determinant is a Hessenberg
-characteristic polynomial modulo q.
+characteristic polynomial modulo m.
 
 The characters come in Galois orbits: the automorphism zeta -> zeta^u of
 Q(zeta), u a unit mod the exponent of G, sends chi_a to chi_ua = chi_a^u,
@@ -49,16 +53,20 @@ with zeta -> w, it is the product of the blocks' quotients.  Its degree
 is m_O = |O| (E - V) (plus 1 for the trivial orbit) and its roots are
 eigenvalues of the A(chi), bounded by L, the longest edge image, which
 bounds each block's row sums; so CRT recombines N_O on its own against
-C(m_O, i) * L^i, and charpoly(H1) is the product of the N_O over Z.  The
-primes are shared by the orbits, and the largest orbit's count is checked
-against the cap before any character is listed: a character of order the
-exponent of G has the largest orbit.  The base map is the case G = 1, a
-single orbit.  A level's polynomial stays factored as the tuple of its
-N_O all the way to the verdict.  The dense charpoly of the cover's H1
-matrix (``h1_action_on_cover``) is the reference the tests hold it to;
-the chain-level references (the lift's chain action, on the whole cover
-and on each isotypic part, and the deck actions) live with the tests, in
-``tests/oracles.py``.
+C(m_O, i) * L^i, one evaluation of the orbit's blocks per group of up to
+four primes (``linalg.multimodular``), and charpoly(H1) is the product of
+the N_O over Z.  The primes are shared by the orbits, and the largest
+orbit's count is checked against the cap before any character is listed:
+a character of order the exponent of G has the largest orbit, of size
+phi(exponent) >= sqrt(exponent / 2), a bound that refuses a huge exponent
+before it is factored.  The base map is the case G = 1, a single orbit.
+A level's polynomial stays factored as the tuple of its N_O all the way
+to the verdict, and the whole polynomial is the verdict's witness times
+its powers of x and cyclotomic factors.  The dense charpoly of the
+cover's H1 matrix (``h1_action_on_cover``) is the reference the tests
+hold it to; the chain-level references (the lift's chain action, on the
+whole cover and on each isotypic part, and the deck actions) live with
+the tests, in ``tests/oracles.py``.
 
 The off-circle decision is Kronecker's: a monic integer polynomial with
 nonzero constant term has all roots on the unit circle exactly when it is a
@@ -80,7 +88,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -384,7 +392,7 @@ def orbit_polynomials(f):
         for name, x, d in row:
             key = (i, eidx[name], x)
             terms[key] = terms.get(key, 0) + d
-    powers = {}    # q -> [w^k for k < order], shared by every orbit
+    powers = {}    # m -> [w^k mod m for k < order], shared by every orbit
 
     def orbit_residues(orbit):
         blocks = [([(i, j, exponent(a, x), c)
@@ -393,10 +401,13 @@ def orbit_polynomials(f):
                     for i, (w, y) in enumerate(vertex_rows)])
                   for a in orbit]
 
-        def residues(q, w):
-            if q not in powers:
-                powers[q] = [pow(w, k, q) for k in range(order)]
-            table, out = powers[q], []
+        def residues(m, w):
+            if m not in powers:
+                table = [1] * order
+                for k in range(1, order):
+                    table[k] = table[k - 1] * w % m
+                powers[m] = table
+            table, out = powers[m], []
             for a, (edge_terms, vertex_terms) in zip(orbit, blocks):
                 am = [[0] * len(eidx) for _ in eidx]
                 for i, j, k, c in edge_terms:
@@ -404,23 +415,25 @@ def orbit_polynomials(f):
                 vm = [[0] * len(vidx) for _ in vidx]
                 for i, j, k in vertex_terms:
                     vm[i][j] = table[k]
-                num = linalg.charpoly_mod(am, q)
+                num = linalg.charpoly_mod(am, m)
                 if not any(a):    # times (x - 1): H0 lies in the trivial part
-                    num = [(lo - hi) % q
+                    num = [(lo - hi) % m
                            for lo, hi in zip([0] + num, num + [0])]
                 quo, rem = linalg.poly_divmod_monic(
-                    num, linalg.charpoly_mod(vm, q), q)
+                    num, linalg.charpoly_mod(vm, m), m)
                 if rem:
                     raise LiftError(
                         "the fiber-zero rows are not a chain map")
                 out.append(quo)
-            return linalg.poly_product(out, q)
+            return linalg.poly_product(out, m)
         return residues
 
     rank = len(eidx) - len(vidx)
     longest = max((len(row) for row in edge_rows), default=1)
     # the cap, before any character is listed: the largest orbit has size
-    # phi(order)
+    # phi(order) >= sqrt(order / 2), so a huge order is refused before it
+    # is factored
+    linalg.check_huge_degree(isqrt(order // 2) * rank, longest, order)
     top = max(linalg.totient(order) * rank, rank + 1)
     linalg.check_prime_cap(top, longest, order)
     orbits = _galois_orbits(diag)

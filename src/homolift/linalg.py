@@ -8,7 +8,7 @@ are lists of coefficients, lowest degree first, with no trailing zeros
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -228,24 +228,24 @@ def poly_mul_mod(a, b, q):
 def poly_mul(a, b):
     """Exact product of two integer polynomials, by Kronecker substitution
     with signed coefficients: each slot is wide enough for any product
-    coefficient c, and c + half (half the slot's range) reads back with no
-    carry between slots."""
+    coefficient c, and holds c + half, half the slot's range, so a slot
+    never carries into the next.  An operand packs in one join of such
+    slots, less ``offset``, half in each of them."""
     if not a or not b:
         return []
     size = len(a) + len(b) - 1
     big = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = (big.bit_length() + 8) // 8       # |c| <= big < half
+    half = 1 << (8 * width - 1)
 
-    def word(cs):    # nonnegative coefficients, one slot each
-        return int.from_bytes(b"".join(c.to_bytes(width, "little")
-                                       for c in cs), "little")
+    def offset(slots):
+        return int.from_bytes(half.to_bytes(width, "little") * slots, "little")
 
     def pack(p):     # sum of c_i * 2^(8 * width * i)
-        return word(max(c, 0) for c in p) - word(max(-c, 0) for c in p)
+        return int.from_bytes(b"".join((c + half).to_bytes(width, "little")
+                                       for c in p), "little") - offset(len(p))
 
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * size, "little")
-    data = (pack(a) * pack(b) + offset).to_bytes(width * size, "little")
+    data = (pack(a) * pack(b) + offset(size)).to_bytes(width * size, "little")
     return [int.from_bytes(data[i * width:(i + 1) * width], "little") - half
             for i in range(size)]
 
@@ -314,12 +314,19 @@ def cyclotomic_orders_up_to_degree(deg):
 # ---------------------------------------------------------------------------
 # exact characteristic polynomials, multimodularly
 #
-# Residues modulo word-size primes are recombined by CRT against an a priori
-# coefficient bound.  One prime source serves every caller: primes
-# q = 1 (mod n) above 2^62, each with a primitive n-th root of unity in F_q.
+# Residues modulo products of up to CRT_GROUP word-size primes are
+# recombined by CRT against an a priori coefficient bound.  One prime
+# source serves every caller: primes q = 1 (mod n) above 2^62, each with a
+# primitive n-th root of unity in F_q.
 
 
 CRT_PRIME_CAP = 64   # primes one reconstruction may use: 3968 bits
+# Pool primes per residue computation (``multimodular``).  On the 3 x 3
+# character blocks and on dense 40 x 40 and 100 x 100 ``charpoly_int``, one
+# residue per prime took 1.5 to 3 times as long as groups of four, groups
+# of four to eight were within noise of each other, and one residue modulo
+# every prime at once was slower again.
+CRT_GROUP = 4
 
 
 def _is_probable_prime(n):
@@ -348,20 +355,27 @@ def _is_probable_prime(n):
 
 
 @lru_cache(maxsize=None)
-def prime_root(n, i):
-    """(q, w): the i-th prime q = 1 (mod n) above 2^62, ascending, and a
-    primitive n-th root of unity w modulo q (the smallest-base power
-    g^((q-1)/n) of exact order n).  Generated on demand and cached; for
-    n = 1 these are simply the primes above 2^62, with w = 1."""
+def pool_prime(n, i):
+    """The i-th prime q = 1 (mod n) above 2^62, ascending; generated on
+    demand and cached.  For n = 1 these are simply the primes above 2^62."""
     step = n if n % 2 == 0 else 2 * n      # q odd
     if i == 0:
         q = (1 << 62) // step * step + 1
         if q <= 1 << 62:
             q += step
     else:
-        q = prime_root(n, i - 1)[0] + step
+        q = pool_prime(n, i - 1) + step
     while not _is_probable_prime(q):
         q += step
+    return q
+
+
+@lru_cache(maxsize=None)
+def prime_root(n, i):
+    """(q, w): q = ``pool_prime(n, i)`` and a primitive n-th root of unity
+    w modulo q (the smallest-base power g^((q-1)/n) of exact order n); for
+    n = 1, w = 1.  Finding w factors n."""
+    q = pool_prime(n, i)
     factors = prime_factors(n)
     g = 2
     while True:
@@ -381,60 +395,91 @@ def coefficient_bound(n, radius):
 
 
 def crt_primes(bound, order=1):
-    """The first pairs (q, w) of ``prime_root(order, .)`` whose product
-    exceeds 2 * bound + 1; ResourceLimitError when more than CRT_PRIME_CAP
-    are needed.  Only primes are generated, no residue."""
-    roots = []
+    """The first primes ``pool_prime(order, .)`` whose product exceeds 2 *
+    bound + 1; ResourceLimitError when more than CRT_PRIME_CAP are needed.
+    Only primes are generated: no residue, no root of unity."""
+    primes = []
     modulus = 1
     while modulus <= 2 * bound + 1:
-        if len(roots) == CRT_PRIME_CAP:
+        if len(primes) == CRT_PRIME_CAP:
             raise ResourceLimitError("charpoly: prime pool exhausted")
-        roots.append(prime_root(order, len(roots)))
-        modulus *= roots[-1][0]
-    return roots
+        primes.append(pool_prime(order, len(primes)))
+        modulus *= primes[-1]
+    return primes
+
+
+def check_huge_degree(n, radius, order=1):
+    """Raise ResourceLimitError when a monic polynomial of degree n or more
+    whose roots have modulus at most ``radius`` >= 1 needs more than
+    CRT_PRIME_CAP primes, deciding from n alone; only a degree above 2 * 62
+    * CRT_PRIME_CAP is decided, and a smaller n passes.
+
+    The coefficient bound is at least the mean of its n + 1 terms, (1 +
+    radius)^n // (n + 1), which grows with n.  At m = 2b, b the bit length
+    of the cap's prime product, the mean exceeds 2^b, so a degree above m
+    is refused from an integer of about m bits.  Every pool prime exceeds
+    2^62, so b > 62 * CRT_PRIME_CAP.  Only pool primes are generated, no
+    root of unity, so n may be a lower bound for a degree whose exact value
+    would need a factorisation."""
+    if n > 2 * 62 * CRT_PRIME_CAP:
+        cap = prod(pool_prime(order, i) for i in range(CRT_PRIME_CAP))
+        m = min(n, 2 * cap.bit_length())
+        crt_primes((1 + radius) ** m // (m + 1), order)
 
 
 def check_prime_cap(n, radius, order=1):
     """Raise ResourceLimitError, as ``crt_primes(coefficient_bound(n,
     radius), order)`` does, when a monic degree-n polynomial whose roots
     have modulus at most ``radius`` needs more than CRT_PRIME_CAP primes;
-    at a huge n without the bound's binomial, which is slow there.
-
-    The bound is at least the mean of its n + 1 terms, (1 + radius)^n //
-    (n + 1), which grows with n.  At m = 2b, b the bit length of the cap's
-    prime product, the mean exceeds 2^b (radius >= 1), so a degree above m
-    is refused from an integer of about m bits.  Every pool prime exceeds
-    2^62, so b > 62 * CRT_PRIME_CAP, and a smaller degree goes straight to
-    the exact bound."""
-    if n > 2 * 62 * CRT_PRIME_CAP:
-        cap = prod(prime_root(order, i)[0] for i in range(CRT_PRIME_CAP))
-        m = min(n, 2 * cap.bit_length())
-        crt_primes((1 + radius) ** m // (m + 1), order)
+    a huge n is refused by ``check_huge_degree``, without the bound's
+    binomial, which is slow there."""
+    check_huge_degree(n, radius, order)
     crt_primes(coefficient_bound(n, radius), order)
+
+
+def _crt_basis(moduli):
+    """For pairwise coprime moduli, the integers 1 modulo each one and 0
+    modulo the others, in order."""
+    m = prod(moduli)
+    return [m // q * pow(m // q, -1, q) for q in moduli]
+
+
+@lru_cache(maxsize=None)
+def _group_root(order, start, size):
+    """(m, w): the product m of the ``size`` pool primes ``pool_prime(order,
+    start + i)``, and w, by CRT, the primitive order-th root of unity
+    ``prime_root`` gives modulo each of them."""
+    roots = [prime_root(order, start + i) for i in range(size)]
+    basis = _crt_basis([q for q, _w in roots])
+    m = prod(q for q, _w in roots)
+    return m, sum(w * e for (_q, w), e in zip(roots, basis)) % m
 
 
 def multimodular(n, bound, residues, order=1):
     """The integer polynomial of degree n (ascending, n + 1 coefficients)
     whose coefficients are at most ``bound`` in absolute value, from
-    ``residues(q, w)``: its coefficients modulo each prime q of
-    ``prime_root(order, .)``, w the primitive root there.
+    ``residues(m, w)``: its coefficients modulo m, a product of up to
+    CRT_GROUP primes q of ``pool_prime(order, .)``, with w a primitive
+    order-th root of unity modulo each q (by CRT from ``prime_root``).
 
     The primes needed are counted (``crt_primes``) before any residue is
     computed; ResourceLimitError when more than CRT_PRIME_CAP are.  The cap
     bounds one reconstruction: a caller that reconstructs a product factor
     by factor (``covers.orbit_polynomials``, one factor per Galois orbit of
     characters) counts the primes of its largest factor before the first
-    residue of any factor.
+    residue of any factor.  One residues call per group, not per prime,
+    keeps the interpreter's per-operation cost, which dominates on small
+    matrices, from growing with the prime count.
     """
-    roots = crt_primes(bound, order)
-    modulus = prod(q for q, _w in roots)
+    primes = crt_primes(bound, order)
+    modulus = prod(primes)
     coeffs = [0] * (n + 1)
-    for q, w in roots:
-        res = residues(q, w)
-        rest = modulus // q
-        lift = rest * pow(rest, -1, q)   # 1 mod q, 0 mod the other primes
-        for k in range(n + 1):
-            coeffs[k] += res[k] * lift
+    for start in range(0, len(primes), CRT_GROUP):
+        m, w = _group_root(order, start, min(CRT_GROUP, len(primes) - start))
+        rest = modulus // m
+        lift = rest * pow(rest, -1, m)   # 1 mod m, 0 mod the other groups
+        for k, c in enumerate(residues(m, w)):
+            coeffs[k] += c * lift
     out = []
     for c in coeffs:
         c %= modulus
@@ -442,10 +487,19 @@ def multimodular(n, bound, residues, order=1):
     return out
 
 
-def charpoly_mod(rows, p):
-    """char poly of an integer matrix mod prime p, monic, ascending coeffs."""
+def charpoly_mod(rows, m):
+    """Characteristic polynomial of an integer matrix modulo m, monic,
+    ascending coefficients in [0, m); m is a prime or a product of
+    distinct primes.
+
+    The Hessenberg reduction inverts each pivot modulo m.  While every
+    pivot is a unit, each step maps onto the same step modulo each prime of
+    m, so the result is the CRT of the per-prime polynomials.  A pivot that
+    is not a unit is zero modulo some primes of m, where the reduction
+    picks a later pivot: m splits there by gcd into two coprime halves,
+    each is reduced on its own, and CRT joins them."""
     n = len(rows)
-    h = [[x % p for x in row] for row in rows]
+    h = [[x % m for x in row] for row in rows]
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if h[i][j]), None)
         if piv is None:
@@ -454,15 +508,22 @@ def charpoly_mod(rows, p):
             h[piv], h[j + 1] = h[j + 1], h[piv]
             for row in h:
                 row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = pow(h[j + 1][j], p - 2, p)
+        try:
+            inv = pow(h[j + 1][j], -1, m)
+        except ValueError:       # a zero divisor: split m at it
+            g = gcd(h[j + 1][j], m)
+            halves = (g, m // g)
+            polys = [charpoly_mod(rows, half) for half in halves]
+            return [sum(c * e for c, e in zip(cs, _crt_basis(halves))) % m
+                    for cs in zip(*polys)]
         for i in range(j + 2, n):
-            f = h[i][j] * inv % p
+            f = h[i][j] * inv % m
             if f:
                 hi, hj1 = h[i], h[j + 1]
                 for k in range(j, n):
-                    hi[k] = (hi[k] - f * hj1[k]) % p
+                    hi[k] = (hi[k] - f * hj1[k]) % m
                 for row in h:
-                    row[j + 1] = (row[j + 1] + f * row[i]) % p
+                    row[j + 1] = (row[j + 1] + f * row[i]) % m
     # charpoly of leading blocks of the Hessenberg form
     polys = [[1]]
     for i in range(1, n + 1):
@@ -470,16 +531,16 @@ def charpoly_mod(rows, p):
         prev = polys[i - 1]
         cur = [0] * (i + 1)
         for deg, cf in enumerate(prev):
-            cur[deg + 1] = (cur[deg + 1] + cf) % p
-            cur[deg] = (cur[deg] - a * cf) % p
+            cur[deg + 1] = (cur[deg + 1] + cf) % m
+            cur[deg] = (cur[deg] - a * cf) % m
         beta = 1
         for k in range(i - 1, 0, -1):
-            beta = beta * h[k][k - 1] % p
-            coef = h[k - 1][i - 1] * beta % p
+            beta = beta * h[k][k - 1] % m
+            coef = h[k - 1][i - 1] * beta % m
             if coef:
                 pk = polys[k - 1]
                 for deg, cf in enumerate(pk):
-                    cur[deg] = (cur[deg] - coef * cf) % p
+                    cur[deg] = (cur[deg] - coef * cf) % m
         polys.append(cur)
     return polys[n]
 

@@ -128,8 +128,14 @@ class Analysis:
 
     @cached_property
     def charpoly(self):
-        """Integer characteristic polynomial of the H1 action, ascending."""
-        return linalg.poly_product([poly for _o, poly in self.orbit_factors])
+        """Integer characteristic polynomial of the H1 action, ascending:
+        the verdict's witness times x^z and its cyclotomic factors, which
+        by unique factorisation is the product of the orbit factors."""
+        v = self.verdict
+        factors = [list(linalg.cyclotomic_polynomial(n))
+                   for n, mult in v.cyclotomic_factors for _ in range(mult)]
+        return [0] * v.zero_multiplicity + linalg.poly_product(
+            factors + [list(v.witness)] if v.witness else factors)
 
     @cached_property
     def verdict(self):

@@ -15,6 +15,8 @@ against the other:
   specializations at the characters annihilating the lattice;
 - the characteristic polynomial over the group ring (Faddeev-LeVerrier),
   whose specialization at a character is that of the specialized matrix;
+- an integer characteristic polynomial with no modular arithmetic
+  (Berkowitz), against which the multimodular one is checked;
 - composite arc data, based cycles, extremal subgraphs and positive powers
   of the transition graph.
 
@@ -413,6 +415,29 @@ def charpoly_complex_exact(entries):
     ents = [[e.promoted(order) for e in row] for row in entries]
     return charpoly_generic(ents, cyclotomic_zero(order),
                             Cyclotomic.from_rational(1, order))
+
+
+def charpoly_berkowitz(rows):
+    """det(xI - M) of a square integer matrix, ascending, by Berkowitz's
+    division-free algorithm on plain ints: the exact reference for
+    ``linalg.charpoly_int``, which reconstructs by CRT.
+
+    With A the leading k x k block, C the column and R the row that extend
+    it, and a the new diagonal entry, det(xI - A') is the Toeplitz product
+    of (1, -a, -RC, -RAC, ..., -RA^(k-1)C) with det(xI - A), both written
+    highest degree first."""
+    poly = [1]
+    for k in range(len(rows)):
+        col = [rows[i][k] for i in range(k)]
+        toeplitz = [1, -rows[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(r * c for r, c in zip(rows[k], col)))
+            col = [sum(rows[i][j] * col[j] for j in range(k))
+                   for i in range(k)]
+        poly = [sum(toeplitz[i - j] * poly[j]
+                    for j in range(max(0, i - k - 1), min(i, k) + 1))
+                for i in range(k + 2)]
+    return poly[::-1]
 
 
 def cyc_mat_mul(a, b):

@@ -205,6 +205,7 @@ def test_verify_rejects_tampered_values(tmp_path, silver_cert, field, value,
 
 @pytest.mark.parametrize("name, modulus", [("unipotent_silver", 10 ** 6),
                                            ("unipotent_silver", 10 ** 30),
+                                           ("unipotent_silver", 2 ** 61 - 1),
                                            ("unipotent_rank2", 20000)])
 def test_verify_refuses_a_huge_cover_before_listing_characters(
         tmp_path, monkeypatch, name, modulus):
@@ -218,17 +219,21 @@ def test_verify_refuses_a_huge_cover_before_listing_characters(
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(data))
     # the exact coefficient bound's binomial is never evaluated: a lower
-    # bound already needs more primes than the cap
-    binomials = []
-    comb = linalg.comb
+    # bound already needs more primes than the cap; and a prime order, whose
+    # trial division would not finish, is refused before it is factored
+    binomials, factored = [], []
+    comb, prime_factors = linalg.comb, linalg.prime_factors
     monkeypatch.setattr(linalg, "comb",
                         lambda *args: binomials.append(args) or comb(*args))
+    if modulus == 2 ** 61 - 1:
+        monkeypatch.setattr(linalg, "prime_factors",
+                            lambda n: factored.append(n) or prime_factors(n))
     started = time.perf_counter()
     code, out, err = run("verify", str(path))
     assert time.perf_counter() - started < 15
     assert code == 1 and not out
     assert err == "error: charpoly: prime pool exhausted\n"
-    assert binomials == []
+    assert binomials == [] and factored == []
 
 
 MISSING = object()    # the field is deleted

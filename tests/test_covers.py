@@ -1,6 +1,6 @@
 import random
 from itertools import chain, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -22,15 +22,24 @@ from homolift.search import Analysis
 from homolift.transition import (SubgraphSelection, _growth_is_one,
                                  dilatation, subgraph_matrix,
                                  transition_graph, vertex_subgraph)
-from oracles import (Laurent, chain_action_matrix, cover_chain_action_check,
-                     deck_action_on_quotient, deck_commutes, deck_edge,
-                     deck_vertex, edge_info, mat_vec, project_path)
+from oracles import (Laurent, chain_action_matrix, charpoly_berkowitz,
+                     cover_chain_action_check, deck_action_on_quotient,
+                     deck_commutes, deck_edge, deck_vertex, edge_info,
+                     mat_vec, project_path)
 
 AB_MAP = """vertices: v
 edges: a: v -> v ; b: v -> v
 base: v
 map a -> a
 map b -> b a
+"""
+
+SINGULAR_MAP = """vertices: v
+edges: a: v -> v ; b: v -> v ; c: v -> v
+base: v
+map a -> a
+map b -> b
+map c -> a b
 """
 
 
@@ -173,6 +182,55 @@ def test_prime_cap_check_refuses_as_the_exact_bound_does():
                     n, radius, order)) == exact, (n, radius, order)
 
 
+def test_charpoly_mod_of_a_prime_product_is_each_primes():
+    # modulo a product of 2 to 4 pool primes the polynomial reduces to
+    # each prime's own
+    rng = random.Random(11)
+    for size in (2, 3, 4):
+        primes = [linalg.pool_prime(1, i) for i in range(size)]
+        for n in (1, 2, 3, 6, 10):
+            rows = [[rng.randint(-2 ** 70, 2 ** 70) for _ in range(n)]
+                    for _ in range(n)]
+            got = linalg.charpoly_mod(rows, prod(primes))
+            for q in primes:
+                assert [c % q for c in got] == linalg.charpoly_mod(rows, q)
+
+
+def test_charpoly_mod_splits_the_modulus_at_a_zero_divisor(monkeypatch):
+    # the subdiagonal pivot q is zero modulo q, where the reduction pivots
+    # on the row below instead: modulo q * r it splits into q and r
+    q, r = linalg.pool_prime(1, 0), linalg.pool_prime(1, 1)
+    rows = [[1, 2, 3], [q, 5, 6], [7, 8, 9]]
+    exact = charpoly_berkowitz(rows)
+    calls = []
+    real = linalg.charpoly_mod
+    monkeypatch.setattr(linalg, "charpoly_mod",
+                        lambda rows, m: calls.append(m) or real(rows, m))
+    got = linalg.charpoly_mod(rows, q * r)
+    assert calls == [q * r, q, r]
+    assert got == [c % (q * r) for c in exact]
+    assert [c % q for c in got] == real(rows, q)
+
+
+@pytest.mark.parametrize("n, entry, primes", [
+    (4, 9, 1), (6, 10 ** 9, 4), (8, 10 ** 9, 5), (8, 2 ** 63, 9)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_charpoly_int_matches_berkowitz(n, entry, primes, data):
+    # within one group of CRT primes, at its boundary and across groups;
+    # the first row's entries are +-entry, so the row-sum norm, and with it
+    # the prime count, is fixed
+    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n,
+                               max_size=n))
+    rest = data.draw(st.lists(st.lists(st.integers(-entry, entry),
+                                       min_size=n, max_size=n),
+                              min_size=n - 1, max_size=n - 1))
+    rows = [[s * entry for s in signs]] + rest
+    assert len(linalg.crt_primes(
+        linalg.coefficient_bound(n, n * entry))) == primes
+    assert linalg.charpoly_int(rows) == charpoly_berkowitz(rows)
+
+
 def test_charpoly_prime_pool_exhausted_is_resource_limit():
     # the coefficient bound 2^5000 is beyond the 64 primes of 62 bits
     with pytest.raises(ResourceLimitError, match="prime pool"):
@@ -218,7 +276,10 @@ def test_unit_circle_mixed():
 def _matches_dense(level):
     """The level's block charpoly against the dense oracle: exactly, or
     modulo one 62-bit prime for H1 matrices above 150 x 150, whose full
-    CRT reconstruction takes about a minute."""
+    CRT reconstruction takes about a minute.  The charpoly is read off the
+    verdict, so it must also be the product of the orbit factors."""
+    assert level.charpoly == linalg.poly_product(
+        [poly for _o, poly in level.orbit_factors])
     dense = h1_action_on_cover(level.lifted)
     if len(dense) <= 150:
         return level.charpoly == linalg.charpoly_int(dense)
@@ -233,6 +294,18 @@ def test_block_charpoly_matches_dense_on_corpus(analyses, name):
     assert an.charpoly == linalg.charpoly_int(an.action.matrix)   # G = 1
     for k in range(2, 5) if an.quotient.rank else ():
         level = an.cover(k)
+        assert _matches_dense(level)
+
+
+def test_block_charpoly_keeps_zero_eigenvalues():
+    # the charpoly is read off the verdict, x^z included: c -> a b makes
+    # the H1 action singular, at the base and on every cover
+    an = Analysis.of(parse_graph_map(SINGULAR_MAP))
+    assert an.verdict.zero_multiplicity == 1
+    assert an.charpoly == linalg.charpoly_int(an.action.matrix)
+    for k in (2, 3):
+        level = an.cover(k)
+        assert level.verdict.zero_multiplicity == k * k
         assert _matches_dense(level)
 
 
@@ -291,14 +364,17 @@ def test_orbit_charpoly_matches_dense(analyses, name, k, sizes, count):
 
 def test_orbit_charpoly_makes_few_block_charpolys(silver, monkeypatch):
     # one CRT over the whole level would pay 13 primes x 192 characters x
-    # 2 blocks = 4992 calls; per-orbit bounds make 1216
+    # 2 blocks = 4992 calls, and per-orbit bounds one call per prime 1216;
+    # one call per group of up to 4 primes evaluates every character's 2
+    # blocks once, and the 64 characters of order 192 (5 primes) twice:
+    # 2 x (192 + 64) = 512
     level = Analysis.of(silver).cover(192)
     calls = []
     real = linalg.charpoly_mod
     monkeypatch.setattr(linalg, "charpoly_mod",
                         lambda rows, p: calls.append(p) or real(rows, p))
     assert len(level.charpoly) == 192 * 2 + 2
-    assert len(calls) <= 1300
+    assert len(calls) <= 512
 
 
 def test_orbit_prime_cap_is_checked_before_any_residue(analyses,
