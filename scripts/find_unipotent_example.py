@@ -14,9 +14,13 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np
+from generator import (abelian_vector, is_unipotent_nontrivial, reduced_words,
+                       rose_gm)
 
 from homolift import magnus
 from homolift.graphs import parse_graph_map
@@ -29,41 +33,6 @@ LETTERS = "abc"
 
 def inv(letter):
     return letter.swapcase()
-
-
-def reduced_words(max_len):
-    out = []
-    alphabet = list(LETTERS + LETTERS.upper())
-    def rec(word):
-        if word:
-            out.append("".join(word))
-        if len(word) == max_len:
-            return
-        for l in alphabet:
-            if word and inv(word[-1]) == l:
-                continue
-            rec(word + [l])
-    rec([])
-    return out
-
-
-def abelian_vector(word):
-    v = [0, 0, 0]
-    for l in word:
-        i = LETTERS.index(l.lower())
-        v[i] += 1 if l.islower() else -1
-    return v
-
-
-def is_unipotent(cols):
-    m = [[cols[j][i] for j in range(3)] for i in range(3)]
-    n = [[m[i][j] - int(i == j) for j in range(3)] for i in range(3)]
-    def mul(a, b):
-        return [[sum(a[i][t] * b[t][j] for t in range(3)) for j in range(3)]
-                for i in range(3)]
-    n2 = mul(n, n)
-    n3 = mul(n2, n)
-    return all(x == 0 for row in n3 for x in row) and any(x for row in n for x in row)
 
 
 def growth(words):
@@ -167,16 +136,6 @@ def pi1_surjective(words):
     return len(verts) == 1 and len(final) == len(LETTERS)
 
 
-def to_gm(words):
-    lines = ["vertices: v",
-             "edges: a: v -> v ; b: v -> v ; c: v -> v",
-             "base: v"]
-    for l, w in zip(LETTERS, words):
-        lines.append(f"map {l} -> " + " ".join(
-            ch if ch.islower() else ch.upper() for ch in w))
-    return "\n".join(lines) + "\n"
-
-
 def float_cover_prescreen(f, max_order):
     """Smallest character order whose specialization has an eigenvalue off
     the unit circle (float check; confirmed exactly later)."""
@@ -206,10 +165,9 @@ def main():
     ap.add_argument("--max-results", type=int, default=6)
     args = ap.parse_args()
 
-    words = [w for w in reduced_words(args.max_len) if len(w) >= 1]
     by_vec = {}
-    for w in words:
-        by_vec.setdefault(tuple(abelian_vector(w)), []).append(w)
+    for w in reduced_words(LETTERS, args.max_len):
+        by_vec.setdefault(abelian_vector(w, len(LETTERS)), []).append(w)
     vecs = sorted(by_vec)
     rng = random.Random(args.seed)
 
@@ -218,7 +176,8 @@ def main():
     for va in vecs:
         for vb in vecs:
             for vc in vecs:
-                if is_unipotent((va, vb, vc)):
+                if is_unipotent_nontrivial([by_vec[v][0]
+                                            for v in (va, vb, vc)]):
                     unip_triples.append((va, vb, vc))
     print(f"unipotent abelian triples: {len(unip_triples)}", flush=True)
     rng.shuffle(unip_triples)
@@ -247,7 +206,7 @@ def main():
                 continue
             if not pi1_surjective(ws):
                 continue
-            text = to_gm(ws)
+            text = rose_gm(ws)
             f = parse_graph_map(text)
             n = float_cover_prescreen(f, 6)
             if n is None:

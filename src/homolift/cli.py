@@ -242,7 +242,7 @@ def main(argv=None, out=None, err=None):
     except HomoliftError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ERROR
 

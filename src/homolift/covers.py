@@ -55,11 +55,12 @@ eigenvalues of the A(chi), bounded by L, the longest edge image, which
 bounds each block's row sums; so CRT recombines N_O on its own against
 C(m_O, i) * L^i, one evaluation of the orbit's blocks per group of up to
 four primes (``linalg.multimodular``), and charpoly(H1) is the product of
-the N_O over Z.  The primes are shared by the orbits, and the largest
-orbit's count is checked against the cap before any character is listed:
-a character of order the exponent of G has the largest orbit, of size
-phi(exponent) >= sqrt(exponent / 2), a bound that refuses a huge exponent
-before it is factored.  The base map is the case G = 1, a single orbit.
+the N_O over Z.  The primes are shared by the orbits.  How many a degree
+needs, and whether that is past the cap, is ``linalg.crt_primes``'s
+decision alone, and the largest orbit's count is asked of it before any
+character is listed: a character of order the exponent of G has the
+largest orbit, of size phi(exponent) >= sqrt(exponent / 2), so a first
+count at that lower bound refuses a huge exponent before it is factored.  The base map is the case G = 1, a single orbit.
 A level's polynomial stays factored as the tuple of its N_O all the way
 to the verdict, and the whole polynomial is the verdict's witness times
 its powers of x and cyclotomic factors.  The dense charpoly of the
@@ -94,7 +95,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CertificateError, LiftError, ValidationError
-from .graphs import Edge, EdgePath, Graph, GraphMap
+from .graphs import Edge, EdgePath, Graph, GraphMap, tree_potential
 from .homology import homology_action, spanning_tree
 
 
@@ -213,22 +214,25 @@ class CoverGraph:
         return Graph(tuple(self.vertex_info), edges, _at(g.base, q.zero()))
 
 
+def _offsets(graph, quotient, value):
+    """The tree potential of ``value`` (``graphs.tree_potential``), each
+    vertex's reduced into the deck group ``quotient``."""
+    return {v: tuple(map(operator.mod, p, quotient.diag))
+            for v, p in tree_potential(graph, value,
+                                       len(quotient.diag)).items()}
+
+
 def _connected(graph, fq, cocycle):
     """Whether the cover that ``cocycle`` labels in ``fq`` is connected.
 
-    With s the cocycle summed along the base graph's spanning tree, the
-    copy v@x is reached from the base's copy at zero exactly when x - s(v)
-    lies in the subgroup H generated by the loop voltages s(o(e)) + c(e) -
-    s(t(e)); so the cover is connected exactly when H = G, that is when the
-    voltages and diag Z^d span Z^d.  The Hermite basis of that lattice is
-    updated one voltage at a time, and the cover is connected once its
-    pivots are all 1."""
-    s = {graph.base: fq.zero()}
-    for e, d in graph.tree_steps():
-        if d > 0:
-            s[e.terminus] = fq.add(s[e.origin], cocycle[e.name])
-        else:
-            s[e.origin] = fq.add(s[e.terminus], fq.neg(cocycle[e.name]))
+    With s the cocycle summed along the base graph's spanning tree
+    (``_offsets``), the copy v@x is reached from the base's copy at zero
+    exactly when x - s(v) lies in the subgroup H generated by the loop
+    voltages s(o(e)) + c(e) - s(t(e)); so the cover is connected exactly
+    when H = G, that is when the voltages and diag Z^d span Z^d.  The
+    Hermite basis of that lattice is updated one voltage at a time, and the
+    cover is connected once its pivots are all 1."""
+    s = _offsets(graph, fq, cocycle.__getitem__)
     dim = len(fq.diag)
     basis = [[m * (i == j) for j in range(dim)] for i, m in enumerate(fq.diag)]
     for e in graph.edges:
@@ -290,27 +294,21 @@ def _fiber_zero(f, quotient, cocycle):
     deck group is its translate.
 
     The lift sends v@0 to f(v)@s(v), with s(base) = 0 and s(t(e)) =
-    s(o(e)) + c(f(e)) - c(e), c the cocycle sum, so the breadth-first tree
-    fixes s.  Returns, per base edge, the steps (base edge, element, sign)
-    of the lift of f(e) from f(o(e))@s(o(e)), and per base vertex the pair
-    (f(v), s(v)).  The lift of every edge must end at f(t(e))@(c(e) +
-    s(t(e))); otherwise the cocycle is not f-invariant and LiftError is
-    raised.
+    s(o(e)) + c(f(e)) - c(e), c the cocycle sum, so s is the tree
+    potential of c(f(e)) - c(e) (``_offsets``).  Returns, per base edge,
+    the steps (base edge, element, sign) of the lift of f(e) from
+    f(o(e))@s(o(e)), and per base vertex the pair (f(v), s(v)).  The lift
+    of every edge must end at f(t(e))@(c(e) + s(t(e))); otherwise the
+    cocycle is not f-invariant and LiftError is raised.
     """
     g, q = f.graph, quotient
 
-    def image_sum(e):     # c(f(e))
-        steps = f.edge_image[e.name].steps
-        return tuple(sum(d * cocycle[n][i] for n, d in steps) % m
-                     for i, m in enumerate(q.diag))
+    def delta(name):     # c(f(e)) - c(e)
+        steps = f.edge_image[name].steps
+        return tuple(sum(d * cocycle[n][i] for n, d in steps) - ci
+                     for i, ci in enumerate(cocycle[name]))
 
-    shift = {g.base: q.zero()}
-    for e, d in g.tree_steps():
-        delta = q.add(image_sum(e), q.neg(cocycle[e.name]))
-        if d > 0:
-            shift[e.terminus] = q.add(shift[e.origin], delta)
-        else:
-            shift[e.origin] = q.add(shift[e.terminus], q.neg(delta))
+    shift = _offsets(g, q, delta)
     edge_rows = []
     for e in g.edges:
         x, row = shift[e.origin], []
@@ -433,16 +431,15 @@ def orbit_polynomials(f):
     # the cap, before any character is listed: the largest orbit has size
     # phi(order) >= sqrt(order / 2), so a huge order is refused before it
     # is factored
-    linalg.check_huge_degree(isqrt(order // 2) * rank, longest, order)
-    top = max(linalg.totient(order) * rank, rank + 1)
-    linalg.check_prime_cap(top, longest, order)
+    linalg.crt_primes(isqrt(order // 2) * rank, longest, order)
+    linalg.crt_primes(max(linalg.totient(order) * rank, rank + 1), longest,
+                      order)
     orbits = _galois_orbits(diag)
     degrees = [len(o) * rank for o in orbits]
     degrees[0] += 1        # H0, in the trivial orbit
-    bounds = {n: linalg.coefficient_bound(n, longest) for n in set(degrees)}
     return tuple(
         (_character_order(o[0], diag),
-         linalg.multimodular(n, bounds[n], orbit_residues(o), order))
+         linalg.multimodular(n, longest, orbit_residues(o), order))
         for o, n in zip(orbits, degrees))
 
 

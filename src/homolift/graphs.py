@@ -16,6 +16,7 @@ the traversal counts of iterated images are the whole point.
 
 from collections import deque
 from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import ParseError, ValidationError
 
@@ -47,42 +48,66 @@ class Graph:
                 raise ValidationError(f"edge {e.name}: undeclared terminus {e.terminus}")
         if self.base not in vset:
             raise ValidationError(f"undeclared base vertex {self.base}")
-        if sum(1 for _ in self.tree_steps()) != len(self.vertices) - 1:
+        # the tree and the name index are built once; attributes, not
+        # fields, so they stay out of the dataclass's equality and repr
+        object.__setattr__(self, "_tree", tuple(_breadth_first_tree(self)))
+        if len(self._tree) != len(self.vertices) - 1:
             raise ValidationError("graph is not connected")
         object.__setattr__(self, "_edge_by_name",
                            {e.name: e for e in self.edges})
 
-    def tree_steps(self):
-        """The steps (edge, direction) of the breadth-first spanning tree
-        from the base, in the order they reach a new vertex; each vertex's
-        incidences (+1 at the origin, -1 at the terminus) are scanned in
-        edge declaration order.  O(V + E)."""
-        incidence = {v: [] for v in self.vertices}
-        for e in self.edges:
-            incidence[e.origin].append((e, 1))
-            incidence[e.terminus].append((e, -1))
-        seen = {self.base}
-        queue = deque([self.base])
-        while queue:
-            v = queue.popleft()
-            for e, d in incidence[v]:
-                w = e.terminus if d > 0 else e.origin
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-                    yield e, d
-
     @property
     def edge_by_name(self):
-        # built once in __post_init__; a property, not a field, so it stays
-        # out of the dataclass's equality and repr
         return self._edge_by_name
+
+    @property
+    def tree_edges(self):
+        """The names of the spanning tree's edges (``tree_potential``)."""
+        return frozenset(e.name for e, _d in self._tree)
 
     def step_endpoints(self, step):
         """(start, end) of a single traversal (edge name, direction)."""
         name, direction = step
         e = self.edge_by_name[name]
         return (e.origin, e.terminus) if direction > 0 else (e.terminus, e.origin)
+
+
+def _breadth_first_tree(graph):
+    """The steps (edge, direction) of the breadth-first spanning tree from
+    the base, in the order they reach a new vertex; each vertex's
+    incidences (+1 at the origin, -1 at the terminus) are scanned in edge
+    declaration order.  O(V + E)."""
+    incidence = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        incidence[e.origin].append((e, 1))
+        incidence[e.terminus].append((e, -1))
+    seen = {graph.base}
+    queue = deque([graph.base])
+    while queue:
+        v = queue.popleft()
+        for e, d in incidence[v]:
+            w = e.terminus if d > 0 else e.origin
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+                yield e, d
+
+
+def tree_potential(graph, value, dim):
+    """The potential P of an edge function: P(v) is the sum of the integer
+    tuples ``value(edge name)``, of length ``dim``, along the spanning
+    tree's path from the base to v, each counted with the sign of its
+    traversal; so P(base) = 0 and P(t(e)) = P(o(e)) + value(e) on each tree
+    edge e.  The tree is the breadth-first one the graph was checked
+    connected with (``_breadth_first_tree``), so every tree sum is over the
+    same paths.  A vertex -> tuple dict, in O(V * dim)."""
+    out = {graph.base: (0,) * dim}
+    for e, d in graph._tree:
+        if d > 0:
+            out[e.terminus] = tuple(map(add, out[e.origin], value(e.name)))
+        else:
+            out[e.origin] = tuple(map(sub, out[e.terminus], value(e.name)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -131,21 +156,6 @@ class EdgePath:
         if not self.steps and self.anchor not in graph.vertices:
             raise ValidationError(f"anchor {self.anchor} not a vertex")
         return self
-
-    def reverse(self, graph):
-        if not self.steps:
-            return self
-        rev = tuple((name, -d) for name, d in reversed(self.steps))
-        return EdgePath(rev)
-
-    def concat(self, other, graph):
-        if not self.steps:
-            return other if other.steps else self
-        if not other.steps:
-            return self
-        if self.end(graph) != other.start(graph):
-            raise ValidationError("concatenation of non-composable paths")
-        return EdgePath(self.steps + other.steps)
 
     def has_backtrack(self):
         """First index i where step i is immediately undone by step i+1."""

@@ -1,6 +1,13 @@
 """Integer homology of a graph via a spanning tree, the induced action of a
 self-map, and the torsion-free dynamical quotient it acts trivially on.
 
+H1 has a basis of the non-tree edges e_j, the j-th being the based loop
+T(o(e_j)) e_j T(t(e_j))^-1, with T(v) the tree path from the base to v.
+The class of a path is additive along it, so f* needs no loop: with c(e)
+the class of f(e), the class of f(T(v)) is P(v), the tree potential of c
+(``graphs.tree_potential``), and column j of f* is c(e_j) + P(o(e_j)) -
+P(t(e_j)).  The covers sum their cocycles along the same tree.
+
 The quotient is the torsion-free part of coker(I - f*), computed by Smith
 normal form; the projection matrix is put into Hermite form so identical
 inputs give identical matrices.
@@ -17,14 +24,12 @@ character is the lift's chain action on that character's isotypic part.
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import ValidationError
-from .graphs import EdgePath, empty_path
+from .graphs import tree_potential
 
 
 @dataclass(frozen=True)
 class SpanningTreeData:
     tree_edges: frozenset
-    parents: dict         # vertex -> (parent, tree step into it); no base
     h1_basis: tuple       # non-tree edge names, declaration order
     basis_index: dict     # non-tree edge name -> position in h1_basis
 
@@ -32,28 +37,14 @@ class SpanningTreeData:
     def rank(self):
         return len(self.h1_basis)
 
-    def tree_path(self, v):
-        """The tree path from the base to ``v``, walked up the parents."""
-        steps = []
-        while v in self.parents:
-            v, step = self.parents[v]
-            steps.append(step)
-        return EdgePath(tuple(reversed(steps))) if steps else empty_path(v)
-
 
 def spanning_tree(graph):
-    """Breadth-first spanning tree from the base, edges in declaration order
-    (``Graph.tree_steps``), stored as one parent step per vertex: O(V + E)."""
-    parents = {}
-    for e, d in graph.tree_steps():
-        parent, child = (e.origin, e.terminus) if d > 0 else (e.terminus,
-                                                                e.origin)
-        parents[child] = (parent, (e.name, d))
-    if len(parents) != len(graph.vertices) - 1:
-        raise ValidationError("graph is not connected")
-    tree = frozenset(step[0] for _parent, step in parents.values())
+    """The graph's breadth-first spanning tree from the base
+    (``tree_potential``) and the H1 basis it leaves: the non-tree edges, in
+    declaration order."""
+    tree = graph.tree_edges
     basis = tuple(e.name for e in graph.edges if e.name not in tree)
-    return SpanningTreeData(tree, parents, basis,
+    return SpanningTreeData(tree, basis,
                             {name: i for i, name in enumerate(basis)})
 
 
@@ -71,13 +62,6 @@ def path_class(path, st):
     return tuple(out)
 
 
-def basis_loop(graph, st, edge_name):
-    """The based loop tree_path(o(e)) . e . tree_path(t(e))^-1."""
-    e = graph.edge_by_name[edge_name]
-    p = st.tree_path(e.origin).concat(EdgePath(((edge_name, 1),)), graph)
-    return p.concat(st.tree_path(e.terminus).reverse(graph), graph)
-
-
 @dataclass(frozen=True)
 class HomologyAction:
     matrix: tuple  # rows; column j is the class of f(loop of j-th basis edge)
@@ -88,11 +72,16 @@ class HomologyAction:
 
 
 def homology_action(f, st):
-    r = st.rank
+    """f* on H1 from the tree potential of the edge images' classes (see
+    the module docstring); column j is c(e_j) + P(o(e_j)) - P(t(e_j))."""
+    g, r = f.graph, st.rank
+    c = {e.name: path_class(f.edge_image[e.name], st) for e in g.edges}
+    potential = tree_potential(g, c.__getitem__, r)
     cols = []
     for name in st.h1_basis:
-        loop = basis_loop(f.graph, st, name)
-        cols.append(path_class(f.apply_to_path(loop), st))
+        e = g.edge_by_name[name]
+        cols.append(tuple(x + y - z for x, y, z in zip(
+            c[name], potential[e.origin], potential[e.terminus])))
     matrix = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
     return HomologyAction(matrix)
 

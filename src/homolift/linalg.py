@@ -385,56 +385,45 @@ def prime_root(n, i):
         g += 1
 
 
-def coefficient_bound(n, radius):
-    """Bound on |e_i| for a monic degree-n polynomial whose roots all have
-    modulus at most ``radius``: max_i C(n, i) * radius^i.  The terms grow
-    while (n - i) * radius > i + 1, so the largest is the first i with
-    i >= (n * radius - 1) / (radius + 1)."""
-    i = max(0, -(-(n * radius - 1) // (radius + 1)))
-    return comb(n, i) * radius ** i
+def crt_primes(n, radius, order=1):
+    """The first primes ``pool_prime(order, .)`` whose product exceeds 2B +
+    1, B the bound max_i C(n, i) * radius^i on the coefficients of a monic
+    degree-n polynomial whose roots have modulus at most ``radius``;
+    ResourceLimitError when more than CRT_PRIME_CAP are needed.  Only
+    primes are generated: no residue, no root of unity, so n may be a lower
+    bound for a degree whose exact value would need a factorisation.
 
-
-def crt_primes(bound, order=1):
-    """The first primes ``pool_prime(order, .)`` whose product exceeds 2 *
-    bound + 1; ResourceLimitError when more than CRT_PRIME_CAP are needed.
-    Only primes are generated: no residue, no root of unity."""
-    primes = []
-    modulus = 1
-    while modulus <= 2 * bound + 1:
-        if len(primes) == CRT_PRIME_CAP:
-            raise ResourceLimitError("charpoly: prime pool exhausted")
-        primes.append(pool_prime(order, len(primes)))
-        modulus *= primes[-1]
-    return primes
-
-
-def check_huge_degree(n, radius, order=1):
-    """Raise ResourceLimitError when a monic polynomial of degree n or more
-    whose roots have modulus at most ``radius`` >= 1 needs more than
-    CRT_PRIME_CAP primes, deciding from n alone; only a degree above 2 * 62
-    * CRT_PRIME_CAP is decided, and a smaller n passes.
-
-    The coefficient bound is at least the mean of its n + 1 terms, (1 +
-    radius)^n // (n + 1), which grows with n.  At m = 2b, b the bit length
-    of the cap's prime product, the mean exceeds 2^b, so a degree above m
-    is refused from an integer of about m bits.  Every pool prime exceeds
-    2^62, so b > 62 * CRT_PRIME_CAP.  Only pool primes are generated, no
-    root of unity, so n may be a lower bound for a degree whose exact value
-    would need a factorisation."""
+    B lies between the mean (1 + radius)^n // (n + 1) and the sum (1 +
+    radius)^n of its n + 1 terms.  Every pool prime exceeds 2^62, so the
+    mean's primes mostly exceed twice the sum already, and B itself is
+    evaluated only when they do not: its terms grow while (n - i) * radius
+    > i + 1, so it is C(n, i) * radius^i at the first i >= (n * radius - 1)
+    / (radius + 1).  Past degree 2 * 62 * CRT_PRIME_CAP a degree above m =
+    2b, b the bit length of the cap's prime product (so b > 62 *
+    CRT_PRIME_CAP), is decided from the mean at degree m, an integer of
+    about m bits, which B at degree n exceeds: for radius >= 1 that mean
+    exceeds 2^b and is refused, and for radius 0, B = 1 and one prime does.
+    """
+    m = n
     if n > 2 * 62 * CRT_PRIME_CAP:
         cap = prod(pool_prime(order, i) for i in range(CRT_PRIME_CAP))
         m = min(n, 2 * cap.bit_length())
-        crt_primes((1 + radius) ** m // (m + 1), order)
+    primes = []
+    modulus = 1
 
+    def exceed(bound):
+        nonlocal modulus
+        while modulus <= 2 * bound + 1:
+            if len(primes) == CRT_PRIME_CAP:
+                raise ResourceLimitError("charpoly: prime pool exhausted")
+            primes.append(pool_prime(order, len(primes)))
+            modulus *= primes[-1]
 
-def check_prime_cap(n, radius, order=1):
-    """Raise ResourceLimitError, as ``crt_primes(coefficient_bound(n,
-    radius), order)`` does, when a monic degree-n polynomial whose roots
-    have modulus at most ``radius`` needs more than CRT_PRIME_CAP primes;
-    a huge n is refused by ``check_huge_degree``, without the bound's
-    binomial, which is slow there."""
-    check_huge_degree(n, radius, order)
-    crt_primes(coefficient_bound(n, radius), order)
+    exceed((1 + radius) ** m // (m + 1))
+    if m == n and modulus <= 2 * (1 + radius) ** n + 1:
+        i = max(0, -(-(n * radius - 1) // (radius + 1)))
+        exceed(comb(n, i) * radius ** i)
+    return primes
 
 
 def _crt_basis(moduli):
@@ -455,9 +444,9 @@ def _group_root(order, start, size):
     return m, sum(w * e for (_q, w), e in zip(roots, basis)) % m
 
 
-def multimodular(n, bound, residues, order=1):
-    """The integer polynomial of degree n (ascending, n + 1 coefficients)
-    whose coefficients are at most ``bound`` in absolute value, from
+def multimodular(n, radius, residues, order=1):
+    """The monic integer polynomial of degree n (ascending, n + 1
+    coefficients) whose roots have modulus at most ``radius``, from
     ``residues(m, w)``: its coefficients modulo m, a product of up to
     CRT_GROUP primes q of ``pool_prime(order, .)``, with w a primitive
     order-th root of unity modulo each q (by CRT from ``prime_root``).
@@ -471,15 +460,14 @@ def multimodular(n, bound, residues, order=1):
     keeps the interpreter's per-operation cost, which dominates on small
     matrices, from growing with the prime count.
     """
-    primes = crt_primes(bound, order)
-    modulus = prod(primes)
+    primes = crt_primes(n, radius, order)
+    groups = [_group_root(order, start, min(CRT_GROUP, len(primes) - start))
+              for start in range(0, len(primes), CRT_GROUP)]
     coeffs = [0] * (n + 1)
-    for start in range(0, len(primes), CRT_GROUP):
-        m, w = _group_root(order, start, min(CRT_GROUP, len(primes) - start))
-        rest = modulus // m
-        lift = rest * pow(rest, -1, m)   # 1 mod m, 0 mod the other groups
+    for (m, w), lift in zip(groups, _crt_basis([m for m, _w in groups])):
         for k, c in enumerate(residues(m, w)):
             coeffs[k] += c * lift
+    modulus = prod(primes)
     out = []
     for c in coeffs:
         c %= modulus
@@ -556,5 +544,4 @@ def charpoly_int(rows):
     if n == 0:
         return [1]
     norm = max(1, max(sum(abs(x) for x in row) for row in rows))
-    return multimodular(n, coefficient_bound(n, norm),
-                        lambda q, _w: charpoly_mod(rows, q))
+    return multimodular(n, norm, lambda q, _w: charpoly_mod(rows, q))

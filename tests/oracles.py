@@ -17,6 +17,8 @@ against the other:
   whose specialization at a character is that of the specialized matrix;
 - an integer characteristic polynomial with no modular arithmetic
   (Berkowitz), against which the multimodular one is checked;
+- the homology action from based loops through the spanning tree, against
+  which the one from tree potentials is checked;
 - composite arc data, based cycles, extremal subgraphs and positive powers
   of the transition graph.
 
@@ -35,7 +37,7 @@ from homolift.cyclotomic import Cyclotomic
 from homolift.errors import (DimensionMismatchError, ResourceLimitError,
                              ValidationError)
 from homolift.graphs import EdgePath, empty_path
-from homolift.homology import basis_loop, path_class
+from homolift.homology import path_class
 from homolift.laurent import (Character, LaurentElement, l2_norm_squared,
                               specialize)
 from homolift.magnus import MagnusMatrix, specialize_matrix, trace_power
@@ -234,6 +236,61 @@ def section(quotient):
 
 
 # ---------------------------------------------------------------------------
+# paths, based loops and the homology action they give
+
+
+def reverse(path):
+    """The path walked backwards."""
+    if not path.steps:
+        return path
+    return EdgePath(tuple((name, -d) for name, d in reversed(path.steps)))
+
+
+def concat(graph, first, second):
+    """``first`` then ``second``; ValidationError unless they compose."""
+    if not first.steps:
+        return second if second.steps else first
+    if not second.steps:
+        return first
+    if first.end(graph) != second.start(graph):
+        raise ValidationError("concatenation of non-composable paths")
+    return EdgePath(first.steps + second.steps)
+
+
+def tree_paths(graph, st):
+    """vertex -> the path from the base to it through the tree edges of
+    ``st``, found by a search of its own: a tree has one such path."""
+    paths = {graph.base: empty_path(graph.base)}
+    queue = [graph.base]
+    for v in queue:
+        for e in graph.edges:
+            if e.name not in st.tree_edges:
+                continue
+            for a, b, d in ((e.origin, e.terminus, 1),
+                            (e.terminus, e.origin, -1)):
+                if a == v and b not in paths:
+                    paths[b] = concat(graph, paths[v], EdgePath(((e.name, d),)))
+                    queue.append(b)
+    return paths
+
+
+def basis_loop(graph, paths, edge_name):
+    """The based loop T(o(e)) . e . T(t(e))^-1, T = ``tree_paths``."""
+    e = graph.edge_by_name[edge_name]
+    p = concat(graph, paths[e.origin], EdgePath(((edge_name, 1),)))
+    return concat(graph, p, reverse(paths[e.terminus]))
+
+
+def loop_homology_action(f, st):
+    """f* as rows, column j the class of f applied to the j-th basis loop:
+    the reference ``homology.homology_action`` reads from tree potentials."""
+    paths = tree_paths(f.graph, st)
+    cols = [path_class(f.apply_to_path(basis_loop(f.graph, paths, name)), st)
+            for name in st.h1_basis]
+    return tuple(zip(*cols)) if cols else ()
+
+
+# ---------------------------------------------------------------------------
 # the deck group on a cover, and the lifted chain action
 
 
@@ -336,8 +393,9 @@ def deck_action_on_quotient(lm, st_cover, q_cover, elem):
     cover = lm.cover
     if q_cover.rank == 0:
         return []
-    cols = [path_class(deck_path(cover, basis_loop(cover.graph, st_cover,
-                                                   name), elem), st_cover)
+    paths = tree_paths(cover.graph, st_cover)
+    cols = [path_class(deck_path(cover, basis_loop(cover.graph, paths, name),
+                                 elem), st_cover)
             for name in st_cover.h1_basis]
     r = len(st_cover.h1_basis)
     sigma = [[cols[j][i] for j in range(r)] for i in range(r)]
@@ -499,7 +557,7 @@ def path_data(transition, arcs):
         translation = tuple(x + y for x, y in zip(translation, arc.translation))
         step = arc_prefix(transition, arc)
         prefix = step if prefix is None else \
-            f.apply_to_path(prefix).concat(step, f.graph)
+            concat(f.graph, f.apply_to_path(prefix), step)
         prev = arc
     return sign, translation, prefix
 

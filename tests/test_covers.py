@@ -92,13 +92,15 @@ def test_lift_identity(analyses):
 
 def _lifted_levels(analyses):
     """(label, base level, lifted map): every corpus map at k <= 3, and the
-    multi-vertex levels silver/2 -> {2, 3} and s3/2 -> {2, 3}."""
+    multi-vertex levels silver/2 -> {2, 3}, s3/2 -> {2, 3} and rank2/2 ->
+    2, whose sheet offsets reach below zero before they are reduced."""
     for name, an in analyses.items():
         for k in range(1, 4) if an.quotient.rank else (1,):
             yield f"{name}/{k}", an, lift_map(an.graph_map, cover_of(an, k))
-    for name in ("unipotent_silver", "example_s3"):
+    for name, ks in (("unipotent_silver", (2, 3)), ("example_s3", (2, 3)),
+                     ("unipotent_rank2", (2,))):
         level = analyses[name].cover(2)
-        for k in (2, 3):
+        for k in ks:
             yield (f"{name}/2/{k}", level,
                    lift_map(level.graph_map, cover_of(level, k)))
 
@@ -115,6 +117,11 @@ def test_lift_projects_and_commutes(analyses):
             assert cov.vertex_info[lm.map.vertex_image[vname]][0] == \
                 f.vertex_image[v], label
         assert deck_commutes(lm), label
+        # the fiber-zero rows name elements of G, reduced
+        edge_rows, vertex_rows = lm.rows
+        elements = set(cov.elements)
+        assert {x for row in edge_rows for _n, x, _d in row} | \
+            {y for _w, y in vertex_rows} <= elements, label
     assert multi_vertex >= 4
 
 
@@ -149,37 +156,48 @@ def test_s3_cover_action_roots_of_unity(analyses):
     assert verdict.all_on_circle
 
 
+def _scanned_bound(n, radius):
+    """max_i C(n, i) * radius^i, by a scan over every term."""
+    bound = term = 1
+    for i in range(1, n + 1):
+        term = term * (n - i + 1) * radius // i
+        bound = max(bound, term)
+    return bound
+
+
+def _primes_past(bound, order=1):
+    """The first pool primes whose product exceeds 2 * bound + 1, or one
+    more than the cap's worth of them if that does not."""
+    primes, modulus = [], 1
+    while modulus <= 2 * bound + 1 and len(primes) <= linalg.CRT_PRIME_CAP:
+        primes.append(linalg.pool_prime(order, len(primes)))
+        modulus *= primes[-1]
+    return primes
+
+
 def test_coefficient_bound_is_the_largest_term():
-    # the closed form against the scan over every term C(n, i) * radius^i
-    def scanned(n, radius):
-        bound = binom = power = 1
-        for i in range(1, n + 1):
-            binom = binom * (n - i + 1) // i
-            power *= radius
-            bound = max(bound, binom * power)
-        return bound
+    # crt_primes's bound against the scan over every term C(n, i) * radius^i
     for n in range(120):
         for radius in range(7):
-            assert linalg.coefficient_bound(n, radius) == scanned(n, radius)
+            assert linalg.crt_primes(n, radius) == \
+                _primes_past(_scanned_bound(n, radius)), (n, radius)
 
 
 def test_prime_cap_check_refuses_as_the_exact_bound_does():
-    # past degree 2 * 62 * CRT_PRIME_CAP = 7936 the check refuses from the
+    # past degree 2 * 62 * CRT_PRIME_CAP = 7936 crt_primes refuses from the
     # mean of the bound's terms; on both sides of it, and of the degree
-    # where the cap's primes run out, it agrees with the exact bound
-    def refuses(check):
-        try:
-            check()
-        except ResourceLimitError:
-            return True
-        return False
+    # where the cap's primes run out, it agrees with the scanned bound
     for n in (1, 4000, 4050, 4100, 7936, 7937, 8064, 8065, 20000):
         for radius in (0, 1, 3):
+            bound = _scanned_bound(n, radius)
             for order in (1, 192):
-                exact = refuses(lambda: linalg.crt_primes(
-                    linalg.coefficient_bound(n, radius), order))
-                assert refuses(lambda: linalg.check_prime_cap(
-                    n, radius, order)) == exact, (n, radius, order)
+                exact = _primes_past(bound, order)
+                if len(exact) > linalg.CRT_PRIME_CAP:
+                    with pytest.raises(ResourceLimitError):
+                        linalg.crt_primes(n, radius, order)
+                else:
+                    assert linalg.crt_primes(n, radius, order) == exact, \
+                        (n, radius, order)
 
 
 def test_charpoly_mod_of_a_prime_product_is_each_primes():
@@ -226,8 +244,7 @@ def test_charpoly_int_matches_berkowitz(n, entry, primes, data):
                                        min_size=n, max_size=n),
                               min_size=n - 1, max_size=n - 1))
     rows = [[s * entry for s in signs]] + rest
-    assert len(linalg.crt_primes(
-        linalg.coefficient_bound(n, n * entry))) == primes
+    assert len(linalg.crt_primes(n, n * entry)) == primes
     assert linalg.charpoly_int(rows) == charpoly_berkowitz(rows)
 
 

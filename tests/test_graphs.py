@@ -5,7 +5,7 @@ from homolift.errors import ParseError, ValidationError
 from homolift.graphs import (EdgePath, check_immersion, empty_path,
                              parse_graph_map, serialize_graph_map)
 from homolift.transition import count_matrix
-from oracles import iterate_edge_image
+from oracles import concat, iterate_edge_image, reverse
 
 
 def steps(word):
@@ -197,12 +197,12 @@ map y -> y
     EdgePath(steps("ty")).validate(g)
     with pytest.raises(ValidationError):
         EdgePath(steps("tt")).validate(g)
-    rev = EdgePath(steps("ty")).reverse(g)
+    rev = reverse(EdgePath(steps("ty")))
     assert rev.steps == steps("YT")
-    joined = EdgePath(steps("t")).concat(EdgePath(steps("y")), g)
+    joined = concat(g, EdgePath(steps("t")), EdgePath(steps("y")))
     assert joined.steps == steps("ty")
     with pytest.raises(ValidationError):
-        EdgePath(steps("y")).concat(EdgePath(steps("t")), g)
+        concat(g, EdgePath(steps("y")), EdgePath(steps("t")))
 
 
 def test_disconnected_graph_rejected():

@@ -4,10 +4,11 @@ import pytest
 
 from homolift import linalg
 from homolift.errors import HomoliftError
-from homolift.graphs import Edge, EdgePath, Graph, empty_path, parse_graph_map
+from homolift.graphs import (Edge, EdgePath, Graph, empty_path,
+                             parse_graph_map, tree_potential)
 from homolift.homology import (equivariant_quotient, homology_action,
                                path_class, spanning_tree)
-from oracles import mat_mul, section
+from oracles import concat, loop_homology_action, mat_mul, section
 
 
 def steps(word):
@@ -36,8 +37,9 @@ def test_spanning_tree_theta():
     st = spanning_tree(theta)
     assert len(st.tree_edges) == 1
     assert st.rank == 2
-    assert st.tree_path("u").is_empty()
-    assert st.tree_path("w").steps == (("a", 1),)
+    assert st.tree_edges == {"a"}
+    assert tree_potential(theta, lambda name: (1,), 1) == {"u": (0,),
+                                                           "w": (1,)}
 
 
 def test_spanning_tree_single_loop():
@@ -63,36 +65,62 @@ def _declaration_scan_tree(graph):
     return parent
 
 
+def _one_hot(graph):
+    """The edge function sending the i-th edge to the i-th unit vector:
+    its tree potential at v counts the signed steps of the tree path to
+    v."""
+    index = {e.name: i for i, e in enumerate(graph.edges)}
+    return lambda name: tuple(int(i == index[name])
+                              for i in range(len(index)))
+
+
+def _depth_two_levels(analyses):
+    return [analyses[name].cover(2).cover(3)
+            for name in ("unipotent_silver", "example_s3", "unipotent_rank2")]
+
+
 def test_spanning_tree_matches_declaration_scan(analyses):
     graphs = [an.graph_map.graph for an in analyses.values()]
     for name in ("unipotent_silver", "example_s3", "unipotent_rank2"):
-        level = analyses[name].cover(2)
-        graphs.append(level.graph_map.graph)
-        graphs.append(level.cover(3).graph_map.graph)
+        graphs.append(analyses[name].cover(2).graph_map.graph)
+    graphs += [level.graph_map.graph for level in _depth_two_levels(analyses)]
     for g in graphs:
         parent = _declaration_scan_tree(g)
         st = spanning_tree(g)
         assert st.tree_edges == {p[0] for p in parent.values() if p}
+        potential = tree_potential(g, _one_hot(g), len(g.edges))
+        index = {e.name: i for i, e in enumerate(g.edges)}
         for v in g.vertices:
-            walk, w = [], v
+            counts, w = [0] * len(g.edges), v
             while parent[w] is not None:
-                walk.append(parent[w])
+                counts[index[parent[w][0]]] += parent[w][1]
                 w = g.step_endpoints(parent[w])[0]
-            assert st.tree_path(v).steps == tuple(reversed(walk))
-            assert st.tree_path(v).start(g) == g.base
+            assert potential[v] == tuple(counts)
 
 
 def test_spanning_tree_stores_one_step_per_vertex(analyses):
-    # a cyclic cover's tree is a long path: one parent step per vertex keeps
-    # it linear, where a stored path per vertex would hold about V^2 / 4
+    # a cyclic cover's tree is a long path: one step per vertex keeps it
+    # linear, where a stored path per vertex would hold about V^2 / 4
     level = analyses["unipotent_silver"].cover(64)
     g = level.graph_map.graph
     st = spanning_tree(g)
-    assert len(st.parents) == len(g.vertices) - 1
-    assert g.base not in st.parents
-    depths = [len(st.tree_path(v).validate(g)) for v in g.vertices]
-    assert max(depths) >= len(g.vertices) // 2
-    assert all(st.tree_path(v).end(g) == v for v in g.vertices)
+    assert len(st.tree_edges) == len(g.vertices) - 1
+    potential = tree_potential(g, _one_hot(g), len(g.edges))
+    assert set(potential) == set(g.vertices)
+    assert max(sum(map(abs, p)) for p in potential.values()) >= \
+        len(g.vertices) // 2
+
+
+def test_homology_action_matches_the_loop_reference(analyses,
+                                                    multi_vertex_levels):
+    # f* from tree potentials against f applied to each based loop; the
+    # corpus maps are roses, whose potentials vanish, so the multi-vertex
+    # levels are what exercise the tree sum
+    levels = [*analyses.values(), *multi_vertex_levels,
+              *_depth_two_levels(analyses)]
+    for level in levels:
+        f, st = level.graph_map, level.tree
+        assert homology_action(f, st).matrix == loop_homology_action(f, st)
 
 
 def test_division_by_a_non_monic_polynomial_is_a_homolift_error():
@@ -208,7 +236,7 @@ def test_translate_additive_on_concatenation(analyses, dense_translation):
         for _ in range(200):
             p, mid = _random_walk(g, rng, rng.randint(0, 6), g.base)
             qpath, _ = _random_walk(g, rng, rng.randint(0, 6), mid)
-            whole = p.concat(qpath, g)
+            whole = concat(g, p, qpath)
             lhs = _cocycle_sum(an.quotient, whole)
             assert lhs == dense_translation(an.quotient, an.tree, whole)
             a = dense_translation(an.quotient, an.tree, p)

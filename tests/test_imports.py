@@ -41,6 +41,22 @@ def test_package_imports_nothing_from_the_tests():
                                                               module)
 
 
+def test_only_graphs_walks_the_spanning_tree():
+    # every tree sum (f*, the cover's connectivity, the lift's sheet
+    # offsets) is graphs.tree_potential; a module that reads the stored
+    # tree steps, or walks the tree itself, writes that walk again
+    tree = {"_tree", "_breadth_first_tree", "tree_steps"}
+    readers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in tree:
+                readers.add(path.name)
+    assert readers == {"graphs.py"}
+
+
 def _unused_imports(path):
     """The names the file's module-level imports bind that it never reads."""
     tree = ast.parse(path.read_text())
