@@ -23,6 +23,7 @@ from generator import (abelian_vector, is_unipotent_nontrivial, reduced_words,
                        rose_gm)
 
 from homolift import magnus
+from homolift.errors import HomoliftError
 from homolift.graphs import parse_graph_map
 from homolift.laurent import character_grid
 from homolift.search import Analysis, SearchConfig, brute_force_oracle, check_anchored, check_l2, character_scan
@@ -232,7 +233,7 @@ def main():
                                               vertex_subgraph(an.transition, u)))
                     for u in poly.vertices)
                 nverts = len(poly.vertices)
-            except Exception as exc:
+            except HomoliftError as exc:   # the cycle cap, or no vertex
                 stable, nverts = None, str(exc)
             results.append((cert.degree, ws, lam, d, crits, stable, nverts, text))
             print(f"FOUND degree={cert.degree} words={ws} lambda={lam:.4f} "

@@ -97,6 +97,7 @@ from . import linalg
 from .errors import CertificateError, LiftError, ValidationError
 from .graphs import Edge, EdgePath, Graph, GraphMap, tree_potential
 from .homology import homology_action, spanning_tree
+from .laurent import character_order
 
 
 @dataclass(frozen=True)
@@ -337,11 +338,6 @@ def lift_map(f, cover):
     return LiftedMap(cover, f, _fiber_zero(f, cover.quotient, cover.cocycle))
 
 
-def _character_order(a, diag):
-    """The exact order of the character chi_a of prod Z/diag_i."""
-    return lcm(*(d // gcd(ai, d) for ai, d in zip(a, diag)))
-
-
 def _galois_orbits(diag):
     """The characters a of G = prod Z/diag_i, chi_a(x) = w^(sum a_i x_i
     order/diag_i) with w of exact order lcm(diag), grouped into Galois
@@ -352,7 +348,7 @@ def _galois_orbits(diag):
     for a in product(*map(range, diag)):
         if a in seen:
             continue
-        o = _character_order(a, diag)
+        o = character_order(a, diag)
         if o not in units:
             units[o] = [u for u in range(1, o + 1) if gcd(u, o) == 1]
         orbit = [tuple(u * ai % d for ai, d in zip(a, diag)) for u in units[o]]
@@ -438,7 +434,7 @@ def orbit_polynomials(f):
     degrees = [len(o) * rank for o in orbits]
     degrees[0] += 1        # H0, in the trivial orbit
     return tuple(
-        (_character_order(o[0], diag),
+        (character_order(o[0], diag),
          linalg.multimodular(n, longest, orbit_residues(o), order))
         for o, n in zip(orbits, degrees))
 
@@ -607,6 +603,8 @@ class TowerStep:
 CERTIFICATE_FORMAT = "homolift-certificate-1"
 
 _CERTIFICATE_FIELDS = (
+    *((key, lambda x: isinstance(x, str), "a string")
+      for key in ("input_digest", "input_text", "verdict")),
     ("power", _is_int, "an integer"), ("degree", _is_int, "an integer"),
     ("zero_eigenvalues", _is_int, "an integer"),
     ("charpoly", _is_int_list, "a list of integers"),
@@ -651,9 +649,8 @@ class CoverCertificate:
     def from_json(obj):
         if not isinstance(obj, dict):
             raise CertificateError("certificate is not a JSON object")
-        _require(obj, ("format", "input_digest", "input_text", "verdict",
-                       "method", *(f[0] for f in _CERTIFICATE_FIELDS)),
-                 "certificate")
+        _require(obj, ("format", "method",
+                       *(f[0] for f in _CERTIFICATE_FIELDS)), "certificate")
         _checked(obj["format"], lambda x: x == CERTIFICATE_FORMAT,
                  "certificate format", CERTIFICATE_FORMAT)
         for key, ok, kind in _CERTIFICATE_FIELDS:

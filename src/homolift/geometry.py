@@ -7,6 +7,7 @@ not convex combinations of the others.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 
@@ -78,11 +79,15 @@ def hull_vertices(points):
 
 
 def affine_dimension(points):
+    """Dimension of the affine hull, -1 when empty: the rank of the
+    differences from the least point, each scaled to integers by the lcm of
+    its denominators, counted as the nonzero rows of their Hermite form."""
     uniq = sorted({tuple(p) for p in points})
     if not uniq:
         return -1
-    base = uniq[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in uniq[1:]]
-    if not diffs:
-        return 0
-    return linalg.mat_rank_rational(diffs)
+    rows = []
+    for p in uniq[1:]:
+        diff = [a - b for a, b in zip(p, uniq[0])]
+        scale = lcm(*(x.denominator for x in diff))
+        rows.append([int(x * scale) for x in diff])
+    return sum(map(any, linalg.hermite_row_form(rows)[0]))

@@ -13,7 +13,7 @@ criterion reads the restriction off residue classes directly.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .cyclotomic import Cyclotomic, exact_coefficient
@@ -81,6 +81,12 @@ class LaurentElement:
         return " + ".join(parts)
 
 
+def character_order(a, orders):
+    """The exact order of the character a of prod Z/orders_i, whose i-th
+    component has order orders_i / gcd(a_i, orders_i)."""
+    return lcm(*(n // gcd(ai, n) for ai, n in zip(a, orders)))
+
+
 @dataclass(frozen=True)
 class Character:
     """A homomorphism Z^d -> C^x with values among roots of unity.
@@ -101,11 +107,7 @@ class Character:
 
     def exact_order(self):
         """Order of the image group (lcm of component orders)."""
-        n = 1
-        for a in self.exponents:
-            k = self.order // gcd(a, self.order)
-            n = n * k // gcd(n, k)
-        return n
+        return character_order(self.exponents, (self.order,) * self.dim)
 
     def value_exponent(self, vec):
         """Exponent e with value = zeta_order^e on the lattice point vec."""

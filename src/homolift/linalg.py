@@ -6,7 +6,6 @@ are lists of coefficients, lowest degree first, with no trailing zeros
 (the zero polynomial is ``[]``).
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
 
@@ -24,28 +23,6 @@ def identity_matrix(n):
 def vec_mat(v, a):
     m = len(a[0]) if a else 0
     return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(m)]
-
-
-def mat_rank_rational(a):
-    """Rank over the rationals, by fraction-free elimination."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col] / pr[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
-        rank += 1
-        col += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +512,12 @@ def charpoly_mod(rows, m):
 
 def charpoly_int(rows):
     """Exact characteristic polynomial det(xI - M) of a dense integer
-    matrix, ascending coefficients.  Kronecker's growth test reads it on the
-    transition graph's count matrix.  A tower level's polynomial never takes
-    this path (``covers.orbit_polynomials``); applied to a cover's dense H1
-    matrix (``covers.h1_action_on_cover``) it is the reference the tests
-    and the benchmark's ladder fixtures are built from."""
+    matrix, ascending coefficients.  No production path calls it: a tower
+    level's polynomial comes from ``covers.orbit_polynomials``, and growth
+    rate 1 from the transition graph's components.  Applied to a cover's
+    dense H1 matrix (``covers.h1_action_on_cover``), it is the dense
+    reference that the tests and the benchmark's ladder fixtures are built
+    from, and ``perfbench/spans.py`` times it by name."""
     n = len(rows)
     if n == 0:
         return [1]

@@ -23,7 +23,8 @@ from . import linalg, magnus
 from .covers import (CoverCertificate, FiniteQuotient, TowerStep, abelian_cover,
                      lift_map, monic_coefficients, orbit_polynomials,
                      unit_circle_test)
-from .errors import CertificateError, ResourceLimitError, ValidationError
+from .errors import (CertificateError, ParseError, ResourceLimitError,
+                     ValidationError)
 from .graphs import parse_graph_map, serialize_graph_map
 from .homology import equivariant_quotient, homology_action, spanning_tree
 from .laurent import Lattice, character_grid, l2_norm_squared, specialize
@@ -414,7 +415,7 @@ def verify_certificate(cert):
 
     try:
         f = parse_graph_map(cert.input_text)
-    except Exception as exc:  # malformed embedded input
+    except ParseError as exc:
         check("input-parses", False, str(exc))
         return {"ok": False, "checks": checks, "failures": failures}
     check("input-digest", input_digest(f) == cert.input_digest,

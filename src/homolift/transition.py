@@ -8,20 +8,21 @@ along the image.  The prefix is the image's steps before the traversal,
 including the reversed step for a negative traversal, so it always ends at
 the origin of edge j; it is determined by the position and the sign, so
 only the tests spell it out (``tests/oracles.py``).  The graph is its arcs:
-the traversal count matrix is built from them where it is read.
+the traversal count matrix is built from them only for the displayed
+dilatation.
 
 Simple cycles, the rational polytope spanned by their normalized
 translations, its vertex subgraphs, per-vertex stability and the growth
-rate all live here.
+rate all live here.  Growth rate 1 is decided exactly from the strongly
+connected components that the cycle search also reads (``_growth_is_one``).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import geometry, magnus
-from .covers import spectral_radius, unit_circle_test
+from .covers import spectral_radius
 from .errors import ResourceLimitError, ValidationError
-from .linalg import charpoly_int
 
 DEFAULT_CYCLE_CAP = 10 ** 6
 
@@ -102,12 +103,11 @@ def simple_cycles(transition, cap=DEFAULT_CYCLE_CAP):
             raise ResourceLimitError(f"simple cycle count exceeds cap {cap}")
         return cached
     n = len(transition.nodes)
-    adj = [[] for _ in range(n)]
-    for idx, arc in enumerate(transition.arcs):
-        adj[arc.source].append((idx, arc.target))
+    adj = _adjacency(transition)
     out = []
     s = 0
-    while (component := _least_cyclic_component(adj, s)) is not None:
+    while (component := min(_cyclic_components(adj, s), key=min,
+                            default=None)) is not None:
         s = min(component)
         blocked = [v not in component or v == s for v in range(n)]
         bsets = [set() for _ in range(n)]
@@ -156,13 +156,21 @@ def simple_cycles(transition, cap=DEFAULT_CYCLE_CAP):
     return out
 
 
-def _least_cyclic_component(adj, s):
-    """Of the strongly connected components among the nodes >= s that carry
-    a cycle (more than one node, or a loop), the one with the least node, as
-    a set; None when there is none.  Tarjan's algorithm on explicit stacks:
-    ``adj[v]`` lists the (arc, target) pairs leaving v."""
+def _adjacency(transition):
+    """``adj[v]`` lists the (arc index, target) pairs leaving node v."""
+    adj = [[] for _ in transition.nodes]
+    for idx, arc in enumerate(transition.arcs):
+        adj[arc.source].append((idx, arc.target))
+    return adj
+
+
+def _cyclic_components(adj, s):
+    """The strongly connected components among the nodes >= s that carry a
+    cycle (more than one node, or a loop), each as a set, in the order
+    Tarjan's algorithm, on explicit stacks, completes them; ``adj`` is
+    ``_adjacency``'s."""
     index, low, on_stack = {}, {}, set()
-    stack, best = [], None
+    stack = []
     for root in range(s, len(adj)):
         if root in index:
             continue
@@ -192,10 +200,8 @@ def _least_cyclic_component(adj, s):
                 while v not in component:
                     component.add(stack.pop())
                 on_stack -= component
-                if (len(component) > 1 or any(w == v for _a, w in adj[v])) \
-                        and (best is None or min(component) < min(best)):
-                    best = component
-    return best
+                if len(component) > 1 or any(w == v for _a, w in adj[v]):
+                    yield component
 
 
 def _make_cycle(transition, arc_indices):
@@ -265,18 +271,20 @@ def is_stable(matrix):
 
 
 def _growth_is_one(transition):
-    """Kronecker's exact test that the count matrix has spectral radius 1.
+    """Whether the count matrix C has spectral radius at most 1 (growth rate
+    1, as edge images are non-empty): in each cyclic strongly connected
+    component, every node has exactly one arc into the component, counted
+    with multiplicity.
 
-    Every edge image is non-empty, so the radius is at least 1, and it is
-    at most 1 exactly when every eigenvalue is 0 or a root of unity.
-    Decided once per transition graph: ``dilatation`` and
-    ``dimension_diagnostic`` both ask.
-    """
-    cached = transition._cache.get("growth_is_one")
-    if cached is None:
-        cached = transition._cache["growth_is_one"] = unit_circle_test(
-            charpoly_int(count_matrix(transition))).all_on_circle
-    return cached
+    rho(C) is the largest spectral radius of the components' blocks, and an
+    acyclic node's block is 0.  A cyclic block is irreducible, and its rows
+    sum to at least 1, as each node lies on a cycle in it; by
+    Perron-Frobenius its radius is at least its least row sum, with equality
+    only when all row sums are equal.  Linear in the arcs."""
+    adj = _adjacency(transition)
+    return all(sum(w in component for _a, w in adj[v]) == 1
+               for component in _cyclic_components(adj, 0)
+               for v in component)
 
 
 def dilatation(transition):

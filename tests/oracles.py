@@ -19,6 +19,8 @@ against the other:
   (Berkowitz), against which the multimodular one is checked;
 - the homology action from based loops through the spanning tree, against
   which the one from tree potentials is checked;
+- a rank over the rationals by Gauss-Jordan elimination, against which the
+  Hermite-form affine dimension is checked;
 - composite arc data, based cycles, extremal subgraphs and positive powers
   of the transition graph.
 
@@ -221,6 +223,29 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(ai[j] * v[j] for j in range(len(v))) for ai in a]
+
+
+def mat_rank_rational(a):
+    """Rank over the rationals, by Gauss-Jordan elimination over Fractions:
+    the reference for ``geometry.affine_dimension``'s Hermite rank."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / pr[col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+        rank += 1
+        col += 1
+    return rank
 
 
 def section(quotient):

@@ -246,18 +246,22 @@ MISSING = object()    # the field is deleted
     ("tower", "abc"), ("tower", ["abc"]),
     ("tower", [{"quotient": "H_f/2H_f", "modulus": 2}]),
     ("format", MISSING), ("format", "homolift-certificate-9"),
-    ("format", None), ("charpoly", MISSING), ("method", MISSING)])
+    ("format", None), ("charpoly", MISSING), ("method", MISSING),
+    ("input_text", 5), ("input_text", None), ("input_text", ["x"]),
+    ("input_digest", 5), ("verdict", None), ("verdict", ["x"])])
 def test_verify_malformed_field_is_error(tmp_path, silver_cert, field, value):
     data = {k: v for k, v in dict(silver_cert, **{field: value}).items()
             if v is not MISSING}
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(data))
     code, out, err = run("verify", str(path))
-    assert code == 1 and not out
+    assert code == 1 and not out and err.count("\n") == 1
     assert err.startswith("error: certificate") or \
         err.startswith("error: tower step")
     if value is MISSING:
         assert err == f"error: certificate has no field {field}\n"
+    elif field in ("input_text", "input_digest", "verdict"):
+        assert err == f"error: certificate {field} {value!r} is not a string\n"
 
 
 def test_verify_non_object_is_error(tmp_path, silver_cert):

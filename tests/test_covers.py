@@ -255,8 +255,9 @@ def test_charpoly_prime_pool_exhausted_is_resource_limit():
 
 
 def test_growth_test_computes_no_display_modulus(monkeypatch):
-    # Kronecker's growth test reads only the verdict; the np.roots modulus
-    # is computed when something reads it, once
+    # the growth test reads the transition graph's components, and a
+    # verdict computes the np.roots modulus only when something reads it,
+    # once
     calls = []
     roots = np.roots
     monkeypatch.setattr(np, "roots", lambda p: calls.append(1) or roots(p))

@@ -41,20 +41,34 @@ def test_package_imports_nothing_from_the_tests():
                                                               module)
 
 
-def test_only_graphs_walks_the_spanning_tree():
-    # every tree sum (f*, the cover's connectivity, the lift's sheet
-    # offsets) is graphs.tree_potential; a module that reads the stored
-    # tree steps, or walks the tree itself, writes that walk again
-    tree = {"_tree", "_breadth_first_tree", "tree_steps"}
+def _package_modules_naming(names):
+    """The package modules whose code names one of ``names``: as a
+    variable, an attribute, an imported name or a definition."""
     readers = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             name = (node.id if isinstance(node, ast.Name) else
                     node.attr if isinstance(node, ast.Attribute) else
-                    node.name if isinstance(node, ast.alias) else None)
-            if name in tree:
+                    node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                    else None)
+            if name in names:
                 readers.add(path.name)
-    assert readers == {"graphs.py"}
+    return readers
+
+
+def test_only_graphs_walks_the_spanning_tree():
+    # every tree sum (f*, the cover's connectivity, the lift's sheet
+    # offsets) is graphs.tree_potential; a module that reads the stored
+    # tree steps, or walks the tree itself, writes that walk again
+    assert _package_modules_naming(
+        {"_tree", "_breadth_first_tree", "tree_steps"}) == {"graphs.py"}
+
+
+def test_dense_charpoly_has_no_production_caller():
+    # a level's polynomial comes from its Galois orbits and growth rate 1
+    # from the transition graph's components; the dense charpoly is the
+    # tests' and the fixtures' reference
+    assert _package_modules_naming({"charpoly_int"}) == {"linalg.py"}
 
 
 def _unused_imports(path):

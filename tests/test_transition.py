@@ -1,26 +1,34 @@
+import importlib
 import io
 import json
 import math
+import pkgutil
 import random
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homolift import corpus, geometry, magnus
+import homolift
+from homolift import corpus, geometry, linalg, magnus
 from homolift.cli import main
+from homolift.covers import unit_circle_test
 from homolift.errors import ValidationError
 from homolift.graphs import EdgePath, parse_graph_map
 from homolift.homology import EquivariantQuotient
-from homolift.transition import (Arc, TransitionGraph, count_matrix,
-                                 dilatation, dimension_diagnostic, is_stable,
-                                 shadow, simple_cycles, subgraph_matrix,
+from homolift.search import Analysis
+from homolift.transition import (Arc, TransitionGraph, _growth_is_one,
+                                 count_matrix, dilatation,
+                                 dimension_diagnostic, is_stable, shadow,
+                                 simple_cycles, subgraph_matrix,
                                  transition_graph, vertex_subgraph)
 from oracles import (arc_prefix, based_cycles, cycles_from_every_start,
                      extremal_subgraph, laurent_constant, laurent_zero,
-                     matrix_from_rows, matrix_is_zero, monomial, path_data,
-                     positive_power)
+                     mat_rank_rational, matrix_from_rows, matrix_is_zero,
+                     monomial, path_data, positive_power)
 
 AB_MAP = """vertices: v
 edges: a: v -> v ; b: v -> v
@@ -105,7 +113,6 @@ def test_shadow_examples(analyses):
     assert poly.vertices == ((Fraction(0), Fraction(0)),
                              (Fraction(0), Fraction(1)))
     f = parse_graph_map(AB_MAP)
-    from homolift.search import Analysis
     an = Analysis.of(f)
     poly = shadow(an.transition)
     assert poly.vertices == ((Fraction(0),),) and poly.dim == 0
@@ -236,7 +243,6 @@ boundary: 1
 map a -> a b
 map b -> a
 """)
-    from homolift.search import Analysis
     an = Analysis.of(f)
     diag = dimension_diagnostic(an.transition, shadow(an.transition))
     assert diag.mode == "surface"
@@ -359,6 +365,34 @@ def test_cycle_translations_in_shadow(analyses):
                         total[i] += x
                 norm = tuple(Fraction(x, k) for x in total)
                 assert geometry.in_convex_hull(norm, pts), (k, norm)
+
+
+@st.composite
+def rational_point_sets(draw):
+    """0-12 points in dimension 0-4 on the affine span of 0-3 random
+    rational directions through a rational base point, some repeated: empty
+    sets, single points, and collinear and coplanar sets with non-integral
+    coordinates."""
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    d = draw(st.integers(0, 4))
+    base = draw(st.tuples(*[fractions] * d))
+    spans = draw(st.lists(st.tuples(*[fractions] * d), max_size=3))
+    points = [tuple(b + sum(c * v[i] for c, v in zip(cs, spans))
+                    for i, b in enumerate(base))
+              for cs in draw(st.lists(st.lists(fractions, min_size=3,
+                                               max_size=3), max_size=8))]
+    points += draw(st.lists(st.sampled_from(points), max_size=4)) \
+        if points else []
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_point_sets())
+def test_affine_dimension_is_the_rational_rank(points):
+    uniq = sorted(set(points))
+    expected = -1 if not uniq else mat_rank_rational(
+        [[a - b for a, b in zip(p, uniq[0])] for p in uniq[1:]])
+    assert geometry.affine_dimension(points) == expected
 
 
 def test_extremal_lemma(analyses):
@@ -506,19 +540,65 @@ def test_transition_graph_stores_no_count_matrix(analyses):
     assert peak < len(names) ** 2    # bytes: one per matrix slot
 
 
-def test_analyze_decides_growth_once(monkeypatch):
-    # dilatation and the dimension diagnostic share one Kronecker test
-    from homolift import linalg, transition
+def test_analyze_and_search_call_no_dense_charpoly(monkeypatch):
+    # growth rate 1 comes from the transition graph's components, and a
+    # level's polynomial from its Galois orbits: the dense charpoly is the
+    # tests' reference only
     calls = []
     charpoly = linalg.charpoly_int
-
-    def counted(rows):
-        calls.append(rows)
-        return charpoly(rows)
-    monkeypatch.setattr(linalg, "charpoly_int", counted)
-    monkeypatch.setattr(transition, "charpoly_int", counted)
+    for info in pkgutil.iter_modules(homolift.__path__):
+        module = importlib.import_module(f"homolift.{info.name}")
+        if hasattr(module, "charpoly_int"):
+            monkeypatch.setattr(module, "charpoly_int", lambda rows: (
+                calls.append(rows) or charpoly(rows)))
     for name in corpus.names():
-        calls.clear()
-        code = main(["analyze", f"corpus:{name}", "--json"], io.StringIO(),
-                    io.StringIO())
-        assert code == 0 and len(calls) == 1, name
+        for command in ("analyze", "search"):
+            code = main([command, f"corpus:{name}", "--json"], io.StringIO(),
+                        io.StringIO())
+            assert code in (0, 3) and calls == [], (command, name)
+
+
+def _kronecker_growth_is_one(t):
+    """The reference: every eigenvalue of the count matrix is 0 or a root of
+    unity."""
+    return unit_circle_test(linalg.charpoly_int(count_matrix(t))).all_on_circle
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Transition graphs of 1-8 nodes whose arcs are drawn at random, so
+    self-loops, parallel arcs and acyclic parts all occur."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    return TransitionGraph(tuple(f"e{i}" for i in range(n)), 0,
+                           tuple(Arc(a, b, 1, 0, 1, ()) for a, b in pairs),
+                           None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+def test_growth_one_from_components_is_kroneckers_test(tg):
+    assert _growth_is_one(tg) == _kronecker_growth_is_one(tg)
+
+
+def test_growth_one_from_components_on_tower_levels(analyses,
+                                                     growth_one_maps):
+    levels = [Analysis.of(f) for f in growth_one_maps.values()]
+    for an in analyses.values():
+        levels += [an] + [an.cover(k) for k in (2, 3)
+                          if k ** an.quotient.rank <= 9]
+    verdicts = [_growth_is_one(level.transition) for level in levels]
+    assert verdicts == [_kronecker_growth_is_one(level.transition)
+                        for level in levels]
+    assert True in verdicts and False in verdicts
+
+
+def test_growth_test_answers_on_a_3072_node_graph(analyses):
+    # the dense charpoly of this count matrix exhausts the CRT prime pool;
+    # the rank-0 quotient keeps the Smith form out of the test
+    level = analyses["unipotent_silver"].cover(1024).graph_map
+    q = EquivariantQuotient(0, (), dict.fromkeys(level.edge_image, ()))
+    t = transition_graph(level, q)
+    assert len(t.nodes) == 3072
+    assert not _growth_is_one(t)
