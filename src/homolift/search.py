@@ -182,6 +182,13 @@ def check_l2(a, cfg):
     return None
 
 
+def _support_width(t):
+    """The largest spread of a nonzero element's support in one
+    coordinate."""
+    return max((max(v[i] for v in t.terms) - min(v[i] for v in t.terms)
+                for i in range(t.dim)), default=0)
+
+
 def check_anchored(a, cfg):
     """Scan scaled lattices and their support translates for a trace mass
     above the matrix size.
@@ -192,6 +199,14 @@ def check_anchored(a, cfg):
     exponent is congruent to w modulo j, so one pass over the support per
     (k, j) bins it by residue class, and the first translate whose class
     mass exceeds the size is the finding: no lattice is built until then.
+
+    Two cuts leave the finding as it is.  A class mass is at most the sum
+    of the trace's positive coefficients, so a power whose positive mass
+    is at most the size is skipped.  Once j exceeds the support's width
+    (its largest spread in one coordinate) no two support points share a
+    class, so every such j has the same class masses, the coefficients
+    themselves: the scan stops after j = width + 1, as no larger j can
+    fire where it did not.
     """
     m = a.size
     d = a.dim
@@ -203,12 +218,14 @@ def check_anchored(a, cfg):
     zero = (0,) * d
     for k in range(1, cfg.max_power + 1):
         t = magnus.trace_power(a, k)
-        for j in js:
+        if sum(c for c in t.terms.values() if c > 0) <= m:
+            continue
+        for j in js[:_support_width(t) + 1]:
             mass = {}
             for v, c in t.terms.items():
                 r = tuple(x % j for x in v)
                 mass[r] = mass.get(r, 0) + c
-            if max(mass.values(), default=0) <= m:
+            if max(mass.values()) <= m:
                 continue
             for w in [zero] + t.support():
                 val = mass.get(tuple(x % j for x in w), 0)
@@ -224,13 +241,17 @@ def _above(z, m):
     A rigorous float filter settles most values first: evaluating z of
     order n in floats is off by less than (n + 30) * 1.2e-16 times its
     coefficient mass l1 (the phase and product roundings of each term, then
-    the running sum), well inside the margin below, so only ties and
-    near-ties reach the exact comparison.
+    the running sum), well inside the margin err below.  So with r the
+    float modulus, (r + err)^2 < m^2 - err means below and r - err > m
+    means above, and only ties and near-ties reach the exact comparison.
     """
     l1 = float(sum(abs(c) for c in z.coeffs))
     err = l1 * (z.order + 1000) * 1e-15 + 1e-12
-    if (abs(z.to_complex()) + err) ** 2 < m * m - err:
+    r = abs(z.to_complex())
+    if (r + err) ** 2 < m * m - err:
         return False
+    if r - err > m:
+        return True
     return z.magnitude_squared().compare(Fraction(m * m)) > 0
 
 
@@ -308,9 +329,7 @@ def _locate_character(an, finding, bound):
         chars = [chi for chi in found if chi.exact_order() <= bound]
         cut = len(chars) < len(found)
     else:  # l2: a grid finer than the support width carries exact Parseval
-        support = t.support()
-        width = max((max(v[i] for v in support) - min(v[i] for v in support)
-                     for i in range(a.dim)), default=0)
+        width = _support_width(t)
         top = min(width + 1, bound)
         chars = [chi for q in range(1, top + 1)
                  for chi in character_grid(a.dim, q)]

@@ -21,6 +21,8 @@ against the other:
   which the one from tree potentials is checked;
 - a rank over the rationals by Gauss-Jordan elimination, against which the
   Hermite-form affine dimension is checked;
+- convex-hull membership and hull vertices by the simplex method over
+  Fractions, against which the integer-pivoting hull is checked;
 - composite arc data, based cycles, extremal subgraphs and positive powers
   of the transition graph.
 
@@ -258,6 +260,72 @@ def section(quotient):
         return ()
     s, _d, t = linalg.smith_normal_form([list(r) for r in quotient.projection])
     return tuple(map(tuple, mat_mul([r[:quotient.rank] for r in t], s)))
+
+
+# ---------------------------------------------------------------------------
+# convex hulls over the rationals
+
+
+def simplex_feasible_rational(cols, rhs):
+    """Is there x >= 0 with A x = rhs?  cols = columns of A (rational).
+    Phase 1 of the simplex method with Bland's rule over Fractions: the
+    reference for ``geometry``'s integer-pivoting tableau."""
+    m = len(rhs)
+    n = len(cols)
+    # tableau with artificial variables; minimize their sum
+    rows = []
+    for i in range(m):
+        row = [Fraction(cols[j][i]) for j in range(n)]
+        b = Fraction(rhs[i])
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        rows.append(row + [Fraction(int(k == i)) for k in range(m)] + [b])
+    # objective: sum of artificial rows (to be driven to zero)
+    obj = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        for j in range(n + m + 1):
+            obj[j] += rows[i][j]
+    for k in range(m):
+        obj[n + k] = Fraction(0)
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] > 0), None)
+        if enter is None:
+            break
+        ratios = [(rows[i][-1] / rows[i][enter], i)
+                  for i in range(m) if rows[i][enter] > 0]
+        if not ratios:
+            break
+        _best, leave = min(ratios, key=lambda p: (p[0], basis[p[1]]))
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter]:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        f = obj[enter]
+        obj = [x - f * y for x, y in zip(obj, rows[leave])]
+        basis[leave] = enter
+    return obj[-1] == 0
+
+
+def in_convex_hull_rational(point, points):
+    """point in conv(points), by the Fraction simplex."""
+    if not points:
+        return False
+    return simplex_feasible_rational([list(p) + [1] for p in points],
+                                     list(point) + [1])
+
+
+def hull_vertices_rational(points):
+    """The points of a finite set that are not convex combinations of the
+    others, sorted, duplicates removed, by the Fraction simplex."""
+    uniq = sorted({tuple(Fraction(x) for x in p) for p in points})
+    if len(uniq) <= 1:
+        return uniq
+    return [p for i, p in enumerate(uniq)
+            if not in_convex_hull_rational(p, uniq[:i] + uniq[i + 1:])]
 
 
 # ---------------------------------------------------------------------------

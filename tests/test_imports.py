@@ -71,6 +71,13 @@ def test_dense_charpoly_has_no_production_caller():
     assert _package_modules_naming({"charpoly_int"}) == {"linalg.py"}
 
 
+def test_hull_forms_no_fraction():
+    # the hull's simplex pivots an integer tableau and reads only the
+    # coordinates' numerators and denominators; the Fraction simplex is
+    # the tests' reference
+    assert "geometry.py" not in _package_modules_naming({"Fraction"})
+
+
 def _unused_imports(path):
     """The names the file's module-level imports bind that it never reads."""
     tree = ast.parse(path.read_text())

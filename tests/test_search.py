@@ -109,6 +109,84 @@ def test_anchored_matches_per_translate_scan_on_random_matrices():
     assert fired == {True, False}
 
 
+@st.composite
+def wide_laurent_matrices(draw):
+    """1x1 and 2x2 matrices in d = 1, 2 whose exponents reach up to a
+    bound drawn in 1..20, so both wide and narrow supports occur, with
+    coefficients in -9..9 or, for mostly negative traces, in -9..2."""
+    d = draw(st.integers(1, 2))
+    size = draw(st.integers(1, 2))
+    reach = draw(st.integers(1, 20))
+    vec = st.tuples(*[st.integers(-reach, reach)] * d)
+    coeff = st.integers(-9, draw(st.sampled_from([2, 9])))
+    entry = st.dictionaries(vec, coeff, max_size=3).map(
+        lambda terms: LaurentElement(d, terms))
+    row = st.lists(entry, min_size=size, max_size=size)
+    rows = draw(st.lists(row, min_size=size, max_size=size))
+    return matrix_from_rows([f"e{i}" for i in range(size)], d, rows)
+
+
+def _anchoring_cuts(a, cfg, found):
+    """Which of check_anchored's cuts the scan up to ``found`` meets: a
+    nonzero power skipped for its positive mass, a power whose j loop
+    stops after j = width + 1 before the index cap, and a finding at that
+    last j."""
+    js = [j for j in range(1, cfg.max_lattice_index + 1)
+          if a.dim > 0 and j ** a.dim <= cfg.max_lattice_index] or [1]
+    cuts = set()
+    for k in range(1, (found.power if found else cfg.max_power) + 1):
+        t = magnus.trace_power(a, k)
+        if sum(c for c in t.terms.values() if c > 0) <= a.size:
+            if t.terms:
+                cuts.add("skip")
+            continue
+        width = search._support_width(t)
+        if width + 1 < len(js):
+            cuts.add("cut")
+        if found and found.power == k and \
+                found.lattice.basis[0][0] == width + 1:
+            cuts.add("last j")
+    return cuts
+
+
+def test_anchoring_cuts_on_fixed_traces():
+    # 5 - 4x fires only at j = 2 = width + 1, and its j loop stops there;
+    # -3 + x^20 has positive mass 1 = size at power 1, so power 1 is
+    # skipped, and fires at power 2 with 9 - 6x^20 + x^40 of mass 4 on Z
+    cfg = SearchConfig(max_power=2)
+    cases = [({(0,): 5, (1,): -4}, (1, "5", 2)),
+             ({(0,): -3, (20,): 1}, (2, "4", 1))]
+    cuts = set()
+    for terms, expected in cases:
+        a = matrix_from_rows(["e0"], 1, [[LaurentElement(1, terms)]])
+        found = check_anchored(a, cfg)
+        assert _finding_json(found) == _finding_json(
+            _per_translate_scan(a, cfg))
+        assert (found.power, found.value,
+                found.lattice.basis[0][0]) == expected
+        cuts |= _anchoring_cuts(a, cfg, found)
+    assert cuts == {"skip", "cut", "last j"}
+
+
+def test_anchoring_cuts_match_per_translate_scan_on_wide_supports():
+    # the positive-mass skip and the stop after j = width + 1 leave the
+    # finding the scan by definition gives, on wide and on mostly negative
+    # traces; every cut is met, and a finding at the last j it leaves
+    cfg = SearchConfig(max_power=3)
+    cuts = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_laurent_matrices())
+    def check(a):
+        found = check_anchored(a, cfg)
+        assert _finding_json(found) == _finding_json(
+            _per_translate_scan(a, cfg))
+        cuts.update(_anchoring_cuts(a, cfg, found))
+
+    check()
+    assert cuts == {"skip", "cut", "last j"}
+
+
 def test_criteria_make_no_smith_form(analyses, monkeypatch):
     # the base-level criteria run on the trace coefficients alone
     matrices = [magnus.magnus_matrix(an.transition)  # fresh trace caches
@@ -138,21 +216,40 @@ def test_anchored_conversion_makes_no_smith_form(analyses, monkeypatch):
     assert not calls
 
 
-def test_threshold_filter_agrees_with_the_exact_comparison():
-    # the float filter only settles values certainly below: exact ties
-    # |z| = m and random near-ties decide as the exact comparison does
+def test_threshold_filter_agrees_with_the_exact_comparison(monkeypatch):
+    # the float filter settles values certainly below and certainly above
+    # on its own; exact ties |z| = m and random near-ties reach the exact
+    # comparison and decide as it does
     rng = random.Random(3)
-    cases = [(Cyclotomic(4, [3, 4, 0, 0]), 5), (Cyclotomic(1, [7]), 7),
-             (root_of_unity(97, 5) * 9, 9)]
+    ties = [(Cyclotomic(4, [3, 4, 0, 0]), 5), (Cyclotomic(1, [7]), 7),
+            (root_of_unity(97, 5) * 9, 9)]
+    cases = list(ties)
+    far = [(Cyclotomic(1, [7]), 6), (root_of_unity(97, 5) * 9, 8),
+           (Cyclotomic(4, [3, 4, 0, 0]), 6)]
     for _ in range(100):
         n = rng.choice([1, 2, 3, 5, 12, 60, 97])
         z = Cyclotomic(n, [rng.randint(-9, 9) if rng.random() < 0.2 else 0
                            for _ in range(n)])
-        m = round(abs(z.to_complex()))
+        r = abs(z.to_complex())
+        m = round(r)
         cases += [(z, m), (z, m + 1), (z, max(m - 1, 0))]
-    for z, m in cases:
-        exact = z.magnitude_squared().compare(Fraction(m * m)) > 0
-        assert search._above(z, m) == exact
+        far += [(z, 2 * m + 1)] + ([(z, 0), (z, int(r / 2))] if r > 1 else [])
+    exact = {id(case): case[0].magnitude_squared().compare(
+        Fraction(case[1] ** 2)) > 0 for case in cases + far}
+    assert {exact[id(case)] for case in far} == {True, False}
+    calls = []
+    magnitude_squared = Cyclotomic.magnitude_squared
+    monkeypatch.setattr(Cyclotomic, "magnitude_squared",
+                        lambda z: calls.append(1) or magnitude_squared(z))
+    for case in far:
+        assert search._above(*case) == exact[id(case)]
+    assert not calls
+    for case in cases:
+        assert search._above(*case) == exact[id(case)]
+    for case in ties:
+        calls.clear()
+        search._above(*case)
+        assert calls, case
 
 
 def test_golden_anchored_value_is_trace():

@@ -26,7 +26,8 @@ from homolift.transition import (Arc, TransitionGraph, _growth_is_one,
                                  simple_cycles, subgraph_matrix,
                                  transition_graph, vertex_subgraph)
 from oracles import (arc_prefix, based_cycles, cycles_from_every_start,
-                     extremal_subgraph, laurent_constant, laurent_zero,
+                     extremal_subgraph, hull_vertices_rational,
+                     in_convex_hull_rational, laurent_constant, laurent_zero,
                      mat_rank_rational, matrix_from_rows, matrix_is_zero,
                      monomial, path_data, positive_power)
 
@@ -393,6 +394,53 @@ def test_affine_dimension_is_the_rational_rank(points):
     expected = -1 if not uniq else mat_rank_rational(
         [[a - b for a, b in zip(p, uniq[0])] for p in uniq[1:]])
     assert geometry.affine_dimension(points) == expected
+
+
+@st.composite
+def grid_point_sets(draw):
+    """0-14 points of the grid (1/q)Z^d in [-3, 3]^d, d in 1..4 and q in
+    1..6: crowded sets, many points on the boundary of their hull."""
+    d = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 6))
+    coord = st.integers(-3 * q, 3 * q).map(lambda n: Fraction(n, q))
+    return draw(st.lists(st.tuples(*[coord] * d), max_size=14))
+
+
+@st.composite
+def hull_queries(draw):
+    """A point set of ``rational_point_sets`` with up to 3 arbitrary points
+    of its dimension added (so full-dimensional sets occur in dimension 4
+    too), or of ``grid_point_sets``; its integral coordinates sometimes as
+    ints; and a query point: one of the points, a point on the line through
+    two of them (inside their segment or past its ends), or an arbitrary
+    point."""
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    points = draw(st.one_of(rational_point_sets(), grid_point_sets()))
+    if not points:
+        return points, ()
+    d = len(points[0])
+    points += draw(st.lists(st.tuples(*[fractions] * d), max_size=3))
+    if draw(st.booleans()):
+        points = [tuple(int(x) if x.denominator == 1 else x for x in p)
+                  for p in points]
+    p, q = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+    c = draw(st.fractions(min_value=-1, max_value=2, max_denominator=4))
+    query = draw(st.sampled_from([
+        p, tuple((1 - c) * x + c * y for x, y in zip(p, q)),
+        draw(st.tuples(*[fractions] * d))]))
+    return points, query
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_queries())
+def test_hull_agrees_with_the_fraction_simplex(case):
+    # the integer-pivoting tableau decides as the rational one does, on
+    # empty and single-point sets, repeated points, collinear, coplanar and
+    # full-dimensional sets in dimensions 0-4, and crowded grid sets
+    points, query = case
+    assert geometry.hull_vertices(points) == hull_vertices_rational(points)
+    assert (geometry.in_convex_hull(query, points)
+            == in_convex_hull_rational(query, points))
 
 
 def test_extremal_lemma(analyses):
