@@ -189,9 +189,18 @@ CONFIG_FLAGS = {
 }
 
 
+def positive_int(text):
+    """The bound flags' argument type: an int of at least 1, so a bound of 0
+    or less is a usage error that names its flag."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(value)
+    return value
+
+
 def _add_config_flags(p):
     for flag, name in CONFIG_FLAGS.items():
-        p.add_argument(flag, type=int, dest=name,
+        p.add_argument(flag, type=positive_int, dest=name,
                        metavar=flag[2:].upper().replace("-", "_"),
                        default=getattr(SearchConfig, name))
 

@@ -107,7 +107,7 @@ class FiniteQuotient:
     dim: int
     basis: tuple          # rows; kI for the reduction-mod-k quotient
     diag: tuple           # Smith diagonal
-    transform: tuple      # T with S*B*T = diag
+    transform: tuple      # T with S*B*T = diag for some unimodular S
     modulus: int = None   # set when basis is k*I
 
     @staticmethod
@@ -137,8 +137,7 @@ class FiniteQuotient:
             raise ValidationError("quotient basis must be square of full size")
         if dim == 0:
             return FiniteQuotient(0, (), (), (), modulus=1)
-        _s, d, t = linalg.smith_normal_form(rows)
-        diag = linalg.smith_diagonal(d)
+        diag, t = linalg.smith_normal_form(rows)
         if any(x == 0 for x in diag):
             raise ValidationError("infinite quotient requested")
         return FiniteQuotient(dim, tuple(tuple(r) for r in rows), tuple(diag),
@@ -241,7 +240,7 @@ def _connected(graph, fq, cocycle):
             return True
         voltage = fq.add(fq.add(s[e.origin], cocycle[e.name]),
                          fq.neg(s[e.terminus]))
-        basis = linalg.hermite_row_form(basis + [list(voltage)])[0][:dim]
+        basis = linalg.hermite_row_form(basis + [list(voltage)])[:dim]
     return all(basis[i][i] == 1 for i in range(dim))
 
 

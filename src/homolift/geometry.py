@@ -103,4 +103,4 @@ def affine_dimension(points):
         return -1
     scaled = _scaled(uniq)
     rows = [[a - b for a, b in zip(p, scaled[0])] for p in scaled[1:]]
-    return sum(map(any, linalg.hermite_row_form(rows)[0]))
+    return sum(map(any, linalg.hermite_row_form(rows)))

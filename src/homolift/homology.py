@@ -8,9 +8,13 @@ the class of f(e), the class of f(T(v)) is P(v), the tree potential of c
 (``graphs.tree_potential``), and column j of f* is c(e_j) + P(o(e_j)) -
 P(t(e_j)).  The covers sum their cocycles along the same tree.
 
-The quotient is the torsion-free part of coker(I - f*), computed by Smith
-normal form; the projection matrix is put into Hermite form so identical
-inputs give identical matrices.
+The quotient is the torsion-free part of coker(I - f*): its dual is the
+left kernel of I - f*, a saturated lattice.  The Smith form of the
+transpose (I - f*)^T, S (I - f*)^T T = D, gives it without the row
+transform S: the columns of T past the rank lie in the kernel of the
+transpose and, T being unimodular, span it over Z.  The projection is that
+basis in Hermite form, unique to the lattice, so identical inputs give
+identical matrices.
 
 The quotient's per-edge cocycle is the one map from paths to the quotient:
 a path's translation is the sum of the cocycle over its signed steps.  The
@@ -101,20 +105,19 @@ class EquivariantQuotient:
 
 
 def equivariant_quotient(fa, st):
-    """Torsion-free cokernel of (I - f*) via Smith normal form, with the
-    per-edge cocycle on the spanning tree ``st`` that ``fa`` was taken in.
+    """Torsion-free cokernel of (I - f*) from the Smith form of its
+    transpose, with the per-edge cocycle on the spanning tree ``st`` that
+    ``fa`` was taken in.
     """
     r = fa.rank
-    m = [[int(i == j) - fa.matrix[i][j] for j in range(r)] for i in range(r)]
-    s, dmat, _t = linalg.smith_normal_form(m)
-    rank_m = sum(1 for x in linalg.smith_diagonal(dmat) if x)
+    mt = [[int(i == j) - fa.matrix[j][i] for j in range(r)] for i in range(r)]
+    diag, t = linalg.smith_normal_form(mt)
+    rank_m = sum(map(bool, diag))
     d = r - rank_m
-    bottom = [list(s[i]) for i in range(rank_m, r)]
-    proj = linalg.hermite_row_form(bottom)[0] if d else []
-    projection = tuple(tuple(row) for row in proj)
+    kernel = [[row[k] for row in t] for k in range(rank_m, r)]
+    projection = tuple(map(tuple, linalg.hermite_row_form(kernel)))
 
     cocycle = {name: tuple(row[i] for row in projection)
                for i, name in enumerate(st.h1_basis)}
     cocycle.update(dict.fromkeys(st.tree_edges, (0,) * d))
     return EquivariantQuotient(d, projection, cocycle)
-

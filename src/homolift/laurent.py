@@ -142,9 +142,8 @@ class Lattice:
 
     def _snf_data(self):
         if self._snf is None:
-            s, d, t = linalg.smith_normal_form([list(r) for r in self.basis])
-            object.__setattr__(self, "_snf",
-                               (s, linalg.smith_diagonal(d), t))
+            object.__setattr__(self, "_snf", linalg.smith_normal_form(
+                [list(r) for r in self.basis]))
         return self._snf
 
     def contains(self, vec):
@@ -152,7 +151,7 @@ class Lattice:
         v = [x - w for x, w in zip(vec, self.translate)]
         if not self.basis:
             return all(x == 0 for x in v)
-        _s, diag, t = self._snf_data()
+        diag, t = self._snf_data()
         vt = linalg.vec_mat(v, t)
         r = len(diag)
         for i, x in enumerate(vt):

@@ -29,50 +29,49 @@ def vec_mat(v, a):
 # Smith and Hermite normal forms
 
 
-def smith_normal_form(mat):
-    """Return (S, D, T) with S*mat*T = D, S and T unimodular.
+def _pivot(d, k):
+    """(i, j): the first entry of least nonzero absolute value in the block
+    i, j >= k, in row-major order, or None when the block is zero.  A unit
+    ends the scan, as no later entry is smaller."""
+    piv, best = None, 0
+    for i in range(k, len(d)):
+        for j, x in enumerate(d[i][k:], k):
+            if x and (piv is None or abs(x) < best):
+                piv, best = (i, j), abs(x)
+                if best == 1:
+                    return piv
+    return piv
 
-    D is diagonal with nonnegative entries satisfying d1 | d2 | ... ; the
-    pivot strategy is fixed so the output is reproducible.
+
+def smith_normal_form(mat):
+    """Return (diag, T): the Smith diagonal d1 | d2 | ... of mat,
+    nonnegative, and a unimodular T with S*mat*T = D for some unimodular S,
+    which is not formed.  The columns of mat*T past the rank are zero.
+
+    The pivot strategy is fixed so the output is reproducible.  A unit
+    pivot divides every later entry, so it skips the divisibility scan.
     """
     nr = len(mat)
     nc = len(mat[0]) if nr else 0
     d = [list(row) for row in mat]
-    s = identity_matrix(nr)
     t = identity_matrix(nc)
 
-    def row_op(i, j, f):  # row_i -= f*row_j   (applied to d and s)
-        d[i] = [x - f * y for x, y in zip(d[i], d[j])]
-        s[i] = [x - f * y for x, y in zip(s[i], s[j])]
-
     def col_op(i, j, f):  # col_i -= f*col_j
-        for r in range(nr):
-            d[r][i] -= f * d[r][j]
-        for r in range(nc):
-            t[r][i] -= f * t[r][j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        s[i], s[j] = s[j], s[i]
+        for m in (d, t):
+            for row in m:
+                row[i] -= f * row[j]
 
     def swap_cols(i, j):
-        for r in range(nr):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(nc):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
+        for m in (d, t):
+            for row in m:
+                row[i], row[j] = row[j], row[i]
 
     k = 0
     while k < min(nr, nc):
-        # locate the nonzero entry of smallest absolute value in the
-        # remaining block, fixed scan order for determinism
-        piv = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if d[i][j] and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
-                    piv = (i, j)
+        piv = _pivot(d, k)
         if piv is None:
             break
-        swap_rows(k, piv[0])
+        d[k], d[piv[0]] = d[piv[0]], d[k]
         swap_cols(k, piv[1])
         # clear row and column k; restart if a division leaves a remainder
         while True:
@@ -80,79 +79,60 @@ def smith_normal_form(mat):
             for i in range(k + 1, nr):
                 if d[i][k]:
                     q = d[i][k] // d[k][k]
-                    row_op(i, k, q)
+                    d[i] = [x - q * y for x, y in zip(d[i], d[k])]
                     if d[i][k]:
-                        swap_rows(k, i)
+                        d[k], d[i] = d[i], d[k]
                         dirty = True
             for j in range(k + 1, nc):
                 if d[k][j]:
-                    q = d[k][j] // d[k][k]
-                    col_op(j, k, q)
+                    col_op(j, k, d[k][j] // d[k][k])
                     if d[k][j]:
                         swap_cols(k, j)
                         dirty = True
             if not dirty:
                 break
-        # divisibility: d[k][k] must divide every later entry
-        culprit = None
-        for i in range(k + 1, nr):
-            for j in range(k + 1, nc):
-                if d[i][j] % d[k][k]:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
+        # divisibility: d[k][k] must divide every later entry; fold the
+        # first offending row into row k and redo
+        p = d[k][k]
+        culprit = None if abs(p) == 1 else next(
+            (i for i in range(k + 1, nr) if any(x % p for x in d[i][k + 1:])),
+            None)
         if culprit is not None:
-            row_op(k, culprit, -1)  # fold the offending row in and redo
+            d[k] = [x + y for x, y in zip(d[k], d[culprit])]
             continue
-        if d[k][k] < 0:
-            d[k] = [-x for x in d[k]]
-            s[k] = [-x for x in s[k]]
         k += 1
-    return s, d, t
-
-
-def smith_diagonal(d):
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    return [abs(d[i][i]) for i in range(min(nr, nc))], t
 
 
 def hermite_row_form(mat):
-    """Row-style Hermite normal form: returns (H, U) with U*mat = H.
-
-    Pivots are positive and entries above each pivot are reduced into
-    [0, pivot).  Zero rows sink to the bottom.  U is unimodular.
-    """
+    """Row-style Hermite normal form H of mat: the unique echelon basis of
+    its row lattice.  Pivots are positive and entries above each pivot are
+    reduced into [0, pivot).  Zero rows sink to the bottom."""
     nr = len(mat)
     nc = len(mat[0]) if nr else 0
     h = [list(row) for row in mat]
-    u = identity_matrix(nr)
     r = 0
     for col in range(nc):
         piv = next((i for i in range(r, nr) if h[i][col]), None)
         if piv is None:
             continue
         h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
         # gcd out the column below the pivot
         for i in range(r + 1, nr):
             while h[i][col]:
                 q = h[r][col] // h[i][col]
                 h[r] = [x - q * y for x, y in zip(h[r], h[i])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[i])]
                 h[r], h[i] = h[i], h[r]
-                u[r], u[i] = u[i], u[r]
         if h[r][col] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = h[i][col] // h[r][col]
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
         if r == nr:
             break
-    return h, u
+    return h
 
 
 # ---------------------------------------------------------------------------

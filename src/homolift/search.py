@@ -499,7 +499,10 @@ GROWTH_ONE = ("depth 0: growth rate is 1, so no lift to any finite cover "
 def brute_force_oracle(f, max_degree):
     """Enumerate reduction-mod-k covers in order and certify the first whose
     lifted homology action leaves the unit circle; independent of the
-    criteria machinery.  At growth rate 1 no cover is built (GROWTH_ONE)."""
+    criteria machinery.  At growth rate 1 no cover is built (GROWTH_ONE).
+    The base level has degree 1, so ``max_degree`` must be positive."""
+    if max_degree < 1:
+        raise ValidationError("max_degree must be positive")
     base = Analysis.of(f)
     for k in range(1, _order_bound(1, base.quotient.rank, max_degree) + 1):
         level = base.cover(k) if k > 1 else base

@@ -250,8 +250,8 @@ def vertex_subgraph(transition, u, cap=DEFAULT_CYCLE_CAP):
     if u not in poly.vertices:
         raise ValidationError(f"{u} is not a vertex of the shadow polytope")
     cycles = simple_cycles(transition, cap)
-    arcs = frozenset(i for c in cycles if c.normalized == u
-                     for i in c.arc_indices)
+    arcs = frozenset(i for j in poly.generators[u]
+                     for i in cycles[j].arc_indices)
     return SubgraphSelection(u, arcs)
 
 

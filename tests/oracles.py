@@ -159,7 +159,7 @@ def is_finite_index(lat):
         return True
     if not lat.basis:
         return False
-    _s, diag, _t = lat._snf_data()
+    diag, _t = lat._snf_data()
     return sum(1 for x in diag if x) == lat.dim
 
 
@@ -168,7 +168,7 @@ def lattice_index(lat):
         raise ValidationError("lattice does not have finite index")
     if lat.dim == 0:
         return 1
-    _s, diag, _t = lat._snf_data()
+    diag, _t = lat._snf_data()
     out = 1
     for x in diag:
         out *= x
@@ -186,7 +186,7 @@ def annihilator_characters(lat):
     d = lat.dim
     if d == 0:
         return [Character(0, 1, ())]
-    _s, diag, t = lat._snf_data()
+    diag, t = lat._snf_data()
     n = lcm(*diag)
     chars = []
     for ys in product(*[range(x) for x in diag]):
@@ -253,13 +253,20 @@ def mat_rank_rational(a):
 def section(quotient):
     """An integer right inverse of the dynamical quotient's projection
     (projection @ section = I_d), from the projection alone: it is onto, so
-    S P T = [I 0] and T[:, :d] S is one.  Any right inverse serves the deck
-    actions P sigma section, since sigma commutes with f* and so preserves
-    ker P."""
-    if quotient.rank == 0:
+    S P T = [I 0] for a unimodular S, A = P T[:, :d] = S^-1 is unimodular,
+    and T[:, :d] A^-1 is one; A^-1 is the right block of the Hermite form
+    [I | A^-1] of [A | I].  Any right inverse serves the deck actions P
+    sigma section, since sigma commutes with f* and so preserves ker P."""
+    d = quotient.rank
+    if d == 0:
         return ()
-    s, _d, t = linalg.smith_normal_form([list(r) for r in quotient.projection])
-    return tuple(map(tuple, mat_mul([r[:quotient.rank] for r in t], s)))
+    _diag, t = linalg.smith_normal_form([list(r) for r in quotient.projection])
+    left = [r[:d] for r in t]
+    a = mat_mul(quotient.projection, left)
+    inverse = [row[d:] for row in linalg.hermite_row_form(
+        [list(row) + [int(i == j) for j in range(d)]
+         for i, row in enumerate(a)])]
+    return tuple(map(tuple, mat_mul(left, inverse)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from homolift import corpus, linalg
-from homolift.cli import main
+from homolift.cli import CONFIG_FLAGS, main
 from homolift.search import (GROWTH_ONE, Analysis, SearchConfig,
                              character_scan, check_anchored, check_direct,
                              check_l2, input_digest, tower_search)
@@ -390,6 +390,18 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run("bogus-subcommand")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", sorted(CONFIG_FLAGS))
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_bound_flag_below_one_is_a_usage_error(capsys, flag, value):
+    # argparse refuses the bound and names the flag, before any search
+    with pytest.raises(SystemExit) as exc:
+        run("search", "corpus:golden_mean", flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid positive_int value: '{value}'" in err
+    assert "must be positive" not in err
 
 
 def test_resource_cap_is_an_error_not_a_miss():

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homolift import linalg
 from homolift.errors import HomoliftError
 from homolift.graphs import (Edge, EdgePath, Graph, empty_path,
                              parse_graph_map, tree_potential)
-from homolift.homology import (equivariant_quotient, homology_action,
+from homolift.homology import (HomologyAction, SpanningTreeData,
+                               equivariant_quotient, homology_action,
                                path_class, spanning_tree)
 from oracles import (concat, loop_homology_action, mat_mul, mat_rank_rational,
                      section)
@@ -202,8 +205,74 @@ def test_saturation(analyses):
     for an in analyses.values():
         if an.quotient.rank == 0:
             continue
-        _s, d, _t = linalg.smith_normal_form([list(r) for r in an.quotient.projection])
-        assert all(x == 1 for x in linalg.smith_diagonal(d))
+        diag, _t = linalg.smith_normal_form(
+            [list(r) for r in an.quotient.projection])
+        assert all(x == 1 for x in diag)
+
+
+def _check_projection(action, quotient):
+    # P is the Hermite basis of the saturated left kernel of I - f*: it
+    # annihilates I - f*, has the kernel's rank, a Smith diagonal of ones,
+    # and is its own Hermite form
+    r = action.rank
+    m = [[int(i == j) - action.matrix[i][j] for j in range(r)]
+         for i in range(r)]
+    p = [list(row) for row in quotient.projection]
+    assert quotient.rank == len(p) == r - mat_rank_rational(m)
+    assert all(len(row) == r for row in p)
+    assert not any(map(any, mat_mul(p, m)))
+    assert linalg.smith_normal_form(p)[0] == [1] * len(p)
+    assert linalg.hermite_row_form(p) == p
+
+
+@st.composite
+def integer_actions(draw):
+    """Integer f* of rank 0 to 5: arbitrary, singular (a product through a
+    narrower middle), or unipotent (unitriangular, conjugated by elementary
+    matrices)."""
+    r = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["any", "singular", "unipotent"]))
+    entries = st.integers(-3, 3)
+
+    def block(rows, cols):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if kind == "any":
+        return block(r, r)
+    if kind == "singular":
+        k = draw(st.integers(0, max(r - 1, 0)))
+        a, b = block(r, k), block(k, r)
+        return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(r)]
+                for i in range(r)]
+    upper = block(r, r)
+    m = [[int(i == j) or upper[i][j] * (j > i) for j in range(r)]
+         for i in range(r)]
+    for _ in range(draw(st.integers(0, 4)) if r > 1 else 0):
+        i, j = draw(st.permutations(range(r)))[:2]
+        c = draw(st.integers(-2, 2))
+        # M <- E M E^-1 with E = I + c e_ij
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[j] -= c * row[i]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_actions())
+def test_projection_is_the_hermite_basis_of_the_left_kernel(matrix):
+    r = len(matrix)
+    basis = tuple(f"e{i}" for i in range(r))
+    tree = SpanningTreeData(frozenset(), basis,
+                            {name: i for i, name in enumerate(basis)})
+    action = HomologyAction(tuple(map(tuple, matrix)))
+    _check_projection(action, equivariant_quotient(action, tree))
+
+
+def test_projection_on_corpus_and_cover_levels(analyses, multi_vertex_levels):
+    levels = list(analyses.values()) + multi_vertex_levels
+    for an in levels:
+        _check_projection(an.action, an.quotient)
 
 
 def _random_walk(graph, rng, length, start):
@@ -254,8 +323,8 @@ def test_s3_quotient_identifies_rank_two(analyses):
 def test_corpus_actions_are_unimodular(analyses):
     # homotopy equivalences act with determinant +-1 (diagnostic)
     for an in analyses.values():
-        _s, d, _t = linalg.smith_normal_form([list(r) for r in an.action.matrix])
+        diag, _t = linalg.smith_normal_form([list(r) for r in an.action.matrix])
         det = 1
-        for x in linalg.smith_diagonal(d):
+        for x in diag:
             det *= x
         assert det == 1

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from homolift import linalg, magnus, search
 from homolift.covers import CoverCertificate, _value_mod, unit_circle_test
 from homolift.cyclotomic import Cyclotomic
-from homolift.errors import CertificateError, ResourceLimitError
+from homolift.errors import (CertificateError, ResourceLimitError,
+                             ValidationError)
 from homolift.graphs import Graph, parse_graph_map, serialize_graph_map
 from homolift.laurent import Lattice, LaurentElement, lattice_restriction
 from homolift.search import (GROWTH_ONE, Analysis, Finding, SearchConfig,
@@ -372,8 +373,13 @@ def test_oracle_golden(golden):
 
 
 @pytest.mark.parametrize("max_degree", [-3, 0])
-def test_oracle_below_degree_one_is_none(golden, max_degree):
-    assert brute_force_oracle(golden, max_degree) is None
+def test_oracle_below_degree_one_is_refused(golden, max_degree):
+    # the base level has degree 1 and certifies golden_mean there, so a
+    # bound below 1 is refused, as SearchConfig refuses max_cover_degree 0
+    with pytest.raises(ValidationError, match="max_degree must be positive"):
+        brute_force_oracle(golden, max_degree)
+    with pytest.raises(ValidationError, match="max_cover_degree"):
+        SearchConfig(max_cover_degree=max_degree)
 
 
 def test_order_bound_is_exact_in_integers():
