@@ -256,16 +256,17 @@ def cyclotomic_polynomial(n):
     return tuple(rem)
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_orders_up_to_degree(deg):
-    """All n with totient(n) <= deg, ascending.
+    """All n with totient(n) <= deg, ascending, as a tuple.
 
     Uses n/totient(n) < 6 for n < 2*10^8 (attained only towards the
     primorial 223092870), so n <= 6*deg + 30 is a safe cutoff.
     """
     if deg < 1:
-        return []
+        return ()
     bound = 6 * deg + 30
-    return [n for n in range(1, bound + 1) if totient(n) <= deg]
+    return tuple(n for n in range(1, bound + 1) if totient(n) <= deg)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ against the other:
   dynamical quotient;
 - the averaging identity, which recovers a lattice restriction from the
   specializations at the characters annihilating the lattice;
+- the product of Magnus matrices term by term on exponent tuples, against
+  which the packed power kernel behind ``trace_power`` is checked;
 - the characteristic polynomial over the group ring (Faddeev-LeVerrier),
   whose specialization at a character is that of the specialized matrix;
 - an integer characteristic polynomial with no modular arithmetic
@@ -523,6 +525,45 @@ def identity_magnus(edge_order, dim):
 
 def matrix_is_zero(a):
     return not a.terms
+
+
+def magnus_mat_mul(a, b):
+    """Product of two Magnus matrices term by term, exponent tuples added
+    coordinatewise: the reference for the packed power kernel."""
+    if a.dim != b.dim or a.size != b.size:
+        raise DimensionMismatchError("matrix shapes/dimensions differ")
+    rows_b = {}
+    for (t, j, v), c in b.terms.items():
+        rows_b.setdefault(t, []).append((j, v, c))
+    out = {}
+    for (i, t, v1), c1 in a.terms.items():
+        for j, v2, c2 in rows_b.get(t, ()):
+            key = (i, j, tuple(x + y for x, y in zip(v1, v2)))
+            out[key] = out.get(key, 0) + c1 * c2
+    return MagnusMatrix(a.size, a.dim, a.edge_order,
+                        {key: c for key, c in out.items() if c})
+
+
+def stored_powers(a):
+    """The powers ``trace_power``'s cache holds on a matrix, as (n, terms
+    of A^n) with the packed entries read back as (row, column, exponent)
+    keys."""
+    state = a._cache.get("powers")
+    if state is None:
+        return []
+    n, entries = state.power
+    cb = state.col_bits
+    mask = (1 << cb) - 1
+    return [(n, {(at & mask, at >> cb, state.decode(n, e)): c
+                 for at, terms in entries.items() for e, c in terms})]
+
+
+def magnus_power(a, k):
+    """A^k by k - 1 repeated products, k >= 1."""
+    power = a
+    for _ in range(k - 1):
+        power = magnus_mat_mul(power, a)
+    return power
 
 
 @dataclass(frozen=True)

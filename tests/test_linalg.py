@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homolift.laurent import Lattice
-from homolift.linalg import hermite_row_form, identity_matrix, smith_normal_form
+from homolift.linalg import (cyclotomic_orders_up_to_degree, hermite_row_form,
+                             identity_matrix, smith_normal_form)
 from oracles import mat_mul, mat_rank_rational
 
 
@@ -84,6 +85,17 @@ def test_hermite_row_form(mat):
         for a, b in ((nonzero, mat), (mat, nonzero)):
             lattice = Lattice(dim, tuple(map(tuple, a)))
             assert all(lattice.contains(row) for row in b)
+
+
+def test_cyclotomic_orders_are_a_cached_tuple():
+    # phi(n) counted by gcds, up to n = 999, past every cutoff 6 deg + 30
+    phi = [0] + [sum(gcd(n, i) == 1 for i in range(1, n + 1))
+                 for n in range(1, 1000)]
+    for deg in range(-1, 31):
+        orders = cyclotomic_orders_up_to_degree(deg)
+        assert type(orders) is tuple
+        assert orders == tuple(n for n in range(1, 1000) if phi[n] <= deg)
+        assert cyclotomic_orders_up_to_degree(deg) is orders
 
 
 @pytest.mark.xfail(strict=True, reason="the fixed-pivot elimination grows "

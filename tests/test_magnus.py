@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homolift import magnus
 from homolift.errors import ResourceLimitError
@@ -12,8 +14,9 @@ from homolift.transition import (Arc, TransitionGraph, is_stable, shadow,
                                  subgraph_matrix, vertex_subgraph)
 from oracles import (Laurent, charpoly_complex_exact, coefficient, cyc_mat_mul,
                      cyc_trace, equivariant_charpoly, identity_magnus,
-                     laurent_constant, laurent_zero, matrix_from_rows,
-                     matrix_is_zero, monomial)
+                     laurent_constant, laurent_zero, magnus_mat_mul,
+                     magnus_power, matrix_from_rows, matrix_is_zero,
+                     monomial, stored_powers)
 
 X = monomial((1, 0))
 Y = monomial((0, 1))
@@ -149,8 +152,18 @@ def levels(analyses):
                analyses["unipotent_rank2"].cover(2)])
 
 
-def _no_zero_terms(a):
-    return all(type(c) is int and c for c in a.terms.values())
+def _no_zero_terms(terms):
+    return all(type(c) is int and c for c in terms.values())
+
+
+def _check_stored_powers(a, k):
+    """After traces 1..k the cache holds one power, A^ceil(k/2), or none
+    for k = 1, equal to the repeated product, with no zero term."""
+    stored = stored_powers(a)
+    assert [n for n, _terms in stored] == ([(k + 1) // 2] if k > 1 else [])
+    for n, terms in stored:
+        assert _no_zero_terms(terms)
+        assert terms == magnus_power(a, n).terms
 
 
 def test_search_path_builds_no_dense_rows(levels):
@@ -160,16 +173,18 @@ def test_search_path_builds_no_dense_rows(levels):
         a = magnus.magnus_matrix(t)    # fresh: no view, no cached powers
         for criterion in (check_l2, check_anchored, character_scan):
             criterion(a, cfg)
+        _check_stored_powers(a, cfg.max_power)
         vertex_mats = [subgraph_matrix(t, vertex_subgraph(t, u))
                        for u in shadow(t).vertices]
         for mat in vertex_mats:
             is_stable(mat)
         for mat in [a] + vertex_mats:
             assert "entries" not in vars(mat)
-            assert _no_zero_terms(mat)
+            assert _no_zero_terms(mat.terms)
+        fresh = magnus.magnus_matrix(t)
         for k in range(1, 9):
-            magnus.trace_power(a, k)
-            assert _no_zero_terms(a._cache["power"])
+            magnus.trace_power(fresh, k)
+            _check_stored_powers(fresh, k)
         assert matrix_from_rows(a.edge_order, a.dim, a.entries) == a
 
 
@@ -226,13 +241,92 @@ def test_newton_identities(analyses):
 
 def test_trace_power_cache_consistency(analyses):
     a = magnus.magnus_matrix(analyses["example_s3"].transition)  # fresh cache
-    direct = magnus.mat_mul(magnus.mat_mul(a, a), a)
-    assert Laurent.of(magnus.trace_power(a, 3)) == magnus.trace(direct)
-    # read back out of order from the cache, which keeps only the latest power
+    assert Laurent.of(magnus.trace_power(a, 3)) == \
+        magnus.trace(magnus_power(a, 3))
+    _check_stored_powers(a, 3)
+    # read back out of order from the cache, which keeps A^2 only
     assert Laurent.of(magnus.trace_power(a, 2)) == \
-        magnus.trace(magnus.mat_mul(a, a))
+        magnus.trace(magnus_power(a, 2))
     assert Laurent.of(magnus.trace_power(a, 1)) == magnus.trace(a)
-    assert a._cache["power"] == direct
+    _check_stored_powers(a, 3)
+
+
+@st.composite
+def magnus_matrices(draw, max_arcs=5):
+    """Matrices of 1 to 6 edges over Z^d, d from 0 to 3, from at most
+    ``max_arcs`` arcs with translations in [-50, 50]^d, some with a twin
+    of opposite sign that cancels it; each surviving term is scaled by a
+    factor up to 2^66."""
+    d = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 6))
+    node = st.integers(0, m - 1)
+    coordinate = st.sampled_from((-1, 0, 1)) | st.integers(-50, 50)
+    arcs = []
+    for source, target, translation, sign, twin in draw(st.lists(
+            st.tuples(node, node, st.tuples(*[coordinate] * d),
+                      st.sampled_from((1, -1)), st.booleans()),
+            max_size=max_arcs)):
+        arcs.append(Arc(source, target, 1, 0, sign, translation))
+        if twin:
+            arcs.append(Arc(source, target, 2, 0, -sign, translation))
+    t = TransitionGraph(tuple(f"e{i}" for i in range(m)), d, tuple(arcs),
+                        None)
+    a = magnus.magnus_matrix(t)
+    scale = st.integers(1, 3) | st.integers(2 ** 64, 2 ** 66)
+    return magnus.MagnusMatrix(a.size, a.dim, a.edge_order,
+                               {key: c * draw(scale)
+                                for key, c in a.terms.items()})
+
+
+def _integer_matrix(rows):
+    return matrix_from_rows([f"e{i}" for i in range(len(rows))], 0,
+                            [[laurent_constant(0, c) for c in row]
+                             for row in rows])
+
+
+# products that cancel: A^2 = 0 for the first, and (A^2)_01 = 1 - 1 = 0
+NILPOTENT = matrix_from_rows(("a", "b"), 1, [[monomial((1,)), monomial((1,))],
+                                           [monomial((1,), -1),
+                                            monomial((1,), -1)]])
+CANCELLING = _integer_matrix([[1, 1, 1], [1, -1, 0], [0, 0, 1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=magnus_matrices(), order=st.permutations(range(1, 21)))
+@example(a=NILPOTENT, order=list(range(1, 21)))
+@example(a=CANCELLING, order=list(range(20, 0, -1)))
+def test_trace_power_matches_repeated_products(a, order):
+    # k read in random order: a first small k sizes the packing for 2k
+    # factors, and a later larger one widens it partway through
+    powers = [a]
+    for _ in range(19):
+        powers.append(magnus_mat_mul(powers[-1], a))
+    top = 0
+    for k in order:
+        t = magnus.trace_power(a, k)
+        assert _no_zero_terms(t.terms)
+        assert t.terms == magnus.trace(powers[k - 1]).terms
+        top = max(top, k)
+        _check_stored_powers(a, top)
+        if top > 1:
+            assert a._cache["powers"].capacity >= top   # no slot carries
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=magnus_matrices(max_arcs=8), triangular=st.booleans(),
+       order=st.permutations(range(6)))
+@example(a=NILPOTENT, triangular=False, order=list(range(6)))
+@example(a=CANCELLING, triangular=True, order=list(range(6)))
+def test_is_stable_matches_brute_force_power(a, triangular, order):
+    # nilpotent by construction: the terms above the diagonal in a drawn
+    # order of the edges
+    if triangular:
+        a = magnus.MagnusMatrix(a.size, a.dim, a.edge_order,
+                                {(i, j, v): c
+                                 for (i, j, v), c in a.terms.items()
+                                 if order.index(i) < order.index(j)})
+        assert not is_stable(a)
+    assert is_stable(a) == (not matrix_is_zero(magnus_power(a, a.size)))
 
 
 def test_magnus_and_trace_coefficients_are_ints(analyses):
