@@ -37,8 +37,13 @@ on which the map is the identity), so
 and character by character det(xI - V(chi)) divides det(xI - A(chi)),
 times (x - 1) for the trivial character: every edge's lift closes up, so
 the lift is a chain map, and the cover is connected, so only the trivial
-character sees H0.  Each block's determinant is a Hessenberg
-characteristic polynomial modulo m.
+character sees H0.  det(xI - A(chi)) is a Hessenberg characteristic
+polynomial modulo m.  V(chi) has one entry per row, chi(s(v)) in the
+column of f(v), so det(xI - V(chi)) is read off the vertex map's cycles:
+x^l - chi(s summed along the cycle) per cycle of length l, and x per
+vertex on no cycle; each is divided out exactly.  The base is a fixed
+point with s(base) = 0, whose x - 1 cancels the trivial character's H0
+factor, so neither is formed.
 
 The characters come in Galois orbits: the automorphism zeta -> zeta^u of
 Q(zeta), u a unit mod the exponent of G, sends chi_a to chi_ua = chi_a^u,
@@ -51,16 +56,22 @@ size phi(o).  The product of the blocks over one orbit O,
 and has algebraic-integer coefficients, so it lies in Z[x]; modulo q,
 with zeta -> w, it is the product of the blocks' quotients.  Its degree
 is m_O = |O| (E - V) (plus 1 for the trivial orbit) and its roots are
-eigenvalues of the A(chi), bounded by L, the longest edge image, which
-bounds each block's row sums; so CRT recombines N_O on its own against
-C(m_O, i) * L^i, one evaluation of the orbit's blocks per group of up to
-four primes (``linalg.multimodular``), and charpoly(H1) is the product of
-the N_O over Z.  The primes are shared by the orbits.  How many a degree
-needs, and whether that is past the cap, is ``linalg.crt_primes``'s
-decision alone, and the largest orbit's count is asked of it before any
-character is listed: a character of order the exponent of G has the
-largest orbit, of size phi(exponent) >= sqrt(exponent / 2), so a first
-count at that lower bound refuses a huge exponent before it is factored.  The base map is the case G = 1, a single orbit.
+eigenvalues of the A(chi).  They are bounded by the spectral radius of
+the count matrix C of the level's base map (C_ij the number of times e_j
+occurs in f(e_i)), which dominates every |A(chi)| entrywise, and so by
+any R >= rho(C); so CRT recombines N_O on its own against C(m_O, i) *
+R^i, one evaluation of the orbit's blocks per group of up to four primes
+(``linalg.multimodular``), and charpoly(H1) is the product of the N_O
+over Z.  On a cover R is the Collatz-Wielandt bound max_i (C^17 1)_i /
+(C^16 1)_i, a rational between rho(C) >= 1 and L, the longest edge
+image, which is C's largest row sum; on the base map it is L.  The
+primes are shared by the orbits.  How many a degree needs, and whether
+that is past the cap, is ``linalg.crt_primes``'s decision alone, and the
+largest orbit's count, against L, is asked of it before any character is
+listed: a character of order the exponent of G has the largest orbit, of
+size phi(exponent) >= sqrt(exponent / 2), so a first count at that lower
+bound refuses a huge exponent before it is factored.  The base map is
+the case G = 1, a single orbit.
 A level's polynomial stays factored as the tuple of its N_O all the way
 to the verdict, and the whole polynomial is the verdict's witness times
 its powers of x and cyclotomic factors.  The dense charpoly of the
@@ -87,7 +98,8 @@ order o is evaluated only at the n with phi(lcm(o, n)) at most its degree
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import product
 from math import gcd, isqrt, lcm
 
@@ -356,6 +368,53 @@ def _galois_orbits(diag):
     return orbits
 
 
+def _vertex_cycles(vertex_rows, vidx, base, quotient):
+    """The cycles of the vertex map v -> f(v), read off the fiber-zero
+    vertex rows (f(v), s(v)): a pair (length, label) per cycle, the label
+    the sum of the s(v) along it, the base's fixed point (label 0) first,
+    and the number of vertices on no cycle.  V(chi) has one entry chi(s(v))
+    per row, so det(xI - V(chi)) is x per vertex on no cycle times x^length
+    - chi(label) per cycle."""
+    succ = [vidx[w] for w, _y in vertex_rows]
+    seen, cycles = set(), []
+    for v in (vidx[base], *range(len(succ))):
+        path = []
+        while v not in seen:
+            seen.add(v)
+            path.append(v)
+            v = succ[v]
+        if v in path:           # the path closed a new cycle at v
+            cycle = path[path.index(v):]
+            cycles.append((len(cycle), reduce(
+                quotient.add, (vertex_rows[u][1] for u in cycle))))
+    return cycles, len(succ) - sum(length for length, _label in cycles)
+
+
+def _divide_binomial(p, length, c, m):
+    """p / (x^length - c) in (Z/m)[x], in place; LiftError unless exact."""
+    if c:
+        for i in range(len(p) - 1, length - 1, -1):
+            p[i - length] = (p[i - length] + c * p[i]) % m
+    if any(p[:length]):
+        raise LiftError("the fiber-zero rows are not a chain map")
+    return p[length:]
+
+
+def _root_bound(edge_rows, eidx):
+    """A rational upper bound on the spectral radius of the count matrix C
+    of the level's base map, C_ij the number of times edge j occurs in the
+    image of edge i: Collatz-Wielandt's max_i (C^17 1)_i / (C^16 1)_i.
+    C^16 1 is positive, as every edge image is non-empty.  The bound only
+    falls as the power grows from 0, where it is the longest edge image;
+    at 16, unipotent_silver's is within 1e-6 of its spectral radius, the
+    silver ratio."""
+    cols = [[eidx[name] for name, _x, _d in row] for row in edge_rows]
+    x = y = [1] * len(cols)
+    for _ in range(17):
+        x, y = y, [sum(map(y.__getitem__, col)) for col in cols]
+    return max(map(Fraction, y, x))
+
+
 def orbit_polynomials(f):
     """The exact characteristic polynomial of the H1 action of a tower
     level, factored: one pair (o, N_O) per Galois orbit of the deck group's
@@ -377,21 +436,30 @@ def orbit_polynomials(f):
     order = lcm(*diag)
     scale = [order // d for d in diag]
 
-    def exponent(a, x):    # chi_a(x) = w^exponent, w of exact order `order`
-        return sum(ai * xi * s for ai, xi, s in zip(a, x, scale)) % order
+    # chi_a(x) = w^exponent(a, weight(x)), w of exact order `order`
+    def weight(x):
+        return tuple(map(operator.mul, x, scale))
 
-    terms = {}
+    def exponent(a, t):
+        return sum(map(operator.mul, a, t)) % order
+
+    sheets = {}    # label x -> {(i, j): signed count of e_j@x in f(e_i@0)}
     for i, row in enumerate(edge_rows):
         for name, x, d in row:
-            key = (i, eidx[name], x)
-            terms[key] = terms.get(key, 0) + d
+            terms = sheets.setdefault(x, {})
+            terms[i, eidx[name]] = terms.get((i, eidx[name]), 0) + d
+    sheets = [(weight(x), [(i, j, c) for (i, j), c in terms.items() if c])
+              for x, terms in sheets.items()]
+    cycles, transient = _vertex_cycles(vertex_rows, vidx, graph.base,
+                                       quotient)
+    cycles = [(length, weight(label)) for length, label in cycles]
     powers = {}    # m -> [w^k mod m for k < order], shared by every orbit
 
     def orbit_residues(orbit):
-        blocks = [([(i, j, exponent(a, x), c)
-                    for (i, j, x), c in terms.items() if c],
-                   [(i, vidx[w], exponent(a, y))
-                    for i, (w, y) in enumerate(vertex_rows)])
+        # the trivial character skips the base's x - 1, its H0 factor
+        blocks = [([(exponent(a, t), terms) for t, terms in sheets],
+                   [(length, exponent(a, t))
+                    for length, t in cycles[0 if any(a) else 1:]])
                   for a in orbit]
 
         def residues(m, w):
@@ -401,23 +469,16 @@ def orbit_polynomials(f):
                     table[k] = table[k - 1] * w % m
                 powers[m] = table
             table, out = powers[m], []
-            for a, (edge_terms, vertex_terms) in zip(orbit, blocks):
+            for edge_terms, factors in blocks:
                 am = [[0] * len(eidx) for _ in eidx]
-                for i, j, k, c in edge_terms:
-                    am[i][j] += c * table[k]
-                vm = [[0] * len(vidx) for _ in vidx]
-                for i, j, k in vertex_terms:
-                    vm[i][j] = table[k]
-                num = linalg.charpoly_mod(am, m)
-                if not any(a):    # times (x - 1): H0 lies in the trivial part
-                    num = [(lo - hi) % m
-                           for lo, hi in zip([0] + num, num + [0])]
-                quo, rem = linalg.poly_divmod_monic(
-                    num, linalg.charpoly_mod(vm, m), m)
-                if rem:
-                    raise LiftError(
-                        "the fiber-zero rows are not a chain map")
-                out.append(quo)
+                for k, terms in edge_terms:
+                    value = table[k]
+                    for i, j, c in terms:
+                        am[i][j] += c * value
+                quo = linalg.charpoly_mod(am, m)
+                for length, k in factors:
+                    quo = _divide_binomial(quo, length, table[k], m)
+                out.append(_divide_binomial(quo, transient, 0, m))
             return linalg.poly_product(out, m)
         return residues
 
@@ -429,12 +490,15 @@ def orbit_polynomials(f):
     linalg.crt_primes(isqrt(order // 2) * rank, longest, order)
     linalg.crt_primes(max(linalg.totient(order) * rank, rank + 1), longest,
                       order)
+    # R <= L for a cover; a small base map would spend a third of its time
+    # on R, and L already takes it one prime
+    bound = longest if order == 1 else _root_bound(edge_rows, eidx)
     orbits = _galois_orbits(diag)
     degrees = [len(o) * rank for o in orbits]
     degrees[0] += 1        # H0, in the trivial orbit
     return tuple(
         (character_order(o[0], diag),
-         linalg.multimodular(n, longest, orbit_residues(o), order))
+         linalg.multimodular(n, bound, orbit_residues(o), order))
         for o, n in zip(orbits, degrees))
 
 

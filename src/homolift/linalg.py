@@ -346,10 +346,11 @@ def prime_root(n, i):
 def crt_primes(n, radius, order=1):
     """The first primes ``pool_prime(order, .)`` whose product exceeds 2B +
     1, B the bound max_i C(n, i) * radius^i on the coefficients of a monic
-    degree-n polynomial whose roots have modulus at most ``radius``;
-    ResourceLimitError when more than CRT_PRIME_CAP are needed.  Only
-    primes are generated: no residue, no root of unity, so n may be a lower
-    bound for a degree whose exact value would need a factorisation.
+    degree-n polynomial whose roots have modulus at most ``radius``, an int
+    or a Fraction; ResourceLimitError when more than CRT_PRIME_CAP are
+    needed.  Only primes are generated: no residue, no root of unity, so n
+    may be a lower bound for a degree whose exact value would need a
+    factorisation.
 
     B lies between the mean (1 + radius)^n // (n + 1) and the sum (1 +
     radius)^n of its n + 1 terms.  Every pool prime exceeds 2^62, so the

@@ -222,12 +222,14 @@ def test_verify_refuses_a_huge_cover_before_listing_characters(
     # bound already needs more primes than the cap; and a prime order, whose
     # trial division would not finish, is refused before it is factored
     binomials, factored = [], []
-    comb, prime_factors = linalg.comb, linalg.prime_factors
+    comb = linalg.comb
     monkeypatch.setattr(linalg, "comb",
                         lambda *args: binomials.append(args) or comb(*args))
     if modulus == 2 ** 61 - 1:
-        monkeypatch.setattr(linalg, "prime_factors",
-                            lambda n: factored.append(n) or prime_factors(n))
+        def refuse(n):     # raise at once, rather than spend minutes on n
+            factored.append(n)
+            raise AssertionError(f"{n} is factored before the cap check")
+        monkeypatch.setattr(linalg, "prime_factors", refuse)
     started = time.perf_counter()
     code, out, err = run("verify", str(path))
     assert time.perf_counter() - started < 15

@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm, prod
 
@@ -9,9 +11,9 @@ from hypothesis import strategies as st
 
 from homolift import corpus, linalg, magnus
 from homolift.covers import (CoverGraph, FiniteQuotient, _connected,
-                             _fiber_zero, _galois_orbits, _value_mod,
-                             abelian_cover, h1_action_on_cover, lift_map,
-                             orbit_polynomials, spectral_radius,
+                             _fiber_zero, _galois_orbits, _root_bound,
+                             _value_mod, abelian_cover, h1_action_on_cover,
+                             lift_map, orbit_polynomials, spectral_radius,
                              unit_circle_test)
 from homolift.errors import LiftError, ResourceLimitError, ValidationError
 from homolift.graphs import Edge, Graph, parse_graph_map
@@ -157,12 +159,16 @@ def test_s3_cover_action_roots_of_unity(analyses):
 
 
 def _scanned_bound(n, radius):
-    """max_i C(n, i) * radius^i, by a scan over every term."""
-    bound = term = 1
+    """max_i C(n, i) * radius^i, by a scan over every term, for an int or a
+    Fraction radius num / den: the terms times den^n are the integers
+    C(n, i) * num^i * den^(n - i)."""
+    radius = Fraction(radius)
+    num, den = radius.numerator, radius.denominator
+    bound = term = den ** n
     for i in range(1, n + 1):
-        term = term * (n - i + 1) * radius // i
+        term = term * (n - i + 1) * num // (i * den)
         bound = max(bound, term)
-    return bound
+    return Fraction(bound, den ** n)
 
 
 def _primes_past(bound, order=1):
@@ -176,9 +182,13 @@ def _primes_past(bound, order=1):
 
 
 def test_coefficient_bound_is_the_largest_term():
-    # crt_primes's bound against the scan over every term C(n, i) * radius^i
+    # crt_primes's bound against the scan over every term C(n, i) * radius^i,
+    # for the integer radii L and rational radii like the count-matrix
+    # bounds R (99/41 is near the silver ratio)
+    rational = [Fraction(1, 3), Fraction(3, 2), Fraction(12, 5),
+                Fraction(99, 41), Fraction(26, 7)]
     for n in range(120):
-        for radius in range(7):
+        for radius in [*range(7), *rational]:
             assert linalg.crt_primes(n, radius) == \
                 _primes_past(_scanned_bound(n, radius)), (n, radius)
 
@@ -340,6 +350,43 @@ def test_block_charpoly_matches_dense_on_multi_vertex_levels(analyses, name,
     assert _matches_dense(top)
 
 
+def test_a_tampered_vertex_label_is_not_a_chain_map(multi_vertex_levels):
+    # a vertex's label s(v) moved by a generator of G no longer matches the
+    # edge rows: some character's det(xI - V(chi)), read off the vertex
+    # map's cycles, does not divide det(xI - A(chi))
+    for level in multi_vertex_levels:
+        lifted = level.lifted
+        edge_rows, vertex_rows = lifted.rows
+        q = lifted.cover.quotient
+        step = tuple(int(d == max(q.diag)) for d in q.diag)
+        for v, (w, y) in enumerate(vertex_rows):
+            rows = list(vertex_rows)
+            rows[v] = (w, q.add(y, step))
+            with pytest.raises(LiftError, match="not a chain map"):
+                orbit_polynomials(replace(lifted, rows=(edge_rows, rows)))
+
+
+TRANSIENT_MAP = """vertices: v w
+edges: a: v -> v ; b: v -> v ; c: v -> w ; d: w -> v
+base: v
+map a -> a b a
+map b -> b
+map c -> a
+map d -> b
+"""
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_block_charpoly_matches_dense_with_a_transient_vertex(k):
+    # w -> v: the vertex map is not a bijection, so every lift of w lies on
+    # no cycle and each character's det(xI - V(chi)) has a factor x
+    an = Analysis.of(parse_graph_map(TRANSIENT_MAP))
+    assert an.quotient.rank == 1
+    level = an.cover(k)
+    assert {w for w, _y in level.lifted.rows[1]} == {"v"}
+    assert _matches_dense(level)
+
+
 @pytest.mark.parametrize("name", ["example_s3", "identity", "unipotent_rank2"])
 @pytest.mark.parametrize("basis", [[[2, 1], [0, 4]], [[3, 0], [0, 6]]])
 def test_block_charpoly_matches_dense_on_lattice_quotients(analyses, name,
@@ -382,17 +429,19 @@ def test_orbit_charpoly_matches_dense(analyses, name, k, sizes, count):
 
 def test_orbit_charpoly_makes_few_block_charpolys(silver, monkeypatch):
     # one CRT over the whole level would pay 13 primes x 192 characters x
-    # 2 blocks = 4992 calls, and per-orbit bounds one call per prime 1216;
-    # one call per group of up to 4 primes evaluates every character's 2
-    # blocks once, and the 64 characters of order 192 (5 primes) twice:
-    # 2 x (192 + 64) = 512
+    # 2 blocks = 4992 calls, and per-orbit bounds one call per prime 1216.
+    # V(chi) is read off the vertex map's cycles, so a character has one
+    # block; one call per group of up to 4 primes evaluates it once, and
+    # every orbit needs one group: the 64 characters of order 192 (degree
+    # 128) take 5 primes against L = 3 but 4 against the count matrix's
+    # radius, below 2.4143.  One A(chi) per character: 192
     level = Analysis.of(silver).cover(192)
     calls = []
     real = linalg.charpoly_mod
     monkeypatch.setattr(linalg, "charpoly_mod",
                         lambda rows, p: calls.append(p) or real(rows, p))
     assert len(level.charpoly) == 192 * 2 + 2
-    assert len(calls) <= 512
+    assert len(calls) == 192
 
 
 def test_orbit_prime_cap_is_checked_before_any_residue(analyses,
@@ -524,6 +573,19 @@ def _poly_mul(a, b):
     return out
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_poly_mul_mod_is_multiply_then_reduce(data):
+    # moduli of 1 to 4 pool primes; operands of 0 to 20 coefficients, with
+    # 0 and m - 1 among them, so a slot may hold min(len) products (m - 1)^2
+    m = prod(linalg.pool_prime(1, i) for i in range(data.draw(
+        st.integers(1, 4))))
+    coeffs = st.one_of(st.sampled_from([0, m - 1]), st.integers(0, m - 1))
+    a, b = (data.draw(st.lists(coeffs, max_size=20)) for _ in range(2))
+    expected = [c % m for c in _poly_mul(a, b)] if a and b else []
+    assert linalg.poly_mul_mod(a, b, m) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3),
        st.lists(st.tuples(st.integers(1, 40), st.integers(1, 2)), max_size=4),
@@ -649,6 +711,22 @@ def _block_radius(level):
 def test_block_radius_is_the_silver_ratio(analyses):
     level = analyses["unipotent_rank2"].cover(6)
     assert abs(_block_radius(level) - (1 + 2 ** 0.5)) < 1e-12
+
+
+def test_count_matrix_radius_bounds_every_block(analyses,
+                                                multi_vertex_levels):
+    # rho(C) >= rho(A(chi)) for every character, as C dominates |A(chi)|,
+    # and the Collatz-Wielandt bound lies between rho(C) and L, C's
+    # largest row sum
+    levels = [an.cover(k) for an in analyses.values() if an.quotient.rank
+              for k in range(2, 7)]
+    for level in [*levels, *multi_vertex_levels]:
+        lifted = level.lifted
+        edge_rows, _vertex_rows = lifted.rows
+        index = {e.name: i for i, e in enumerate(lifted.base_map.graph.edges)}
+        bound = _root_bound(edge_rows, index)
+        assert 1 <= bound <= max(map(len, edge_rows))
+        assert _block_radius(level) <= bound * (1 + 1e-12)
 
 
 @pytest.mark.xfail(strict=True, reason="np.roots on the degree-50 witness "
