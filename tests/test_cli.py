@@ -193,6 +193,16 @@ def test_verify_malformed_tower_step_is_error(tmp_path, silver_cert, field,
 @pytest.mark.parametrize("field, value, failed", [
     ("power", 7, "power"), ("zero_eigenvalues", 3, "zero-eigenvalues"),
     ("tower", [{"quotient": "H_f/3H_f", "degree": 2, "modulus": 2}],
+     "tower-rebuild"),
+    pytest.param("modulus", 10 ** 400, "modulus", id="modulus-beyond-float"),
+    # steps that name no finite quotient
+    ("tower", [{"quotient": "H_f/0H_f", "degree": 0, "modulus": 0}],
+     "tower-rebuild"),
+    ("tower", [{"quotient": "H_f/-6H_f", "degree": 6, "modulus": -6}],
+     "tower-rebuild"),
+    ("tower", [{"quotient": "Z/0", "degree": 0, "basis": [[0]]}],
+     "tower-rebuild"),
+    ("tower", [{"quotient": "Z/6", "degree": 6, "basis": [[6, 0], [0, 0]]}],
      "tower-rebuild")])
 def test_verify_rejects_tampered_values(tmp_path, silver_cert, field, value,
                                         failed):

@@ -71,6 +71,26 @@ def test_dense_charpoly_has_no_production_caller():
     assert _package_modules_naming({"charpoly_int"}) == {"linalg.py"}
 
 
+def test_only_a_levels_verdict_runs_the_sieve():
+    # every verdict, verify's included, is a tower level's, decided one
+    # Galois orbit at a time; no package function sieves a whole polynomial
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for scope in ast.walk(tree):
+            for fn in ast.iter_child_nodes(scope):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                owner = (f"{scope.name}." if isinstance(scope, ast.ClassDef)
+                         else "")
+                if any(isinstance(node, ast.Call) and "unit_circle_test" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None))
+                       for node in ast.walk(fn)):
+                    callers.add(f"{path.name}:{owner}{fn.name}")
+    assert callers == {"search.py:Analysis.verdict"}
+
+
 def test_hull_forms_no_fraction():
     # the hull's simplex pivots an integer tableau and reads only the
     # coordinates' numerators and denominators; the Fraction simplex is

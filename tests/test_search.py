@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homolift import linalg, magnus, search
-from homolift.covers import CoverCertificate, _value_mod, unit_circle_test
+from homolift.covers import CoverCertificate, _value_mod
 from homolift.cyclotomic import Cyclotomic
 from homolift.errors import (CertificateError, ResourceLimitError,
                              ValidationError)
@@ -599,22 +599,36 @@ def test_certificate_json_roundtrip(golden):
     assert verify_certificate(again)["ok"]
 
 
+CHARPOLY_DIFFERS = ("charpoly-rebuild: characteristic polynomial of the "
+                    "rebuilt tower differs")
+
+
 def test_certificate_tamper_detected(silver):
-    # a stored polynomial the tower does not rebuild is tested whole
+    # a stored polynomial the tower does not rebuild fails on that alone:
+    # no verdict is taken from it
     cert = brute_force_oracle(silver, 2000)
     data = cert.to_json()
     data["charpoly"][1] += 1
-    bad = CoverCertificate.from_json(data)
-    report = verify_certificate(bad)
-    whole = unit_circle_test(data["charpoly"])
-    assert report["failures"] == [
-        "witness: witness factor does not match the cyclotomic-stripped "
-        "remainder",
-        "witness-divides: stored witness does not divide the stored "
-        "polynomial",
-        f"modulus: recomputed modulus {whole.modulus}, stored {cert.modulus}",
-        "charpoly-rebuild: characteristic polynomial of the rebuilt tower "
-        "differs"]
+    report = verify_certificate(CoverCertificate.from_json(data))
+    assert report["failures"] == [CHARPOLY_DIFFERS]
+    assert "verdict" not in {c["name"] for c in report["checks"]}
+
+
+def test_crafted_charpoly_reaches_no_sieve(silver, monkeypatch):
+    # a random monic polynomial of degree 2000 in place of the rebuilt one
+    # is only compared: the sieve sees the rebuilt level's orbit factors
+    # and nothing longer
+    level = Analysis.of(silver).cover(12)
+    cert = search._certificate(level, "brute-force", None)
+    rng = random.Random(5)
+    crafted = [rng.randint(-9, 9) for _ in range(2000)] + [1]
+    largest = max(len(poly) for _o, poly in level.orbit_factors)
+    sizes = []
+    monkeypatch.setattr("homolift.covers._value_mod", lambda coeffs, w, q: (
+        sizes.append(len(coeffs)) or _value_mod(coeffs, w, q)))
+    report = verify_certificate(replace(cert, charpoly=tuple(crafted)))
+    assert report["failures"] == [CHARPOLY_DIFFERS]
+    assert sizes and max(sizes) <= largest
 
 
 @pytest.mark.parametrize("charpoly", [(), (1, 2), (-1, 2, 3)])
