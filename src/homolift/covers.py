@@ -27,8 +27,7 @@ Z[G] -> F_q, and the chain complex C1 -> C0 splits into blocks
 A(chi) -> V(chi).  The blocks are evaluated modulo a product m of up to
 four such primes at once, with w a primitive root modulo each: Z/m is the
 product of the fields F_q, so every step is the per-prime step in each
-coordinate (``linalg.charpoly_mod`` splits m where a pivot is zero modulo
-some of its primes).  In the cover the cycles Z1 = H1 are an invariant
+coordinate.  In the cover the cycles Z1 = H1 are an invariant
 subspace of C1 with C1/Z1 = B0, the boundaries, and C0 = B0 + (one class
 on which the map is the identity), so
 
@@ -37,18 +36,22 @@ on which the map is the identity), so
 and character by character det(xI - V(chi)) divides det(xI - A(chi)),
 times (x - 1) for the trivial character: every edge's lift closes up, so
 the lift is a chain map, and the cover is connected, so only the trivial
-character sees H0.  det(xI - A(chi)) is a Hessenberg characteristic
-polynomial modulo m.  V(chi) has one entry per row, chi(s(v)) in the
-column of f(v), so det(xI - V(chi)) is read off the vertex map's cycles:
-x^l - chi(s summed along the cycle) per cycle of length l, and x per
-vertex on no cycle; each is divided out exactly.  The base is a fixed
-point with s(base) = 0, whose x - 1 cancels the trivial character's H0
-factor, so neither is formed.
+character sees H0.  det(xI - A(chi)) is computed modulo m by
+``linalg.charpoly_mod``: from the principal minors (trace, 2 x 2 minors,
+determinant) when the base graph has at most three edges, which divides
+by nothing, and by the Hessenberg reduction otherwise, which splits m
+where a pivot is zero modulo some of its primes.  V(chi) has one entry
+per row, chi(s(v)) in the column of f(v), so det(xI - V(chi)) is read off
+the vertex map's cycles: x^l - chi(s summed along the cycle) per cycle of
+length l, and x per vertex on no cycle; each is divided out exactly.  The
+base is a fixed point with s(base) = 0, whose x - 1 cancels the trivial
+character's H0 factor, so neither is formed.
 
 The characters come in Galois orbits: the automorphism zeta -> zeta^u of
 Q(zeta), u a unit mod the exponent of G, sends chi_a to chi_ua = chi_a^u,
 so the orbit of a character of order o is {chi_ua : u a unit mod o}, of
-size phi(o).  The product of the blocks over one orbit O,
+size phi(o), and chi_ua(x) = chi_a(x)^u: one member's exponents, times u,
+are every member's.  The product of the blocks over one orbit O,
 
     N_O = prod_{chi in O} det(xI - A(chi)) / det(xI - V(chi))
 
@@ -71,7 +74,8 @@ largest orbit's count, against L, is asked of it before any character is
 listed: a character of order the exponent of G has the largest orbit, of
 size phi(exponent) >= sqrt(exponent / 2), so a first count at that lower
 bound refuses a huge exponent before it is factored.  The base map is
-the case G = 1, a single orbit.
+the case G = 1, a single orbit, whose rows are f's own edge images and
+vertex images, all on the one sheet; no lift is built.
 A level's polynomial stays factored as the tuple of its N_O all the way
 to the verdict, and the whole polynomial is the verdict's witness times
 its powers of x and cyclotomic factors.  The dense charpoly of the
@@ -99,7 +103,7 @@ order o is evaluated only at the n with phi(lcm(o, n)) at most its degree
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import gcd, isqrt, lcm
 
@@ -187,6 +191,9 @@ class FiniteQuotient:
 
     def elements(self):
         return [tuple(e) for e in product(*[range(d) for d in self.diag])]
+
+
+_TRIVIAL = FiniteQuotient.from_modulus(0, 1)     # the base map's deck group
 
 
 def _at(name, elem):
@@ -349,20 +356,25 @@ def lift_map(f, cover):
     return LiftedMap(cover, f, _fiber_zero(f, cover.quotient, cover.cocycle))
 
 
+@lru_cache(maxsize=None)
+def _units(o):
+    """The units modulo o, ascending; 1 first."""
+    return tuple(u for u in range(1, o + 1) if gcd(u, o) == 1)
+
+
 def _galois_orbits(diag):
     """The characters a of G = prod Z/diag_i, chi_a(x) = w^(sum a_i x_i
     order/diag_i) with w of exact order lcm(diag), grouped into Galois
-    orbits {u a mod diag : u a unit modulo the order o of chi_a}, each of
-    size phi(o), the trivial character's first.  O(|G|): a character
-    already placed is skipped, and the units are listed once per order."""
-    units, seen, orbits = {}, set(), []
+    orbits [u a mod diag for u in _units(o)], o the order of chi_a, each of
+    size phi(o), the trivial character's first.  An orbit's first member is
+    a, and its k-th is _units(o)[k] a.  O(|G|): a character already placed
+    is skipped."""
+    seen, orbits = set(), []
     for a in product(*map(range, diag)):
         if a in seen:
             continue
-        o = character_order(a, diag)
-        if o not in units:
-            units[o] = [u for u in range(1, o + 1) if gcd(u, o) == 1]
-        orbit = [tuple(u * ai % d for ai, d in zip(a, diag)) for u in units[o]]
+        orbit = [tuple(u * ai % d for ai, d in zip(a, diag))
+                 for u in _units(character_order(a, diag))]
         seen.update(orbit)
         orbits.append(orbit)
     return orbits
@@ -426,10 +438,11 @@ def orbit_polynomials(f):
     if isinstance(f, LiftedMap):
         quotient, (edge_rows, vertex_rows) = f.cover.quotient, f.rows
         f = f.base_map
-    else:
-        quotient = FiniteQuotient.from_modulus(0, 1)
-        edge_rows, vertex_rows = _fiber_zero(
-            f, quotient, dict.fromkeys(f.edge_image, ()))
+    else:       # G = 1: the rows are f's own, every label the empty tuple
+        quotient = _TRIVIAL
+        edge_rows = [[(name, (), d) for name, d in f.edge_image[e.name].steps]
+                     for e in f.graph.edges]
+        vertex_rows = [(f.vertex_image[v], ()) for v in f.graph.vertices]
     graph, diag = f.graph, quotient.diag
     eidx = {e.name: i for i, e in enumerate(graph.edges)}
     vidx = {v: i for i, v in enumerate(graph.vertices)}
@@ -455,12 +468,15 @@ def orbit_polynomials(f):
     cycles = [(length, weight(label)) for length, label in cycles]
     powers = {}    # m -> [w^k mod m for k < order], shared by every orbit
 
-    def orbit_residues(orbit):
-        # the trivial character skips the base's x - 1, its H0 factor
-        blocks = [([(exponent(a, t), terms) for t, terms in sheets],
-                   [(length, exponent(a, t))
-                    for length, t in cycles[0 if any(a) else 1:]])
-                  for a in orbit]
+    def orbit_residues(o, a):
+        # the exponents of chi_ua are u times chi_a's; the trivial
+        # character skips the base's x - 1, its H0 factor
+        edges = [(exponent(a, t), terms) for t, terms in sheets]
+        vertices = [(length, exponent(a, t))
+                    for length, t in cycles[0 if any(a) else 1:]]
+        blocks = [([(u * k % order, terms) for k, terms in edges],
+                   [(length, u * k % order) for length, k in vertices])
+                  for u in _units(o)]
 
         def residues(m, w):
             if m not in powers:
@@ -484,22 +500,27 @@ def orbit_polynomials(f):
 
     rank = len(eidx) - len(vidx)
     longest = max((len(row) for row in edge_rows), default=1)
-    # the cap, before any character is listed: the largest orbit has size
-    # phi(order) >= sqrt(order / 2), so a huge order is refused before it
-    # is factored
-    linalg.crt_primes(isqrt(order // 2) * rank, longest, order)
-    linalg.crt_primes(max(linalg.totient(order) * rank, rank + 1), longest,
-                      order)
-    # R <= L for a cover; a small base map would spend a third of its time
-    # on R, and L already takes it one prime
-    bound = longest if order == 1 else _root_bound(edge_rows, eidx)
-    orbits = _galois_orbits(diag)
-    degrees = [len(o) * rank for o in orbits]
-    degrees[0] += 1        # H0, in the trivial orbit
-    return tuple(
-        (character_order(o[0], diag),
-         linalg.multimodular(n, bound, orbit_residues(o), order))
-        for o, n in zip(orbits, degrees))
+    if order == 1:
+        # one orbit, whose own prime count is the cap check; R <= L, but a
+        # small base map would spend a third of its time on R, and L
+        # already takes it one prime
+        bound = longest
+    else:
+        # the cap, before any character is listed: the largest orbit has
+        # size phi(order) >= sqrt(order / 2), so a huge order is refused
+        # before it is factored
+        linalg.crt_primes(isqrt(order // 2) * rank, longest, order)
+        linalg.crt_primes(max(linalg.totient(order) * rank, rank + 1),
+                          longest, order)
+        bound = _root_bound(edge_rows, eidx)
+    out = []
+    for orbit in _galois_orbits(diag):
+        o = character_order(orbit[0], diag)
+        n = len(orbit) * rank + (o == 1)       # H0, in the trivial orbit
+        out.append((o, linalg.multimodular(n, bound,
+                                           orbit_residues(o, orbit[0]),
+                                           order)))
+    return tuple(out)
 
 
 def h1_action_on_cover(lm):
@@ -530,10 +551,15 @@ class UnitCircleVerdict:
     @cached_property
     def modulus(self):
         """Largest root modulus of the witness: display only, in floating
-        point, on first read."""
+        point, on first read.  The eigenvalues of the witness's companion
+        matrix, built as ``np.roots`` builds it (its first row the negated
+        coefficients, from the second highest down), so the float is
+        ``np.roots``'s to the bit."""
         if self.all_on_circle:
             return 1.0
-        return float(max(abs(np.roots(list(reversed(self.witness))))))
+        companion = np.eye(len(self.witness) - 1, k=-1)
+        companion[0] = [-float(c) for c in reversed(self.witness[:-1])]
+        return float(max(abs(np.linalg.eigvals(companion))))
 
     @property
     def tag(self):

@@ -347,10 +347,11 @@ def crt_primes(n, radius, order=1):
     """The first primes ``pool_prime(order, .)`` whose product exceeds 2B +
     1, B the bound max_i C(n, i) * radius^i on the coefficients of a monic
     degree-n polynomial whose roots have modulus at most ``radius``, an int
-    or a Fraction; ResourceLimitError when more than CRT_PRIME_CAP are
-    needed.  Only primes are generated: no residue, no root of unity, so n
-    may be a lower bound for a degree whose exact value would need a
-    factorisation.
+    or a Fraction p / q; ResourceLimitError when more than CRT_PRIME_CAP
+    are needed.  Only primes are generated: no residue, no root of unity,
+    so n may be a lower bound for a degree whose exact value would need a
+    factorisation.  Each comparison is multiplied through by a power of q,
+    so it is one between integers.
 
     B lies between the mean (1 + radius)^n // (n + 1) and the sum (1 +
     radius)^n of its n + 1 terms.  Every pool prime exceeds 2^62, so the
@@ -367,21 +368,22 @@ def crt_primes(n, radius, order=1):
     if n > 2 * 62 * CRT_PRIME_CAP:
         cap = prod(pool_prime(order, i) for i in range(CRT_PRIME_CAP))
         m = min(n, 2 * cap.bit_length())
+    p, q = radius.numerator, radius.denominator
     primes = []
     modulus = 1
 
-    def exceed(bound):
+    def exceed(bound, den=1):      # the product past 2 * bound / den + 1
         nonlocal modulus
-        while modulus <= 2 * bound + 1:
+        while modulus * den <= 2 * bound + den:
             if len(primes) == CRT_PRIME_CAP:
                 raise ResourceLimitError("charpoly: prime pool exhausted")
             primes.append(pool_prime(order, len(primes)))
             modulus *= primes[-1]
 
-    exceed((1 + radius) ** m // (m + 1))
-    if m == n and modulus <= 2 * (1 + radius) ** n + 1:
-        i = max(0, -(-(n * radius - 1) // (radius + 1)))
-        exceed(comb(n, i) * radius ** i)
+    exceed((p + q) ** m // (q ** m * (m + 1)))
+    if m == n and modulus * q ** n <= 2 * (p + q) ** n + q ** n:
+        i = max(0, -(-(n * p - q) // (p + q)))
+        exceed(comb(n, i) * p ** i, q ** i)
     return primes
 
 
@@ -439,13 +441,27 @@ def charpoly_mod(rows, m):
     ascending coefficients in [0, m); m is a prime or a product of
     distinct primes.
 
-    The Hessenberg reduction inverts each pivot modulo m.  While every
-    pivot is a unit, each step maps onto the same step modulo each prime of
-    m, so the result is the CRT of the per-prime polynomials.  A pivot that
-    is not a unit is zero modulo some primes of m, where the reduction
-    picks a later pivot: m splits there by gcd into two coprime halves,
-    each is reduced on its own, and CRT joins them."""
+    Up to 3 x 3 the coefficients are the principal minors' sums, up to
+    sign: the trace, the 2 x 2 principal minors and the determinant.  That
+    formula divides by nothing, so it holds modulo any m.  Larger matrices
+    take the Hessenberg reduction, which inverts each pivot modulo m.
+    While every pivot is a unit, each step maps onto the same step modulo
+    each prime of m, so the result is the CRT of the per-prime
+    polynomials.  A pivot that is not a unit is zero modulo some primes of
+    m, where the reduction picks a later pivot: m splits there by gcd into
+    two coprime halves, each is reduced on its own, and CRT joins them."""
     n = len(rows)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        cofactor = e * i - f * h
+        det = a * cofactor - b * (d * i - f * g) + c * (d * h - e * g)
+        return [-det % m, (a * e - b * d + a * i - c * g + cofactor) % m,
+                -(a + e + i) % m, 1]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return [(a * d - b * c) % m, -(a + d) % m, 1]
+    if n < 2:
+        return [-rows[0][0] % m, 1] if n else [1]
     h = [[x % m for x in row] for row in rows]
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if h[i][j]), None)

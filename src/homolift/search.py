@@ -408,7 +408,11 @@ def rebuild_tower(f, tower):
         spec = step.modulus if step.modulus is not None else step.basis
         if spec is None:
             raise CertificateError(f"tower step {step.quotient} not rebuildable")
-        fq = FiniteQuotient.of(level.quotient.rank, spec)
+        try:
+            fq = FiniteQuotient.of(level.quotient.rank, spec)
+        except ValidationError as exc:
+            raise ValidationError(f"tower step {step.to_json()}: {exc}") \
+                from exc
         rebuilt = TowerStep.of(fq)
         if rebuilt != step:
             raise CertificateError(f"tower step {step.to_json()} rebuilds "

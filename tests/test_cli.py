@@ -211,6 +211,8 @@ def test_verify_rejects_tampered_values(tmp_path, silver_cert, field, value,
     code, out, err = run("verify", str(path))
     assert code == 1 and not err
     assert "certificate INVALID" in out and f"{failed}: FAIL" in out
+    if field == "tower":      # the detail names the step, finite or not
+        assert f"tower-rebuild: FAIL tower step {value[0]}" in out
 
 
 @pytest.mark.parametrize("name, modulus", [("unipotent_silver", 10 ** 6),

@@ -1,8 +1,10 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +13,16 @@ from hypothesis import strategies as st
 
 from homolift import corpus, linalg, magnus
 from homolift.covers import (CoverGraph, FiniteQuotient, _connected,
-                             _fiber_zero, _galois_orbits, _root_bound,
-                             _value_mod, abelian_cover, h1_action_on_cover,
-                             lift_map, orbit_polynomials, spectral_radius,
-                             unit_circle_test)
+                             UnitCircleVerdict, _fiber_zero, _galois_orbits,
+                             _root_bound, _units, _value_mod, abelian_cover,
+                             h1_action_on_cover, lift_map, orbit_polynomials,
+                             spectral_radius, unit_circle_test)
 from homolift.errors import LiftError, ResourceLimitError, ValidationError
 from homolift.graphs import Edge, Graph, parse_graph_map
 from homolift.homology import (EquivariantQuotient, equivariant_quotient,
                                homology_action, spanning_tree)
-from homolift.laurent import Character
-from homolift.search import Analysis
+from homolift.laurent import Character, character_order
+from homolift.search import Analysis, SearchConfig, tower_search
 from homolift.transition import (SubgraphSelection, _growth_is_one,
                                  dilatation, subgraph_matrix,
                                  transition_graph, vertex_subgraph)
@@ -226,9 +228,10 @@ def test_charpoly_mod_of_a_prime_product_is_each_primes():
 
 def test_charpoly_mod_splits_the_modulus_at_a_zero_divisor(monkeypatch):
     # the subdiagonal pivot q is zero modulo q, where the reduction pivots
-    # on the row below instead: modulo q * r it splits into q and r
+    # on the row below instead: modulo q * r it splits into q and r.  Only
+    # the Hessenberg reduction, from 4 x 4 up, has pivots
     q, r = linalg.pool_prime(1, 0), linalg.pool_prime(1, 1)
-    rows = [[1, 2, 3], [q, 5, 6], [7, 8, 9]]
+    rows = [[1, 2, 3, 4], [q, 5, 6, 7], [7, 8, 9, 10], [2, 11, 12, 13]]
     exact = charpoly_berkowitz(rows)
     calls = []
     real = linalg.charpoly_mod
@@ -238,6 +241,26 @@ def test_charpoly_mod_splits_the_modulus_at_a_zero_divisor(monkeypatch):
     assert calls == [q * r, q, r]
     assert got == [c % (q * r) for c in exact]
     assert [c % q for c in got] == real(rows, q)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_small_charpoly_mod_matches_berkowitz(size):
+    # blocks up to 3 x 3 are read off their principal minors, which divide
+    # by nothing: exact modulo a product of 1 to 4 pool primes, also where
+    # an entry, or a whole row, is zero modulo one of them
+    primes = [linalg.pool_prime(1, i) for i in range(size)]
+    m = prod(primes)
+    rng = random.Random(size)
+
+    def entry():
+        return rng.choice([rng.randint(-2 ** 70, 2 ** 70), rng.randint(-9, 9),
+                           rng.randint(-3, 3) * rng.choice(primes)])
+
+    for n in range(4):
+        for _ in range(25):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            assert linalg.charpoly_mod(rows, m) == \
+                [c % m for c in charpoly_berkowitz(rows)], rows
 
 
 @pytest.mark.parametrize("n, entry, primes", [
@@ -266,17 +289,46 @@ def test_charpoly_prime_pool_exhausted_is_resource_limit():
 
 def test_growth_test_computes_no_display_modulus(monkeypatch):
     # the growth test reads the transition graph's components, and a
-    # verdict computes the np.roots modulus only when something reads it,
-    # once
+    # verdict computes the companion matrix's eigenvalues only when
+    # something reads its modulus, once
     calls = []
-    roots = np.roots
-    monkeypatch.setattr(np, "roots", lambda p: calls.append(1) or roots(p))
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(1) or eigvals(a))
     an = Analysis.of(corpus.load("golden_mean"))
     assert not _growth_is_one(an.transition)
     v = unit_circle_test([-1, -1, 1])
     assert calls == []
-    assert v.modulus == v.modulus == roots([1, -1, -1]).max()
+    assert v.modulus == v.modulus == np.roots([1, -1, -1]).max()
     assert len(calls) == 1
+
+
+def test_modulus_is_np_roots_to_the_bit():
+    # the companion matrix is np.roots's own, so is the float: on the
+    # benchmark's five ladder witnesses (degree up to 382), the corpus
+    # certificates' and base levels' witnesses, a degree-1 witness and
+    # random ones, with coefficients past int64 among them
+    fixtures = Path(__file__).parent.parent / "perfbench" / "fixtures"
+    witnesses = [json.loads(path.read_text())["witness_factor"]
+                 for path in sorted(fixtures.glob("unipotent_*.json"))]
+    assert len(witnesses) == 5 and max(map(len, witnesses)) == 383
+    for name in corpus.names():
+        f = corpus.load(name)
+        cert = tower_search(f, SearchConfig())
+        witnesses += [cert.witness_factor] if cert else []
+        witnesses.append(Analysis.of(f).verdict.witness)
+    witnesses += [[-2, 1], [3, 1], [1, 1]]
+    rng = random.Random(7)
+    for _ in range(300):
+        digits = rng.randint(1, 25)
+        witnesses.append(
+            [rng.choice([-1, 1]) * rng.randint(1, 10 ** digits)]
+            + [rng.randint(-10 ** digits, 10 ** digits)
+               for _ in range(rng.randint(0, 30))] + [1])
+    for witness in filter(None, witnesses):
+        verdict = UnitCircleVerdict(False, tuple(witness), 0, ())
+        roots = np.roots(list(reversed(witness)))
+        assert verdict.modulus.hex() == float(max(abs(roots))).hex(), witness
 
 
 def test_unit_circle_examples():
@@ -410,6 +462,29 @@ def test_galois_orbits_are_the_unit_classes(diag):
     group = sorted(product(*map(range, diag)))
     assert sorted(chain.from_iterable(orbits)) == group
     assert orbits[0] == [(0,) * len(diag)]
+
+
+@pytest.mark.parametrize("diag", [(12,), (30,), (2, 4), (3, 6), (2, 2, 4)])
+def test_galois_orbit_members_follow_the_units(diag):
+    # orbit_polynomials reads the k-th member's exponents as _units(o)[k]
+    # times the first member's
+    for orbit in _galois_orbits(diag):
+        a, o = orbit[0], character_order(orbit[0], diag)
+        assert orbit == [tuple(u * ai % d for ai, d in zip(a, diag))
+                         for u in _units(o)]
+
+
+def test_base_level_verdict_reads_the_map_directly(analyses, monkeypatch):
+    # on the base map G = 1: the rows are f's own edge images, so no lift
+    # is built and nothing checks that it closes up
+    def refuse(*args):
+        raise AssertionError("the base level built a lift")
+
+    monkeypatch.setattr("homolift.covers._fiber_zero", refuse)
+    for name, an in analyses.items():
+        level = Analysis.of(an.base)
+        assert level.verdict == an.verdict, name
+        assert level.charpoly == linalg.charpoly_int(an.action.matrix)
 
 
 @pytest.mark.parametrize("name, k, sizes, count", [

@@ -32,6 +32,38 @@ def test_numpy_is_imported_only_by_covers():
     assert importers == {"covers.py"}
 
 
+def _numpy_readers(path):
+    """The functions of the file, as ``file:Class.name``, whose code names
+    numpy; ``file:`` for a name outside any function."""
+    readers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Name) and child.id in {"np", "numpy"}:
+                readers.add(f"{path.name}:{owner}")
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "")
+    return readers
+
+
+def test_numpy_only_computes_the_two_display_floats():
+    # ROADMAP item 6's two remaining uses: the count matrix's spectral
+    # radius and the witness's root modulus, the latter from the companion
+    # matrix np.roots would build; np.roots itself is the tests' oracle
+    readers = set().union(*map(_numpy_readers, PACKAGE.glob("*.py")))
+    assert readers == {"covers.py:spectral_radius",
+                       "covers.py:UnitCircleVerdict.modulus"}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert "roots" not in (getattr(node, "attr", None),
+                                   getattr(node, "name", None)), path.name
+
+
 def test_package_imports_nothing_from_the_tests():
     # the oracles check the package, so the package must not lean on them
     test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
