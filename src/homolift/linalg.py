@@ -145,22 +145,20 @@ def poly_trim(p):
     return p
 
 
-def poly_divmod_monic(p, q, modulus=None):
-    """Divide p by q where q is monic with integer coefficients; with a
-    ``modulus``, divide in (Z/modulus)[x] and reduce the results."""
+def poly_divmod_monic(p, q):
+    """Divide p by q where q is monic with integer coefficients: the
+    quotient and remainder, exact over the integers."""
     if not q or q[-1] != 1:
         raise ValidationError("divisor must be monic")
     rem = list(p)
     dq = len(q) - 1
     quo = [0] * max(0, len(p) - dq)
     for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i] % modulus if modulus else rem[i]
+        c = rem[i]
         if c:
             quo[i - dq] = c
             for j in range(dq + 1):
                 rem[i - dq + j] -= c * q[j]
-    if modulus:
-        rem = [c % modulus for c in rem]
     return poly_trim(quo), poly_trim(rem)
 
 

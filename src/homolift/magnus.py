@@ -8,7 +8,8 @@ specialization at a character.
 Traces of exact powers live here too.  The criteria read them from one
 sequence per matrix (``trace_power``), formed from half powers with every
 term packed into one int key, so that a product of two terms is one int
-addition.  The averaging identity that relates the traces to a cover's
+addition, and a longer sequence re-keys its stored power into a wider
+packing.  The averaging identity that relates the traces to a cover's
 chain action is the tests' reference (``tests/oracles.py``), with the
 term-by-term product on exponent tuples and the characteristic polynomial
 over the group ring.
@@ -83,17 +84,13 @@ class _PackedPowers:
     ``power`` is (n, entries of A^n), the entries keyed by the transposed
     position (j, i) and listing (exponent part, coefficient) with no zero;
     ``factor[t]`` lists A's row t as (exponent part + column, coefficient).
+    The slots are fixed: ``trace_power`` re-keys the power into a new,
+    wider packing, each exponent part e as ``encode(n, 0, 0, decode(n, e))``.
     """
 
     __slots__ = ("col_bits", "slots", "capacity", "factor", "power")
 
     def __init__(self, a, capacity):
-        self._pack(a, capacity)
-        self.power = (1, _transposed_entries(
-            {self.encode(1, i, j, v): c for (i, j, v), c in a.terms.items()},
-            self.col_bits))
-
-    def _pack(self, a, capacity):
         vs = [v for _i, _j, v in a.terms]
         self.col_bits = (a.size - 1).bit_length()
         self.capacity = inf
@@ -115,6 +112,9 @@ class _PackedPowers:
         self.factor = [[] for _ in range(a.size)]
         for (t, j, v), c in a.terms.items():
             self.factor[t].append((self.encode(1, 0, j, v), c))
+        self.power = (1, _transposed_entries(
+            {self.encode(1, i, j, v): c for (i, j, v), c in a.terms.items()},
+            self.col_bits))
 
     def encode(self, n, i, j, v):
         return sum(((x - n * lo) << off
@@ -125,20 +125,6 @@ class _PackedPowers:
         """The exponent vector of a key of A^n."""
         return tuple(((key >> off) & mask) + n * lo
                      for off, mask, lo in self.slots)
-
-    def widen(self, a, capacity):
-        """Repack for ``capacity`` factors.  Only the slots above the first
-        move, each to its new offset with its value unchanged; widening
-        happens only when there are two slots or more."""
-        old, (n, entries) = self.slots, self.power
-        self._pack(a, capacity)
-        keep = (1 << old[1][0]) - 1
-        moves = [(off, mask, new) for (off, mask, _l), (new, _m, _l2)
-                 in zip(old[1:], self.slots[1:])]
-        self.power = (n, {at: [(sum((((e >> off) & mask) << new
-                                     for off, mask, new in moves), e & keep),
-                                c) for e, c in terms]
-                          for at, terms in entries.items()})
 
 
 def _transposed_entries(terms, col_bits):
@@ -213,10 +199,10 @@ def trace_power(a, k):
     search costs one power, not all of them.
 
     Terms are packed int keys (``_PackedPowers``) whose slots hold 2k
-    factors for the largest k asked for so far; a larger k later widens
-    them first, so no slot ever carries and each widening at least doubles
-    the capacity.  The traces come back as LaurentElements with the
-    exponent tuples of a term-by-term product.
+    factors for the largest k asked for so far; a larger k later repacks
+    for 2k and re-keys the stored power, so no slot ever carries and no
+    power is formed again.  The traces come back as LaurentElements with
+    the exponent tuples of a term-by-term product.
     """
     if k < 1:
         raise ValueError("exponent must be >= 1")
@@ -229,7 +215,11 @@ def trace_power(a, k):
     if state is None:
         state = a._cache["powers"] = _PackedPowers(a, 2 * k)
     elif k > state.capacity:
-        state.widen(a, 2 * k)
+        old, (n, entries) = state, state.power
+        state = a._cache["powers"] = _PackedPowers(a, 2 * k)
+        state.power = (n, {at: [(state.encode(n, 0, 0, old.decode(n, e)), c)
+                                for e, c in terms]
+                           for at, terms in entries.items()})
     while len(traces) < k:
         m = len(traces) + 1
         lower = upper = state.power

@@ -255,9 +255,15 @@ def _above(z, m):
     return z.magnitude_squared().compare(Fraction(m * m)) > 0
 
 
+def _exact_characters(d, q):
+    """The q-grid's characters of exact order q, in grid order."""
+    return (chi for chi in character_grid(d, q) if chi.exact_order() == q)
+
+
 def character_scan(a, cfg):
     """Grid of root-of-unity characters; first with |trace(A^k)| above size,
-    decided in exact cyclotomic arithmetic."""
+    decided in exact cyclotomic arithmetic.  The orders q ascend, and each
+    character is tried once, in the grid of its exact order q."""
     m = a.size
     d = a.dim
     traces = [magnus.trace_power(a, k) for k in range(1, cfg.max_power + 1)]
@@ -266,7 +272,7 @@ def character_scan(a, cfg):
     if not any(viable):
         return None
     for q in range(1, cfg.max_character_order + 1):
-        for chi in character_grid(d, q):
+        for chi in _exact_characters(d, q):
             for k in range(1, cfg.max_power + 1):
                 if not viable[k - 1]:
                     continue
@@ -275,8 +281,6 @@ def character_scan(a, cfg):
                     return Finding("character", power=k,
                                    value=str(abs(z.to_complex())),
                                    character=chi)
-        if d == 0:
-            break  # one character total
     return None
 
 
@@ -310,11 +314,11 @@ def _locate_character(an, finding, bound):
     with |trace(A^k)| above the size, extracted from an averaging or
     Parseval argument.
 
-    Existence is guaranteed inside the annihilator set (anchored) or the
-    Parseval grid (l2); smaller-order characters are tried first so the
-    certifying cover is as small as the evidence allows.  When the bound
-    removed candidates and none of the rest fires, the cap is to blame and
-    ResourceLimitError is raised.
+    Existence is guaranteed inside the annihilator set (anchored: the
+    j-grid, whose exact orders divide j) or the Parseval grid (l2: orders
+    up to the support width plus one).  The exact orders q ascend, so the
+    certifying cover is as small as the evidence allows; at the first q
+    above the bound the cap is to blame and ResourceLimitError is raised.
     """
     a = an.matrix
     m = a.size
@@ -325,23 +329,19 @@ def _locate_character(an, finding, bound):
     if finding.kind == "anchored":
         # check_anchored's lattices are jZ^d, annihilated by the j-grid
         basis = finding.lattice.basis
-        found = character_grid(a.dim, basis[0][0] if basis else 1)
-        chars = [chi for chi in found if chi.exact_order() <= bound]
-        cut = len(chars) < len(found)
+        j = basis[0][0] if basis else 1
+        orders = [q for q in range(1, j + 1) if j % q == 0]
     else:  # l2: a grid finer than the support width carries exact Parseval
-        width = _support_width(t)
-        top = min(width + 1, bound)
-        chars = [chi for q in range(1, top + 1)
-                 for chi in character_grid(a.dim, q)]
-        cut = top < width + 1
-    chars.sort(key=lambda c: (c.exact_order(), c.order, c.exponents))
-    for chi in chars:
-        if _above(specialize(t, chi), m):
-            return chi
-    if cut:
-        raise ResourceLimitError(
-            f"no character of order at most {bound} is above the threshold "
-            f"at power {k}; higher orders exceed the cover degree cap")
+        orders = range(1, _support_width(t) + 2)
+    for q in orders:
+        if q > bound:
+            raise ResourceLimitError(
+                f"no character of order at most {bound} is above the "
+                f"threshold at power {k}; higher orders exceed the cover "
+                f"degree cap")
+        for chi in _exact_characters(a.dim, q):
+            if _above(specialize(t, chi), m):
+                return chi
     raise CertificateError(
         f"{finding.kind} finding at power {k} produced no character above "
         f"the threshold; this contradicts the averaging identity")

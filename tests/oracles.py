@@ -26,7 +26,11 @@ against the other:
 - convex-hull membership and hull vertices by the simplex method over
   Fractions, against which the integer-pivoting hull is checked;
 - composite arc data, based cycles, extremal subgraphs and positive powers
-  of the transition graph.
+  of the transition graph;
+- the character scan over every character of each grid, and the
+  conversion's character from the sorted union of the grids, against
+  which the walks that try each character once, at its exact order, are
+  checked.
 
 Only the tests import this module; nothing under ``src/homolift`` does.
 """
@@ -40,14 +44,15 @@ from math import lcm, sqrt
 from homolift import linalg
 from homolift.covers import _at
 from homolift.cyclotomic import Cyclotomic
-from homolift.errors import (DimensionMismatchError, ResourceLimitError,
-                             ValidationError)
+from homolift.errors import (CertificateError, DimensionMismatchError,
+                             ResourceLimitError, ValidationError)
 from homolift.graphs import EdgePath, empty_path
 from homolift.homology import path_class
-from homolift.laurent import (Character, LaurentElement, l2_norm_squared,
-                              specialize)
+from homolift.laurent import (Character, LaurentElement, character_grid,
+                              l2_norm_squared, specialize)
 from homolift.magnus import MagnusMatrix, specialize_matrix, trace_power
-from homolift.search import Analysis, SearchConfig, _certify
+from homolift.search import (Analysis, Finding, SearchConfig, _above,
+                             _certify, _support_width)
 from homolift.transition import (DEFAULT_CYCLE_CAP, SubgraphSelection,
                                  is_stable, simple_cycles)
 
@@ -813,6 +818,67 @@ def positive_power(vertex_matrices, vertices, bound):
                for mat, v in zip(vertex_matrices, vertices)):
             return k
     return None
+
+
+# ---------------------------------------------------------------------------
+# characters by every grid
+
+
+def character_scan_every_grid(a, cfg):
+    """``search.character_scan`` over every character of each q-grid, so a
+    character of exact order e < q is tried again in the q-grid; with
+    d = 0 the one trivial character is tried once."""
+    m = a.size
+    traces = [trace_power(a, k) for k in range(1, cfg.max_power + 1)]
+    viable = [sum(abs(c) for c in t.terms.values()) > m for t in traces]
+    if not any(viable):
+        return None
+    for q in range(1, cfg.max_character_order + 1):
+        for chi in character_grid(a.dim, q):
+            for k in range(1, cfg.max_power + 1):
+                if not viable[k - 1]:
+                    continue
+                z = specialize(traces[k - 1], chi)
+                if _above(z, m):
+                    return Finding("character", power=k,
+                                   value=str(abs(z.to_complex())),
+                                   character=chi)
+        if a.dim == 0:
+            break
+    return None
+
+
+def locate_in_sorted_union(a, finding, bound):
+    """``search._locate_character`` on the matrix ``a`` by sorting every
+    candidate: the j-grid of an anchored finding, or the union of the
+    grids up to min(width + 1, bound) for an l2 one, ordered by exact
+    order, grid order and exponents, with the trivial character once per
+    grid.  A cap that removed a candidate is a ResourceLimitError."""
+    m = a.size
+    k = finding.power
+    t = trace_power(a, k)
+    if finding.kind == "anchored":
+        basis = finding.lattice.basis
+        found = character_grid(a.dim, basis[0][0] if basis else 1)
+        chars = [chi for chi in found if chi.exact_order() <= bound]
+        cut = len(chars) < len(found)
+    else:
+        width = _support_width(t)
+        top = min(width + 1, bound)
+        chars = [chi for q in range(1, top + 1)
+                 for chi in character_grid(a.dim, q)]
+        cut = top < width + 1
+    chars.sort(key=lambda c: (c.exact_order(), c.order, c.exponents))
+    for chi in chars:
+        if _above(specialize(t, chi), m):
+            return chi
+    if cut:
+        raise ResourceLimitError(
+            f"no character of order at most {bound} is above the threshold "
+            f"at power {k}; higher orders exceed the cover degree cap")
+    raise CertificateError(
+        f"{finding.kind} finding at power {k} produced no character above "
+        f"the threshold; this contradicts the averaging identity")
 
 
 # ---------------------------------------------------------------------------

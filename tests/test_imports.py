@@ -189,3 +189,53 @@ def test_every_package_function_is_called():
                        and node.name.endswith("__"))
               and node.name not in read]
     assert not unread
+
+
+def _defaulted_parameters(path):
+    """The file's defaulted parameters as (call name, parameter, position
+    among the call's arguments or None, label): a method's position skips
+    its self or cls, and ``__init__`` is called by its class's name."""
+    for scope in ast.walk(ast.parse(path.read_text())):
+        for fn in ast.iter_child_nodes(scope):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            if isinstance(scope, ast.ClassDef) and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in fn.decorator_list):
+                positional = positional[1:]
+            name = scope.name if fn.name == "__init__" else fn.name
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield name, arg.arg, i, f"{path.name}:{fn.name}({arg.arg})"
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None, \
+                        f"{path.name}:{fn.name}({arg.arg})"
+
+
+def _passes(call, param, position):
+    """Whether the call passes the parameter: by keyword, by position, or
+    through ``*`` or ``**``."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(kw.arg in (None, param) for kw in call.keywords)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_default_is_overridden_somewhere():
+    # a default no call overrides is a knob nobody sets: the parameter
+    # goes, and its value becomes the function's own
+    calls = {}
+    for root in (PACKAGE, PERFBENCH, SCRIPTS, TESTS):
+        for path in root.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(
+                        node.func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    unset = [label for path in PACKAGE.glob("*.py")
+             for name, param, position, label in _defaulted_parameters(path)
+             if not any(_passes(call, param, position)
+                        for call in calls.get(name, ()))]
+    assert not unset

@@ -312,6 +312,45 @@ def test_trace_power_matches_repeated_products(a, order):
             assert a._cache["powers"].capacity >= top   # no slot carries
 
 
+def _spreading_coordinates(a):
+    return sum(len({v[c] for _i, _j, v in a.terms}) > 1
+               for c in range(a.dim))
+
+
+def _packed_power(a):
+    """The stored power's n, the packing's slots and the power's terms by
+    transposed position, each entry's terms in sorted order."""
+    state = a._cache["powers"]
+    n, entries = state.power
+    return n, state.slots, {at: sorted(terms) for at, terms in entries.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=magnus_matrices().filter(lambda a: _spreading_coordinates(a) >= 2),
+       k=st.integers(8, 20))
+def test_repack_rekeys_the_stored_power(a, k):
+    # trace 2 packs for 4 factors, whose slots hold at most 7 once a slot
+    # below the top one spreads, so reading traces 1..k in order repacks
+    # partway; the repack forms no power again, and its re-keyed power is
+    # the one a sequence packed for that many factors from the start forms
+    calls, repacks = [], []
+    mul = magnus.mat_mul
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(magnus, "mat_mul",
+                   lambda *args: calls.append(1) or mul(*args))
+        for m in range(1, k + 1):
+            before = a._cache.get("powers")
+            magnus.trace_power(a, m)
+            if before is not None and a._cache["powers"] is not before:
+                repacks.append((m, _packed_power(a)))
+    assert len(calls) == (k + 1) // 2 - 1
+    assert repacks
+    for m, packed in repacks:
+        fresh = magnus.MagnusMatrix(a.size, a.dim, a.edge_order, a.terms)
+        magnus.trace_power(fresh, m)
+        assert packed == _packed_power(fresh)
+
+
 @settings(max_examples=150, deadline=None)
 @given(a=magnus_matrices(max_arcs=8), triangular=st.booleans(),
        order=st.permutations(range(6)))

@@ -2,10 +2,11 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homolift import linalg, magnus, search
@@ -14,14 +15,18 @@ from homolift.cyclotomic import Cyclotomic
 from homolift.errors import (CertificateError, ResourceLimitError,
                              ValidationError)
 from homolift.graphs import Graph, parse_graph_map, serialize_graph_map
-from homolift.laurent import Lattice, LaurentElement, lattice_restriction
+from homolift.laurent import (Lattice, LaurentElement, lattice_restriction,
+                              specialize)
 from homolift.search import (GROWTH_ONE, Analysis, Finding, SearchConfig,
                              brute_force_oracle, character_scan,
                              check_anchored, check_direct, check_l2,
                              rebuild_tower, tower_search, verify_certificate)
 from homolift.transition import _growth_is_one
 from oracles import (annihilator_characters, build_certificate,
-                     laurent_zero, matrix_from_rows, monomial, root_of_unity)
+                     character_scan_every_grid, laurent_zero,
+                     locate_in_sorted_union, matrix_from_rows, monomial,
+                     root_of_unity)
+from test_magnus import magnus_matrices
 
 CFG = SearchConfig()
 
@@ -742,3 +747,72 @@ def test_oracle_tower_consistency(analyses):
         oracle = brute_force_oracle(an.graph_map, 100)
         tower = tower_search(an.graph_map, cfg)
         assert (oracle is None) == (tower is None), name
+
+
+def _located(locate):
+    """The exact order of the character ``locate()`` returns, or the class
+    and text of the conversion error it raises."""
+    try:
+        return locate().exact_order()
+    except (CertificateError, ResourceLimitError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# 1 - x vanishes at the trivial character and is 2 at x = -1, so each
+# criterion's character has exact order 2; so has 1 - xy's, at (-1, 1)
+ONE_MINUS_X = magnus.MagnusMatrix(1, 1, ("e0",), {(0, 0, (0,)): 1,
+                                                  (0, 0, (1,)): -1})
+ONE_MINUS_XY = magnus.MagnusMatrix(1, 2, ("e0",), {(0, 0, (0, 0)): 1,
+                                                   (0, 0, (1, 1)): -1})
+
+# the sorted-union oracle lists every grid up to the bound, so an l2
+# finding's bounds are tried while that union holds at most this many
+UNION_CAP = 3000
+
+
+def test_characters_are_tried_once_at_their_exact_order():
+    # the scan and the conversion walk the orders q ascending and try only
+    # the q-grid's characters of exact order q: a lower-order one repeats
+    # a character of its own smaller grid, so the findings and the located
+    # orders are those of every grid, errors included
+    cfg = SearchConfig(max_power=4, max_character_order=6)
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(magnus_matrices())
+    @example(ONE_MINUS_X)
+    @example(ONE_MINUS_XY)
+    def check(a):
+        tried, located = [], []
+        level = SimpleNamespace(matrix=a)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "specialize",
+                       lambda t, chi: tried.append(chi) or specialize(t, chi))
+            found = character_scan(a, cfg)
+            for fnd in (check_l2(a, cfg), check_anchored(a, cfg)):
+                if fnd is None:
+                    continue
+                width = search._support_width(
+                    magnus.trace_power(a, fnd.power))
+                for bound in range(width + 3):
+                    if fnd.kind == "l2" and sum(
+                            q ** a.dim for q in range(
+                                1, min(bound, width + 1) + 1)) > UNION_CAP:
+                        break
+                    located.append((fnd, bound, _located(
+                        lambda: search._locate_character(level, fnd, bound))))
+        assert all(chi.exact_order() == chi.order for chi in tried)
+        assert _finding_json(found) == _finding_json(
+            character_scan_every_grid(a, cfg))
+        for fnd, bound, outcome in located:
+            assert outcome == _located(
+                lambda: locate_in_sorted_union(a, fnd, bound))
+            seen.add(outcome[0] if isinstance(outcome, tuple) else
+                     f"{fnd.kind} order {min(outcome, 2)}")
+        if found is not None:
+            seen.add(f"scan order {min(found.character.order, 2)}")
+
+    check()
+    assert seen >= {"ResourceLimitError", "l2 order 1", "l2 order 2",
+                    "anchored order 1", "anchored order 2", "scan order 1",
+                    "scan order 2"}, seen
