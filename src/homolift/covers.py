@@ -37,15 +37,16 @@ and character by character det(xI - V(chi)) divides det(xI - A(chi)),
 times (x - 1) for the trivial character: every edge's lift closes up, so
 the lift is a chain map, and the cover is connected, so only the trivial
 character sees H0.  det(xI - A(chi)) is computed modulo m by
-``linalg.charpoly_mod``: from the principal minors (trace, 2 x 2 minors,
-determinant) when the base graph has at most three edges, which divides
-by nothing, and by the Hessenberg reduction otherwise, which splits m
-where a pivot is zero modulo some of its primes.  V(chi) has one entry
-per row, chi(s(v)) in the column of f(v), so det(xI - V(chi)) is read off
-the vertex map's cycles: x^l - chi(s summed along the cycle) per cycle of
-length l, and x per vertex on no cycle; each is divided out exactly.  The
-base is a fixed point with s(base) = 0, whose x - 1 cancels the trivial
-character's H0 factor, so neither is formed.
+``linalg.charpoly_mod``: from the sums of the principal minors
+(``linalg.small_charpoly``) when the base graph has at most four edges,
+which divides by nothing, and by the Hessenberg reduction otherwise,
+which splits m where a pivot is zero modulo some of its primes.  V(chi)
+has one entry per row, chi(s(v)) in the column of f(v), so
+det(xI - V(chi)) is read off the vertex map's cycles: x^l - chi(s summed
+along the cycle) per cycle of length l, and x per vertex on no cycle;
+each is divided out exactly.  The base is a fixed point with s(base) =
+0, whose x - 1 cancels the trivial character's H0 factor, so neither is
+formed.
 
 The characters come in Galois orbits: the automorphism zeta -> zeta^u of
 Q(zeta), u a unit mod the exponent of G, sends chi_a to chi_ua = chi_a^u,
@@ -75,7 +76,12 @@ listed: a character of order the exponent of G has the largest orbit, of
 size phi(exponent) >= sqrt(exponent / 2), so a first count at that lower
 bound refuses a huge exponent before it is factored.  The base map is
 the case G = 1, a single orbit, whose rows are f's own edge images and
-vertex images, all on the one sheet; no lift is built.
+vertex images, all on the one sheet; no lift is built.  When G = 1 (the
+base map, or a cover by the trivial quotient) and the graph has at most
+four edges, the one block A has integer entries, and its characteristic
+polynomial comes exactly over Z from its principal minors, divided
+exactly by the vertex cycles' x^l - 1 and by x per vertex on no cycle:
+no character, sheet or prime is formed.
 A level's polynomial stays factored as the tuple of its N_O all the way
 to the verdict, and the whole polynomial is the verdict's witness times
 its powers of x and cyclotomic factors.  The dense charpoly of the
@@ -434,7 +440,9 @@ def orbit_polynomials(f):
     orbit's characters and N_O its integer norm polynomial (ascending); the
     N_O multiply to the charpoly (see the module docstring).  The level is
     ``f``: a LiftedMap, read from its stored fiber-zero rows, or the base
-    map (G = 1, a single factor)."""
+    map (G = 1, a single factor).  When G = 1 and the graph has at most
+    four edges, the one factor is computed exactly over Z, with no prime;
+    every other level is recombined from its residues by CRT."""
     if isinstance(f, LiftedMap):
         quotient, (edge_rows, vertex_rows) = f.cover.quotient, f.rows
         f = f.base_map
@@ -446,7 +454,24 @@ def orbit_polynomials(f):
     graph, diag = f.graph, quotient.diag
     eidx = {e.name: i for i, e in enumerate(graph.edges)}
     vidx = {v: i for i, v in enumerate(graph.vertices)}
+    cycles, transient = _vertex_cycles(vertex_rows, vidx, graph.base,
+                                       quotient)
     order = lcm(*diag)
+    if order == 1 and len(eidx) <= 4:
+        # G = 1: the one block, exactly over Z, with no character or prime
+        am = [[0] * len(eidx) for _ in eidx]
+        for i, row in enumerate(edge_rows):
+            for name, _x, d in row:
+                am[i][eidx[name]] += d
+        # divided by x^length - 1 per cycle but the base's, then x^transient
+        poly, rems = linalg.small_charpoly(am), []
+        for length, _label in cycles[1:]:
+            poly, rem = linalg.poly_divmod_monic(
+                poly, [-1] + [0] * (length - 1) + [1])
+            rems += rem
+        if any(rems) or any(poly[:transient]):
+            raise LiftError("the fiber-zero rows are not a chain map")
+        return ((1, poly[transient:]),)
     scale = [order // d for d in diag]
 
     # chi_a(x) = w^exponent(a, weight(x)), w of exact order `order`
@@ -463,8 +488,6 @@ def orbit_polynomials(f):
             terms[i, eidx[name]] = terms.get((i, eidx[name]), 0) + d
     sheets = [(weight(x), [(i, j, c) for (i, j), c in terms.items() if c])
               for x, terms in sheets.items()]
-    cycles, transient = _vertex_cycles(vertex_rows, vidx, graph.base,
-                                       quotient)
     cycles = [(length, weight(label)) for length, label in cycles]
     powers = {}    # m -> [w^k mod m for k < order], shared by every orbit
 

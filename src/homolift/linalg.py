@@ -434,32 +434,57 @@ def multimodular(n, radius, residues, order=1):
     return out
 
 
+def small_charpoly(rows):
+    """det(xI - M) of an integer matrix of size n <= 4, exactly over Z,
+    ascending: the coefficient of x^(n - k) is (-1)^k times the sum of
+    the k x k principal minors, which are the trace, the 2 x 2 minors, the
+    3 x 3 minors and, at n = 4, the determinant.  The 3 x 3 minors and the
+    determinant expand along the 2 x 2 minors of the first two rows and
+    of the last two.  Nothing is divided, so reduced modulo any m it is
+    the characteristic polynomial modulo m."""
+    size = len(rows)
+    if size == 4:
+        (a, b, c, d), (e, f, g, h), (i, j, k, l), (m, n, o, p) = rows
+        t01, t02, t03 = a * f - b * e, a * g - c * e, a * h - d * e
+        t12, t13, t23 = b * g - c * f, b * h - d * f, c * h - d * g
+        u01, u02, u03 = i * n - j * m, i * o - k * m, i * p - l * m
+        u12, u13, u23 = j * o - k * n, j * p - l * n, k * p - l * o
+        det = (t01 * u23 - t02 * u13 + t03 * u12 + t12 * u03 - t13 * u02
+               + t23 * u01)
+        minors3 = (i * t12 - j * t02 + k * t01 + m * t13 - n * t03
+                   + p * t01 + a * u23 - c * u03 + d * u02 + f * u23
+                   - g * u13 + h * u12)
+        minors2 = (t01 + a * k - c * i + a * p - d * m + f * k - g * j
+                   + f * p - h * n + u23)
+        return [det, -minors3, minors2, -(a + f + k + p), 1]
+    if size == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        cofactor = e * i - f * h
+        det = a * cofactor - b * (d * i - f * g) + c * (d * h - e * g)
+        return [-det, a * e - b * d + a * i - c * g + cofactor,
+                -(a + e + i), 1]
+    if size == 2:
+        (a, b), (c, d) = rows
+        return [a * d - b * c, -(a + d), 1]
+    return [-rows[0][0], 1] if size else [1]
+
+
 def charpoly_mod(rows, m):
     """Characteristic polynomial of an integer matrix modulo m, monic,
     ascending coefficients in [0, m); m is a prime or a product of
     distinct primes.
 
-    Up to 3 x 3 the coefficients are the principal minors' sums, up to
-    sign: the trace, the 2 x 2 principal minors and the determinant.  That
-    formula divides by nothing, so it holds modulo any m.  Larger matrices
-    take the Hessenberg reduction, which inverts each pivot modulo m.
-    While every pivot is a unit, each step maps onto the same step modulo
-    each prime of m, so the result is the CRT of the per-prime
-    polynomials.  A pivot that is not a unit is zero modulo some primes of
-    m, where the reduction picks a later pivot: m splits there by gcd into
-    two coprime halves, each is reduced on its own, and CRT joins them."""
+    Up to 4 x 4 it is ``small_charpoly`` reduced modulo m, which divides by
+    nothing.  Larger matrices take the Hessenberg reduction, which inverts
+    each pivot modulo m.  While every pivot is a unit, each step maps onto
+    the same step modulo each prime of m, so the result is the CRT of the
+    per-prime polynomials.  A pivot that is not a unit is zero modulo some
+    primes of m, where the reduction picks a later pivot: m splits there
+    by gcd into two coprime halves, each is reduced on its own, and CRT
+    joins them."""
     n = len(rows)
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        cofactor = e * i - f * h
-        det = a * cofactor - b * (d * i - f * g) + c * (d * h - e * g)
-        return [-det % m, (a * e - b * d + a * i - c * g + cofactor) % m,
-                -(a + e + i) % m, 1]
-    if n == 2:
-        (a, b), (c, d) = rows
-        return [(a * d - b * c) % m, -(a + d) % m, 1]
-    if n < 2:
-        return [-rows[0][0] % m, 1] if n else [1]
+    if n <= 4:
+        return [c % m for c in small_charpoly(rows)]
     h = [[x % m for x in row] for row in rows]
     for j in range(n - 2):
         piv = next((i for i in range(j + 1, n) if h[i][j]), None)

@@ -1,5 +1,6 @@
 import json
 import random
+import runpy
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, product
@@ -229,9 +230,10 @@ def test_charpoly_mod_of_a_prime_product_is_each_primes():
 def test_charpoly_mod_splits_the_modulus_at_a_zero_divisor(monkeypatch):
     # the subdiagonal pivot q is zero modulo q, where the reduction pivots
     # on the row below instead: modulo q * r it splits into q and r.  Only
-    # the Hessenberg reduction, from 4 x 4 up, has pivots
+    # the Hessenberg reduction, from 5 x 5 up, has pivots
     q, r = linalg.pool_prime(1, 0), linalg.pool_prime(1, 1)
-    rows = [[1, 2, 3, 4], [q, 5, 6, 7], [7, 8, 9, 10], [2, 11, 12, 13]]
+    rows = [[1, 2, 3, 4, 5], [q, 5, 6, 7, 8], [7, 8, 9, 10, 11],
+            [2, 11, 12, 13, 14], [3, 1, 4, 1, 5]]
     exact = charpoly_berkowitz(rows)
     calls = []
     real = linalg.charpoly_mod
@@ -261,6 +263,37 @@ def test_small_charpoly_mod_matches_berkowitz(size):
             rows = [[entry() for _ in range(n)] for _ in range(n)]
             assert linalg.charpoly_mod(rows, m) == \
                 [c % m for c in charpoly_berkowitz(rows)], rows
+
+
+def _small_entries(rng, primes, n):
+    """An n x n matrix of entries up to 2^70, small ones and multiples of
+    one of ``primes``."""
+    return [[rng.choice([rng.randint(-2 ** 70, 2 ** 70), rng.randint(-9, 9),
+                         rng.randint(-3, 3) * rng.choice(primes)])
+             for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_small_charpoly_is_exact_over_z(n):
+    # the principal minors' sums, with no division and no modulus
+    primes = [linalg.pool_prime(1, i) for i in range(4)]
+    rng = random.Random(n)
+    for _ in range(25):
+        rows = _small_entries(rng, primes, n)
+        assert linalg.small_charpoly(rows) == charpoly_berkowitz(rows), rows
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_charpoly_mod_of_a_4x4_block_matches_berkowitz(size):
+    # a 4-petal rose's blocks are 4 x 4: small_charpoly reduced modulo a
+    # product of 1 to 4 pool primes, with no pivot to split m at
+    primes = [linalg.pool_prime(1, i) for i in range(size)]
+    m = prod(primes)
+    rng = random.Random(size)
+    for _ in range(25):
+        rows = _small_entries(rng, primes, 4)
+        assert linalg.charpoly_mod(rows, m) == \
+            [c % m for c in charpoly_berkowitz(rows)], rows
 
 
 @pytest.mark.parametrize("n, entry, primes", [
@@ -400,6 +433,113 @@ def test_block_charpoly_matches_dense_on_multi_vertex_levels(analyses, name,
     assert len(level.graph_map.graph.vertices) > 1
     top = level.cover(k2)
     assert _matches_dense(top)
+
+
+BASE_PATH_MAPS = {
+    "vertex_two_cycle": """vertices: v u w
+edges: a: v -> v ; b: v -> u ; c: u -> w ; d: w -> u
+base: v
+map a -> a b c d B
+map b -> b c
+map c -> d
+map d -> c
+""",
+    "transient_vertex": """vertices: v t
+edges: a: v -> v ; b: v -> v ; c: v -> t
+base: v
+map a -> a b
+map b -> a
+map c -> a
+""",
+    "no_homology": """vertices: v w
+edges: a: v -> w
+base: v
+map a -> a
+"""}
+
+
+def _base_path_matches_dense(f):
+    # the trivial deck group's one factor, against the dense charpoly of
+    # the H1 action and against Berkowitz, which uses no modulus
+    dense = Analysis.of(f).action.matrix
+    expected = linalg.charpoly_int(dense)
+    assert expected == charpoly_berkowitz(dense)
+    return orbit_polynomials(f) == ((1, expected),)
+
+
+def _rose_maps(count):
+    generator = runpy.run_path(str(Path(__file__).parent.parent /
+                                   "perfbench" / "generator.py"))
+    return [parse_graph_map(t) for t in generator["rose_maps"](7, count)]
+
+
+def test_base_path_matches_dense_on_roses_and_the_corpus(corpus_maps):
+    maps = [*corpus_maps.values(), *_rose_maps(600)]
+    assert all(len(f.graph.edges) <= 4 for f in maps)
+    assert all(_base_path_matches_dense(f) for f in maps)
+
+
+@pytest.mark.parametrize("name", sorted(BASE_PATH_MAPS))
+def test_base_path_matches_dense_on_multi_vertex_maps(name):
+    # a vertex cycle other than the base's, a vertex on no cycle, H1 = 0
+    f = parse_graph_map(BASE_PATH_MAPS[name])
+    assert len(f.graph.vertices) > 1
+    assert _base_path_matches_dense(f)
+
+
+def test_base_path_matches_dense_on_small_cover_graphs(analyses):
+    # a cover's graph map read as a base map: the double covers of the
+    # 2-edge corpus maps by H_f / <2 e_1, e_2> have 4 edges on 2 vertices
+    maps = [analyses[name].cover([[2, 0], [0, 1]]).graph_map
+            for name in ("example_s3", "identity")]
+    assert all(len(f.graph.edges) == 4 and len(f.graph.vertices) == 2
+               for f in maps)
+    assert all(_base_path_matches_dense(f) for f in maps)
+
+
+def test_base_path_uses_no_prime(corpus_maps, monkeypatch):
+    # up to 4 edges a trivial deck group's block is exact over Z; a
+    # 5-petal rose still goes through the multimodular path
+    calls = []
+    for name in ("multimodular", "crt_primes"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    for f in [*corpus_maps.values(), *map(parse_graph_map,
+                                          BASE_PATH_MAPS.values())]:
+        orbit_polynomials(f)
+    assert calls == []
+    rose5 = parse_graph_map("""vertices: v
+edges: a: v -> v ; b: v -> v ; c: v -> v ; d: v -> v ; e: v -> v
+base: v
+map a -> a b
+map b -> c
+map c -> d
+map d -> e
+map e -> a
+""")
+    factors = orbit_polynomials(rose5)
+    assert "multimodular" in calls and "crt_primes" in calls
+    assert factors == ((1, linalg.charpoly_int(
+        Analysis.of(rose5).action.matrix)),)
+
+
+def test_a_tampered_row_of_a_trivial_cover_is_not_a_chain_map():
+    # the exact path divides over Z by x^2 - 1 for the vertex 2-cycle
+    # u <-> w, and by x per vertex on no cycle, and refuses rows that are
+    # not a chain map as the modular path does: c -> D, or u -> v
+    f = parse_graph_map(BASE_PATH_MAPS["vertex_two_cycle"])
+    lifted = Analysis.of(f).cover(1).lifted
+    assert lcm(*lifted.cover.quotient.diag) == 1
+    assert orbit_polynomials(lifted) == orbit_polynomials(f)
+    edge_rows, vertex_rows = lifted.rows
+    c_reversed = [[(name, x, -d) for name, x, d in row] if i == 2 else row
+                  for i, row in enumerate(edge_rows)]
+    u_to_v = [vertex_rows[0], (f.graph.base, vertex_rows[1][1]),
+              vertex_rows[2]]
+    for rows in ((c_reversed, vertex_rows), (edge_rows, u_to_v)):
+        with pytest.raises(LiftError, match="not a chain map"):
+            orbit_polynomials(replace(lifted, rows=rows))
 
 
 def test_a_tampered_vertex_label_is_not_a_chain_map(multi_vertex_levels):

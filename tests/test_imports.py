@@ -103,6 +103,25 @@ def test_dense_charpoly_has_no_production_caller():
     assert _package_modules_naming({"charpoly_int"}) == {"linalg.py"}
 
 
+def _functions_naming(name):
+    """The package functions, as ``file:function``, whose body names
+    ``name``, as a variable or an attribute."""
+    return {f"{path.name}:{fn.name}" for path in PACKAGE.glob("*.py")
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(name in (getattr(node, "id", None),
+                             getattr(node, "attr", None))
+                    for node in ast.walk(fn))}
+
+
+def test_small_charpoly_serves_only_the_block_paths():
+    # the principal-minor formula serves the modular blocks and the trivial
+    # deck group's exact block; the dense charpoly's body does not name it,
+    # and the tests hold both paths to Berkowitz, which shares no code
+    assert _functions_naming("small_charpoly") == {
+        "linalg.py:charpoly_mod", "covers.py:orbit_polynomials"}
+
+
 def test_only_a_levels_verdict_runs_the_sieve():
     # every verdict, verify's included, is a tower level's, decided one
     # Galois orbit at a time; no package function sieves a whole polynomial
