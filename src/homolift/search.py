@@ -14,7 +14,7 @@ map, tower and degree, so the level is all that these pass on.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import prod, sqrt
@@ -262,8 +262,10 @@ def _exact_characters(d, q):
 
 def character_scan(a, cfg):
     """Grid of root-of-unity characters; first with |trace(A^k)| above size,
-    decided in exact cyclotomic arithmetic.  The orders q ascend, and each
-    character is tried once, in the grid of its exact order q."""
+    decided in exact cyclotomic arithmetic.  The orders q ascend to
+    ``cfg.max_character_order`` (in a search, at most the level's order
+    bound), and each character is tried once, in the grid of its exact
+    order q."""
     m = a.size
     d = a.dim
     traces = [magnus.trace_power(a, k) for k in range(1, cfg.max_power + 1)]
@@ -377,20 +379,15 @@ def _certificate(level, method, finding):
     return cert
 
 
-def _certify(an, finding, cfg):
+def _certify(an, finding, bound):
     """Turn a finding on the tower level ``an`` into a verified
     certificate: the level itself for the direct check or a trivial
     character, else one more H_f/nH_f step with n the located character's
-    exact order."""
+    exact order: a character scan's, run to ``bound``, the level's
+    ``_order_bound``, or one located within it for l2 and anchored."""
     method = "tower" if an.tower else METHODS[finding.kind]
     if finding.kind != "direct":
-        d = an.quotient.rank
-        bound = _order_bound(an.degree, d, cfg.max_cover_degree)
         order = _locate_character(an, finding, bound).exact_order()
-        if order > bound:  # only a character-scan hit comes unbounded
-            raise ResourceLimitError(
-                f"conversion cover degree {an.degree * order ** d} exceeds "
-                f"cap {cfg.max_cover_degree}")
         if order > 1:
             an = an.cover(order)
     return _certificate(an, method, finding)
@@ -528,8 +525,8 @@ def tower_search(f, cfg=None, diagnostics=None):
     then the three criteria, then covers by ascending modulus, depth first),
     or None when the configured bounds are exhausted.  At growth rate 1
     there is none in any cover, and the search says so after the base
-    level's direct check, before any cover is built (GROWTH_ONE).
-    Resource-cap violations raise instead of being silently absorbed.
+    level's direct check, before any cover is built (GROWTH_ONE).  No
+    cover past ``max_cover_degree`` is built or scanned for.
     """
     cfg = cfg or SearchConfig()
     if diagnostics is None:
@@ -538,27 +535,30 @@ def tower_search(f, cfg=None, diagnostics=None):
 
 
 def _tower_search(an, cfg, diagnostics):
-    """Search from the tower level ``an``, at depth ``len(an.tower)``."""
+    """Search from the tower level ``an``, at depth ``len(an.tower)``; its
+    ``_order_bound`` caps the character scan, conversion and child moduli."""
     finding = check_direct(an.level, an)
     if finding is not None:
-        return _certify(an, finding, cfg)
+        return _certify(an, finding, 1)    # the level itself: no cover
     if not an.tower and _growth_is_one(an.transition):
         diagnostics.append(GROWTH_ONE)
         return None
 
+    bound = _order_bound(an.degree, an.quotient.rank, cfg.max_cover_degree)
+    level_cfg = replace(cfg, max_character_order=min(
+        cfg.max_character_order, bound))
     for criterion in (check_l2, check_anchored, character_scan):
-        finding = criterion(an.matrix, cfg)
+        finding = criterion(an.matrix, level_cfg)
         if finding is None:
             continue
         try:
-            return _certify(an, finding, cfg)
+            return _certify(an, finding, bound)
         except (CertificateError, ResourceLimitError) as exc:
             diagnostics.append(f"depth {len(an.tower)}: {finding.kind} "
                                f"finding did not convert: {exc}")
 
     if len(an.tower) >= cfg.max_tower_depth:
         return None
-    bound = _order_bound(an.degree, an.quotient.rank, cfg.max_cover_degree)
     for k in range(2, bound + 1):
         found = _tower_search(an.cover(k), cfg, diagnostics)
         if found is not None:

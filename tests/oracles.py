@@ -52,7 +52,7 @@ from homolift.laurent import (Character, LaurentElement, character_grid,
                               l2_norm_squared, specialize)
 from homolift.magnus import MagnusMatrix, specialize_matrix, trace_power
 from homolift.search import (Analysis, Finding, SearchConfig, _above,
-                             _certify, _support_width)
+                             _certify, _order_bound, _support_width)
 from homolift.transition import (DEFAULT_CYCLE_CAP, SubgraphSelection,
                                  is_stable, simple_cycles)
 
@@ -887,7 +887,10 @@ def locate_in_sorted_union(a, finding, bound):
 
 def build_certificate(f, finding, cfg=None):
     """Convert a criterion hit on the base map into an exactly verified
-    cover certificate, as the search does for the finding it acts on."""
+    cover certificate, as the search does for the finding it acts on,
+    within the base level's order bound."""
     if finding is None:
         raise ValidationError("no finding to convert")
-    return _certify(Analysis.of(f), finding, cfg or SearchConfig())
+    an = Analysis.of(f)
+    cap = (cfg or SearchConfig()).max_cover_degree
+    return _certify(an, finding, _order_bound(1, an.quotient.rank, cap))

@@ -1,7 +1,9 @@
 import json
 import random
+import runpy
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homolift import linalg, magnus, search
+from homolift import corpus, linalg, magnus, search
 from homolift.covers import CoverCertificate, _value_mod
 from homolift.cyclotomic import Cyclotomic
 from homolift.errors import (CertificateError, ResourceLimitError,
@@ -345,6 +347,50 @@ def test_conversion_cap_bounds_the_character_grid(analyses, monkeypatch):
         build_certificate(an.graph_map, check_l2(an.matrix, CFG),
                           SearchConfig(max_cover_degree=1))
     assert orders == [1]
+
+
+# perfbench/generator.unipotent_maps(5, 60) items 0, 4 and 51 answer "none"
+# within max_cover_degree 16 and depth 2; scanning their cover levels to
+# order 12, past every order whose cover fits, takes minutes and gigabytes
+SCAN_BOUND_ITEMS = (0, 4, 51)
+
+
+def _scan_bound_cases():
+    generator = runpy.run_path(str(Path(__file__).parent.parent /
+                                   "perfbench" / "generator.py"))
+    items = generator["unipotent_maps"](5, 60)
+    return [pytest.param(corpus.load(name), SearchConfig(max_cover_degree=cap),
+                         False, id=f"{name}-{cap}")
+            for name in ("unipotent_silver", "unipotent_rank2")
+            for cap in (1, 4, 16)] + [
+        pytest.param(parse_graph_map(items[i]),
+                     SearchConfig(max_cover_degree=16, max_tower_depth=2),
+                     True, id=f"unipotent_maps-{i}") for i in SCAN_BOUND_ITEMS]
+
+
+@pytest.mark.parametrize("f, cfg, answers_none", _scan_bound_cases())
+def test_scan_stops_at_the_order_bound(monkeypatch, f, cfg, answers_none):
+    # each tower level builds no character grid above its order bound: no
+    # cover of a higher order fits under the cap, so no hit there converts
+    bounds = []
+    tower, grid = search._tower_search, search.character_grid
+
+    def level(an, config, diagnostics):
+        bounds.append(search._order_bound(an.degree, an.quotient.rank,
+                                          config.max_cover_degree))
+        try:
+            return tower(an, config, diagnostics)
+        finally:
+            bounds.pop()
+
+    def bounded_grid(d, q):
+        assert q <= bounds[-1], f"order {q} grid above bound {bounds[-1]}"
+        return grid(d, q)
+
+    monkeypatch.setattr(search, "_tower_search", level)
+    monkeypatch.setattr(search, "character_grid", bounded_grid)
+    cert = tower_search(f, cfg)
+    assert cert is None or not answers_none
 
 
 def test_build_certificate_matches_tower_search(analyses):
@@ -774,7 +820,10 @@ def test_characters_are_tried_once_at_their_exact_order():
     # the scan and the conversion walk the orders q ascending and try only
     # the q-grid's characters of exact order q: a lower-order one repeats
     # a character of its own smaller grid, so the findings and the located
-    # orders are those of every grid, errors included
+    # orders are those of every grid, errors included.  A scan cut at order
+    # b finds the full scan's character when its order is at most b, else
+    # nothing: a search that scans only to its order bound loses no hit
+    # that could convert
     cfg = SearchConfig(max_power=4, max_character_order=6)
     seen = set()
 
@@ -804,6 +853,11 @@ def test_characters_are_tried_once_at_their_exact_order():
         assert all(chi.exact_order() == chi.order for chi in tried)
         assert _finding_json(found) == _finding_json(
             character_scan_every_grid(a, cfg))
+        for b in range(1, cfg.max_character_order + 1):
+            cut = character_scan(a, replace(cfg, max_character_order=b))
+            assert _finding_json(cut) == _finding_json(
+                found if found is not None and found.character.order <= b
+                else None)
         for fnd, bound, outcome in located:
             assert outcome == _located(
                 lambda: locate_in_sorted_union(a, fnd, bound))
