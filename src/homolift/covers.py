@@ -17,11 +17,15 @@ to the lift of f(e) from f(o(e))@s(o(e)), which must end at
 f(t(e))@(c(e) + s(t(e))).  The lifted map is the translates of these
 fiber-zero rows by every x in G.
 
-Characteristic polynomials of tower levels come from the deck group's
-characters, never from a dense H1 matrix.  The lift commutes with the deck
-group G, so its chain maps are matrices over Z[G]: A (edges x edges) on
-1-chains and V (vertices x vertices) on 0-chains, which are the same
-fiber-zero rows.  Modulo a prime q = 1 (mod the exponent of G), and
+The base level's characteristic polynomial is that of its own H1 matrix,
+of size r = E - V + 1: exactly over Z from its principal minors
+(``linalg.small_charpoly``) when r <= 4, else by CRT
+(``linalg.multimodular``) against L, the longest edge image, as rho(f*) <=
+rho(C) <= L for the count matrix C below.  A cover's comes from the deck
+group's characters, never from its dense H1 matrix.  The lift commutes
+with the deck group G, so its chain maps are matrices over Z[G]: A (edges
+x edges) on 1-chains and V (vertices x vertices) on 0-chains, which are
+the same fiber-zero rows.  Modulo a prime q = 1 (mod the exponent of G), and
 q > 2^62 does not divide |G|, every character chi is a ring map
 Z[G] -> F_q, and the chain complex C1 -> C0 splits into blocks
 A(chi) -> V(chi).  The blocks are evaluated modulo a product m of up to
@@ -66,25 +70,18 @@ occurs in f(e_i)), which dominates every |A(chi)| entrywise, and so by
 any R >= rho(C); so CRT recombines N_O on its own against C(m_O, i) *
 R^i, one evaluation of the orbit's blocks per group of up to four primes
 (``linalg.multimodular``), and charpoly(H1) is the product of the N_O
-over Z.  On a cover R is the Collatz-Wielandt bound max_i (C^17 1)_i /
-(C^16 1)_i, a rational between rho(C) >= 1 and L, the longest edge
-image, which is C's largest row sum; on the base map it is L.  The
-primes are shared by the orbits.  How many a degree needs, and whether
-that is past the cap, is ``linalg.crt_primes``'s decision alone, and the
-largest orbit's count, against L, is asked of it before any character is
-listed: a character of order the exponent of G has the largest orbit, of
-size phi(exponent) >= sqrt(exponent / 2), so a first count at that lower
-bound refuses a huge exponent before it is factored.  The base map is
-the case G = 1, a single orbit, whose rows are f's own edge images and
-vertex images, all on the one sheet; no lift is built.  When G = 1 (the
-base map, or a cover by the trivial quotient) and the graph has at most
-four edges, the one block A has integer entries, and its characteristic
-polynomial comes exactly over Z from its principal minors, divided
-exactly by the vertex cycles' x^l - 1 and by x per vertex on no cycle:
-no character, sheet or prime is formed.
-A level's polynomial stays factored as the tuple of its N_O all the way
-to the verdict, and the whole polynomial is the verdict's witness times
-its powers of x and cyclotomic factors.  The dense charpoly of the
+over Z.  R is the Collatz-Wielandt bound max_i (C^17 1)_i / (C^16 1)_i, a
+rational between rho(C) >= 1 and L, C's largest row sum.  The primes are
+shared by the orbits.  How many a degree needs, and whether that is past
+the cap, is ``linalg.crt_primes``'s decision alone, and the largest
+orbit's count, against L, is asked of it before any character is listed:
+a character of order the exponent of G has the largest orbit, of size
+phi(exponent) >= sqrt(exponent / 2), so a first count at that lower bound
+refuses a huge exponent before it is factored.  A cover by the trivial
+quotient is read the same way, as its one trivial orbit.  A level's
+polynomial stays factored as the tuple of its N_O all the way to the
+verdict, and the whole polynomial is the verdict's witness times its
+powers of x and cyclotomic factors.  The dense charpoly of the
 cover's H1 matrix (``h1_action_on_cover``) is the reference the tests
 hold it to; the chain-level references (the lift's chain action, on the
 whole cover and on each isotypic part, and the deck actions) live with
@@ -197,9 +194,6 @@ class FiniteQuotient:
 
     def elements(self):
         return [tuple(e) for e in product(*[range(d) for d in self.diag])]
-
-
-_TRIVIAL = FiniteQuotient.from_modulus(0, 1)     # the base map's deck group
 
 
 def _at(name, elem):
@@ -439,39 +433,24 @@ def orbit_polynomials(f):
     characters, the trivial orbit's first, with o the exact order of the
     orbit's characters and N_O its integer norm polynomial (ascending); the
     N_O multiply to the charpoly (see the module docstring).  The level is
-    ``f``: a LiftedMap, read from its stored fiber-zero rows, or the base
-    map (G = 1, a single factor).  When G = 1 and the graph has at most
-    four edges, the one factor is computed exactly over Z, with no prime;
-    every other level is recombined from its residues by CRT."""
-    if isinstance(f, LiftedMap):
-        quotient, (edge_rows, vertex_rows) = f.cover.quotient, f.rows
-        f = f.base_map
-    else:       # G = 1: the rows are f's own, every label the empty tuple
-        quotient = _TRIVIAL
-        edge_rows = [[(name, (), d) for name, d in f.edge_image[e.name].steps]
-                     for e in f.graph.edges]
-        vertex_rows = [(f.vertex_image[v], ()) for v in f.graph.vertices]
-    graph, diag = f.graph, quotient.diag
+    ``f``: a LiftedMap, read from its stored fiber-zero rows and recombined
+    from its residues by CRT, or the base map, whose one factor is the
+    charpoly of its own r x r H1 matrix: exactly over Z, with no prime,
+    when r <= 4, else by CRT against L, the longest edge image."""
+    if not isinstance(f, LiftedMap):
+        h1 = homology_action(f, spanning_tree(f.graph)).matrix
+        if len(h1) <= 4:
+            return ((1, linalg.small_charpoly(h1)),)
+        longest = max(len(f.edge_image[e.name].steps) for e in f.graph.edges)
+        return ((1, linalg.multimodular(
+            len(h1), longest, lambda m, _w: linalg.charpoly_mod(h1, m))),)
+    quotient, (edge_rows, vertex_rows) = f.cover.quotient, f.rows
+    graph, diag = f.base_map.graph, quotient.diag
     eidx = {e.name: i for i, e in enumerate(graph.edges)}
     vidx = {v: i for i, v in enumerate(graph.vertices)}
     cycles, transient = _vertex_cycles(vertex_rows, vidx, graph.base,
                                        quotient)
     order = lcm(*diag)
-    if order == 1 and len(eidx) <= 4:
-        # G = 1: the one block, exactly over Z, with no character or prime
-        am = [[0] * len(eidx) for _ in eidx]
-        for i, row in enumerate(edge_rows):
-            for name, _x, d in row:
-                am[i][eidx[name]] += d
-        # divided by x^length - 1 per cycle but the base's, then x^transient
-        poly, rems = linalg.small_charpoly(am), []
-        for length, _label in cycles[1:]:
-            poly, rem = linalg.poly_divmod_monic(
-                poly, [-1] + [0] * (length - 1) + [1])
-            rems += rem
-        if any(rems) or any(poly[:transient]):
-            raise LiftError("the fiber-zero rows are not a chain map")
-        return ((1, poly[transient:]),)
     scale = [order // d for d in diag]
 
     # chi_a(x) = w^exponent(a, weight(x)), w of exact order `order`
@@ -521,21 +500,15 @@ def orbit_polynomials(f):
             return linalg.poly_product(out, m)
         return residues
 
+    # the cap, before any character is listed: the largest orbit has size
+    # phi(order) >= sqrt(order / 2), so a huge order is refused before it
+    # is factored
     rank = len(eidx) - len(vidx)
     longest = max((len(row) for row in edge_rows), default=1)
-    if order == 1:
-        # one orbit, whose own prime count is the cap check; R <= L, but a
-        # small base map would spend a third of its time on R, and L
-        # already takes it one prime
-        bound = longest
-    else:
-        # the cap, before any character is listed: the largest orbit has
-        # size phi(order) >= sqrt(order / 2), so a huge order is refused
-        # before it is factored
-        linalg.crt_primes(isqrt(order // 2) * rank, longest, order)
-        linalg.crt_primes(max(linalg.totient(order) * rank, rank + 1),
-                          longest, order)
-        bound = _root_bound(edge_rows, eidx)
+    linalg.crt_primes(isqrt(order // 2) * rank, longest, order)
+    linalg.crt_primes(max(linalg.totient(order) * rank, rank + 1), longest,
+                      order)
+    bound = _root_bound(edge_rows, eidx)
     out = []
     for orbit in _galois_orbits(diag):
         o = character_order(orbit[0], diag)

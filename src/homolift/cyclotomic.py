@@ -211,8 +211,6 @@ class Cyclotomic:
         r = self.rational_value()
         if r is not None:
             return (r > 0) - (r < 0)
-        if self.is_zero():
-            return 0
         n = self.order
         prec = 64
         while True:

@@ -536,7 +536,15 @@ def tower_search(f, cfg=None, diagnostics=None):
 
 def _tower_search(an, cfg, diagnostics):
     """Search from the tower level ``an``, at depth ``len(an.tower)``; its
-    ``_order_bound`` caps the character scan, conversion and child moduli."""
+    ``_order_bound`` caps the character scan, conversion and child moduli.
+
+    A level whose bound is below 2 is a leaf, and the search leaves it once
+    its direct check is silent: every H1 eigenvalue then has modulus at
+    most 1, and so has every eigenvalue of the trivial character's block,
+    the level's signed chain map, whose others are the vertex map's.  So
+    no trivial character is above the threshold, no finding converts, and
+    no child H_f/kH_f (k >= 2) fits.  Twice the degree past the cap makes
+    a leaf before the quotient is built."""
     finding = check_direct(an.level, an)
     if finding is not None:
         return _certify(an, finding, 1)    # the level itself: no cover
@@ -544,7 +552,11 @@ def _tower_search(an, cfg, diagnostics):
         diagnostics.append(GROWTH_ONE)
         return None
 
+    if 2 * an.degree > cfg.max_cover_degree:
+        return None
     bound = _order_bound(an.degree, an.quotient.rank, cfg.max_cover_degree)
+    if bound < 2:
+        return None
     level_cfg = replace(cfg, max_character_order=min(
         cfg.max_character_order, bound))
     for criterion in (check_l2, check_anchored, character_scan):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -514,5 +515,32 @@ CLI_DIGESTS = [
 @pytest.mark.parametrize("argv, code, digest", CLI_DIGESTS)
 def test_corpus_json_digest(argv, code, digest):
     got, out, _ = run(*argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+FIXTURES = Path(__file__).parent.parent / "perfbench" / "fixtures"
+
+# sha256 of verify --json and the exit code on the benchmark's certificate
+# fixtures, read in place: the five ladder certificates and a tampered one
+VERIFY_DIGESTS = [
+    ("unipotent_rank2-36", 0,
+     "da257e945ebab924393a3d4d1fa082209835ba76f94a199b9d2dec674421f72a"),
+    ("unipotent_rank2-64", 0,
+     "a8b72543828042fc9bd95ce360de9094c55d63d35c6caaea59c079917120d9f1"),
+    ("unipotent_silver-64", 0,
+     "c7cd2d9e0325ecc0aa145b782bd75e72744776b83a9f77fd7be7657b872cb833"),
+    ("unipotent_silver-128", 0,
+     "5e1930f012b110b1301ddf51c4cdec0e506796e612e348a3f7a0c382c592d1ad"),
+    ("unipotent_silver-192", 0,
+     "7cacb6f6ce73828d28aaf5920e7075467cc58bbfa6dd96da92ce67fff21ad698"),
+    ("tampered", 1,
+     "3fe0aac8ff8e3ab132843798125e6ef4ef86e931786d3f79de093ba4e6301999"),
+]
+
+
+@pytest.mark.parametrize("name, code, digest", VERIFY_DIGESTS)
+def test_verify_fixture_json_digest(name, code, digest):
+    got, out, _ = run("verify", str(FIXTURES / f"{name}.json"), "--json")
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homolift import corpus, linalg, magnus
+from homolift import corpus, covers, linalg, magnus
 from homolift.covers import (CoverGraph, FiniteQuotient, _connected,
                              UnitCircleVerdict, _fiber_zero, _galois_orbits,
                              _root_bound, _units, _value_mod, abelian_cover,
@@ -459,8 +459,8 @@ map a -> a
 
 
 def _base_path_matches_dense(f):
-    # the trivial deck group's one factor, against the dense charpoly of
-    # the H1 action and against Berkowitz, which uses no modulus
+    # a base map's one factor, against the dense charpoly of the H1 action
+    # and against Berkowitz, which uses no modulus
     dense = Analysis.of(f).action.matrix
     expected = linalg.charpoly_int(dense)
     assert expected == charpoly_berkowitz(dense)
@@ -498,8 +498,8 @@ def test_base_path_matches_dense_on_small_cover_graphs(analyses):
 
 
 def test_base_path_uses_no_prime(corpus_maps, monkeypatch):
-    # up to 4 edges a trivial deck group's block is exact over Z; a
-    # 5-petal rose still goes through the multimodular path
+    # up to H1 rank 4 a base map's polynomial is exact over Z; a 5-petal
+    # rose, of rank 5, still goes through the multimodular path
     calls = []
     for name in ("multimodular", "crt_primes"):
         real = getattr(linalg, name)
@@ -524,10 +524,57 @@ map e -> a
         Analysis.of(rose5).action.matrix)),)
 
 
+# five edges on two vertices, H1 of rank 4
+FIVE_EDGE_MAP = """vertices: v w
+edges: a: v -> v ; b: v -> v ; c: v -> w ; d: w -> v ; e: w -> w
+base: v
+map a -> a b
+map b -> a c e d
+map c -> c e
+map d -> d
+map e -> d a c
+"""
+
+
+def test_base_map_reads_its_own_h1_matrix(monkeypatch):
+    # the base level's polynomial is its r x r H1 matrix's, exactly over Z
+    # from the principal minors while r <= 4, however many edges it has
+    f = parse_graph_map(FIVE_EDGE_MAP)
+    h1 = Analysis.of(f).action.matrix
+    assert len(f.graph.edges) == 5 and len(f.graph.vertices) == 2
+    assert len(h1) == 4
+
+    def refuse(*args):
+        raise AssertionError("crt_primes called on a base map of rank 4")
+
+    monkeypatch.setattr(linalg, "crt_primes", refuse)
+    assert orbit_polynomials(f) == ((1, charpoly_berkowitz(h1)),)
+
+
+def test_base_maps_take_no_character_path(corpus_maps, multi_vertex_levels,
+                                          monkeypatch):
+    # a base map forms no vertex cycle and no root bound, even a cover's
+    # graph map read as one (r > 4), whose polynomial is then its level's
+    covers_read = [level.graph_map for level in multi_vertex_levels]
+    expected = [linalg.poly_product([list(p) for _o, p in orbit_polynomials(
+        level.lifted)]) for level in multi_vertex_levels]
+    assert max(len(Analysis.of(f).action.matrix) for f in covers_read) > 4
+
+    def refuse(*args):
+        raise AssertionError("character path taken by a base map")
+
+    for name in ("_vertex_cycles", "_root_bound"):
+        monkeypatch.setattr(covers, name, refuse)
+    for f in [*corpus_maps.values(), *_rose_maps(200)]:
+        orbit_polynomials(f)
+    assert [orbit_polynomials(f) for f in covers_read] == [
+        ((1, poly),) for poly in expected]
+
+
 def test_a_tampered_row_of_a_trivial_cover_is_not_a_chain_map():
-    # the exact path divides over Z by x^2 - 1 for the vertex 2-cycle
-    # u <-> w, and by x per vertex on no cycle, and refuses rows that are
-    # not a chain map as the modular path does: c -> D, or u -> v
+    # a trivial cover takes the character path at order 1, which divides
+    # by x^2 - 1 for the vertex 2-cycle u <-> w and by x per vertex on no
+    # cycle, and refuses rows that are not a chain map: c -> D, or u -> v
     f = parse_graph_map(BASE_PATH_MAPS["vertex_two_cycle"])
     lifted = Analysis.of(f).cover(1).lifted
     assert lcm(*lifted.cover.quotient.diag) == 1
@@ -615,8 +662,8 @@ def test_galois_orbit_members_follow_the_units(diag):
 
 
 def test_base_level_verdict_reads_the_map_directly(analyses, monkeypatch):
-    # on the base map G = 1: the rows are f's own edge images, so no lift
-    # is built and nothing checks that it closes up
+    # the base level's polynomial is its own H1 matrix's, so no lift is
+    # built and nothing checks that it closes up
     def refuse(*args):
         raise AssertionError("the base level built a lift")
 

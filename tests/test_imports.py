@@ -115,9 +115,9 @@ def _functions_naming(name):
 
 
 def test_small_charpoly_serves_only_the_block_paths():
-    # the principal-minor formula serves the modular blocks and the trivial
-    # deck group's exact block; the dense charpoly's body does not name it,
-    # and the tests hold both paths to Berkowitz, which shares no code
+    # the principal-minor formula serves the modular blocks and a small
+    # base H1 matrix; the dense charpoly's body does not name it, and the
+    # tests hold both paths to Berkowitz, which shares no code
     assert _functions_naming("small_charpoly") == {
         "linalg.py:charpoly_mod", "covers.py:orbit_polynomials"}
 

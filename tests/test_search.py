@@ -393,6 +393,56 @@ def test_scan_stops_at_the_order_bound(monkeypatch, f, cfg, answers_none):
     assert cert is None or not answers_none
 
 
+def _leaf_maps():
+    generator = runpy.run_path(str(Path(__file__).parent.parent /
+                                   "perfbench" / "generator.py"))
+    return [*(corpus.load(name) for name in corpus.names()),
+            *map(parse_graph_map, generator["unipotent_maps"](5, 60)[:20])]
+
+
+@pytest.mark.parametrize("cap, depth", [(1, 3), (4, 3), (64, 1)])
+def test_leaf_levels_run_no_criterion(monkeypatch, cap, depth):
+    # a level whose order bound is below 2 leaves once its direct check is
+    # silent: no finding there can convert and no child fits, so it runs
+    # no criterion, and at twice the degree past the cap it builds no
+    # quotient either (the base level's growth check builds one first)
+    cfg = SearchConfig(max_cover_degree=cap, max_tower_depth=depth)
+    tower = search._tower_search
+    levels, stack, ran = [], [], set()
+
+    def level(an, config, diagnostics):
+        levels.append(an)
+        stack.append(an)
+        try:
+            return tower(an, config, diagnostics)
+        finally:
+            stack.pop()
+
+    def spy(criterion):
+        def run(a, config):
+            ran.add(id(stack[-1]))
+            return criterion(a, config)
+        return run
+
+    monkeypatch.setattr(search, "_tower_search", level)
+    for name in ("check_l2", "check_anchored", "character_scan"):
+        monkeypatch.setattr(search, name, spy(getattr(search, name)))
+    for f in _leaf_maps():
+        tower_search(f, cfg)
+    searched = 0
+    for an in levels:
+        if 2 * an.degree > cap:
+            assert not an.tower or "quotient" not in vars(an), an.tower
+            assert id(an) not in ran, an.tower
+            continue
+        bound = search._order_bound(an.degree, an.quotient.rank, cap)
+        silent = an.verdict.all_on_circle and (
+            bool(an.tower) or not _growth_is_one(an.transition))
+        assert (id(an) in ran) == (bound >= 2 and silent), an.tower
+        searched += id(an) in ran
+    assert (searched > 0) == (cap > 1)
+
+
 def test_build_certificate_matches_tower_search(analyses):
     # one conversion path: the first finding that converts on the base
     # level gives the same certificate bytes either way
