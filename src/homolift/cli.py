@@ -198,16 +198,31 @@ def positive_int(text):
     return value
 
 
-def _add_config_flags(p):
-    for flag, name in CONFIG_FLAGS.items():
-        p.add_argument(flag, type=positive_int, dest=name,
+# subcommand -> the bound flags it reads; no other bound flag is accepted
+COMMAND_FLAGS = {
+    "analyze": ("--max-power", "--max-order", "--max-lattice-index",
+                "--cycle-cap"),
+    "magnus": (),
+    "shadow": ("--cycle-cap",),
+    "stability": ("--cycle-cap",),
+    "search": ("--max-power", "--max-order", "--max-lattice-index",
+               "--max-tower-depth", "--max-degree"),
+}
+
+
+def _add_config_flags(p, flags):
+    for flag in flags:
+        p.add_argument(flag, type=positive_int, dest=CONFIG_FLAGS[flag],
                        metavar=flag[2:].upper().replace("-", "_"),
-                       default=getattr(SearchConfig, name))
+                       default=getattr(SearchConfig, CONFIG_FLAGS[flag]))
 
 
 def _config_from(args):
+    """The SearchConfig of the flags given; a field the subcommand takes no
+    flag for keeps its default."""
     return SearchConfig(**{name: getattr(args, name)
-                           for name in CONFIG_FLAGS.values()})
+                           for name in CONFIG_FLAGS.values()
+                           if hasattr(args, name)})
 
 
 def build_parser():
@@ -227,7 +242,7 @@ def build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="path to a .gm file, or corpus:NAME")
         p.add_argument("--json", action="store_true")
-        _add_config_flags(p)
+        _add_config_flags(p, COMMAND_FLAGS[name])
         if name == "search":
             p.add_argument("--emit-certificate", metavar="FILE")
 

@@ -17,15 +17,11 @@ to the lift of f(e) from f(o(e))@s(o(e)), which must end at
 f(t(e))@(c(e) + s(t(e))).  The lifted map is the translates of these
 fiber-zero rows by every x in G.
 
-The base level's characteristic polynomial is that of its own H1 matrix,
-of size r = E - V + 1: exactly over Z from its principal minors
-(``linalg.small_charpoly``) when r <= 4, else by CRT
-(``linalg.multimodular``) against L, the longest edge image, as rho(f*) <=
-rho(C) <= L for the count matrix C below.  A cover's comes from the deck
-group's characters, never from its dense H1 matrix.  The lift commutes
-with the deck group G, so its chain maps are matrices over Z[G]: A (edges
-x edges) on 1-chains and V (vertices x vertices) on 0-chains, which are
-the same fiber-zero rows.  Modulo a prime q = 1 (mod the exponent of G), and
+A cover's characteristic polynomial comes from the deck group's
+characters, never from its dense H1 matrix.  The lift commutes with the
+deck group G, so its chain maps are matrices over Z[G]: A (edges x edges)
+on 1-chains and V (vertices x vertices) on 0-chains, which are the same
+fiber-zero rows.  Modulo a prime q = 1 (mod the exponent of G), and
 q > 2^62 does not divide |G|, every character chi is a ring map
 Z[G] -> F_q, and the chain complex C1 -> C0 splits into blocks
 A(chi) -> V(chi).  The blocks are evaluated modulo a product m of up to
@@ -433,17 +429,8 @@ def orbit_polynomials(f):
     characters, the trivial orbit's first, with o the exact order of the
     orbit's characters and N_O its integer norm polynomial (ascending); the
     N_O multiply to the charpoly (see the module docstring).  The level is
-    ``f``: a LiftedMap, read from its stored fiber-zero rows and recombined
-    from its residues by CRT, or the base map, whose one factor is the
-    charpoly of its own r x r H1 matrix: exactly over Z, with no prime,
-    when r <= 4, else by CRT against L, the longest edge image."""
-    if not isinstance(f, LiftedMap):
-        h1 = homology_action(f, spanning_tree(f.graph)).matrix
-        if len(h1) <= 4:
-            return ((1, linalg.small_charpoly(h1)),)
-        longest = max(len(f.edge_image[e.name].steps) for e in f.graph.edges)
-        return ((1, linalg.multimodular(
-            len(h1), longest, lambda m, _w: linalg.charpoly_mod(h1, m))),)
+    the LiftedMap ``f``, read from its stored fiber-zero rows and
+    recombined from its residues by CRT."""
     quotient, (edge_rows, vertex_rows) = f.cover.quotient, f.rows
     graph, diag = f.base_map.graph, quotient.diag
     eidx = {e.name: i for i, e in enumerate(graph.edges)}

@@ -534,8 +534,8 @@ def charpoly_mod(rows, m):
 def charpoly_int(rows):
     """Exact characteristic polynomial det(xI - M) of a dense integer
     matrix, ascending coefficients.  No production path calls it: a tower
-    level's polynomial comes from ``covers.orbit_polynomials``, and growth
-    rate 1 from the transition graph's components.  Applied to a cover's
+    level's polynomial comes from ``search.Analysis.orbit_factors``, and
+    growth rate 1 from the transition graph's components.  Applied to a cover's
     dense H1 matrix (``covers.h1_action_on_cover``), it is the dense
     reference that the tests and the benchmark's ladder fixtures are built
     from, and ``perfbench/spans.py`` times it by name."""

@@ -124,8 +124,20 @@ class Analysis:
     def orbit_factors(self):
         """The integer characteristic polynomial of the H1 action, factored
         over the Galois orbits of the deck group's characters: a pair (o,
-        N_O) per orbit, o the exact order of its characters."""
-        return orbit_polynomials(self.level)
+        N_O) per orbit, o the exact order of its characters.  A lifted
+        level's come from ``orbit_polynomials``.  The base level's one
+        factor is the charpoly of its r x r H1 matrix, the one ``quotient``
+        reads: exactly over Z from its principal minors when r <= 4, else by
+        CRT against L, the longest edge image, as rho(f*) <= rho(C) <= L
+        for the count matrix C."""
+        if self.tower:
+            return orbit_polynomials(self.level)
+        f, h1 = self.level, self.action.matrix
+        if len(h1) <= 4:
+            return ((1, linalg.small_charpoly(h1)),)
+        longest = max(len(f.edge_image[e.name].steps) for e in f.graph.edges)
+        return ((1, linalg.multimodular(
+            len(h1), longest, lambda m, _w: linalg.charpoly_mod(h1, m))),)
 
     @cached_property
     def charpoly(self):
@@ -163,8 +175,8 @@ def input_digest(f):
 
 def check_direct(f, analysis=None):
     """Off-circle eigenvalue of the homology action itself.  ``f`` is a
-    tower level (a graph map or a LiftedMap), read only when ``analysis``,
-    its Analysis, is not given."""
+    graph map, read as a base level only when ``analysis``, its Analysis,
+    is not given; a lifted level is read through its Analysis."""
     verdict = (analysis or Analysis.of(f)).verdict
     if verdict.all_on_circle:
         return None
@@ -450,7 +462,11 @@ def verify_certificate(cert):
         level = rebuild_tower(f, cert.tower)
     except (CertificateError, ValidationError) as exc:
         level, rebuild_error = None, exc
-    rebuilt = level is not None and level.charpoly == cp
+    # a rebuilt level is a connected cover, of H1 rank degree (E - V) + 1,
+    # so a polynomial of another length fails before the level's is formed
+    g = f.graph
+    rebuilt = (level is not None and len(cp) == level.degree * (
+        len(g.edges) - len(g.vertices)) + 2 and level.charpoly == cp)
     if rebuilt:
         verdict = level.verdict
         check("verdict", verdict.tag == cert.verdict,

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from homolift import corpus, linalg
 from homolift.cli import CONFIG_FLAGS, main
+from homolift.covers import CoverCertificate
+from homolift.errors import ResourceLimitError
 from homolift.search import (GROWTH_ONE, Analysis, SearchConfig,
                              character_scan, check_anchored, check_direct,
-                             check_l2, input_digest, tower_search)
+                             check_l2, input_digest, rebuild_tower,
+                             tower_search)
 
 
 def run(*args):
@@ -243,11 +246,21 @@ def test_verify_refuses_a_huge_cover_before_listing_characters(
             factored.append(n)
             raise AssertionError(f"{n} is factored before the cap check")
         monkeypatch.setattr(linalg, "prime_factors", refuse)
+    # the stored polynomial is the base level's, of the wrong degree, so
+    # verify fails on it without forming the cover's polynomial
     started = time.perf_counter()
     code, out, err = run("verify", str(path))
     assert time.perf_counter() - started < 15
-    assert code == 1 and not out
-    assert err == "error: charpoly: prime pool exhausted\n"
+    assert code == 1 and not err
+    assert "certificate INVALID" in out and "charpoly-rebuild: FAIL" in out
+    assert binomials == [] and factored == []
+    # the level's polynomial itself stops on the cap
+    tower = CoverCertificate.from_json(data).tower
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError,
+                       match="^charpoly: prime pool exhausted$"):
+        rebuild_tower(f, tower).verdict
+    assert time.perf_counter() - started < 15
     assert binomials == [] and factored == []
 
 
@@ -410,13 +423,28 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("flag", sorted(CONFIG_FLAGS))
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
 def test_bound_flag_below_one_is_a_usage_error(capsys, flag, value):
-    # argparse refuses the bound and names the flag, before any search
+    # argparse refuses the bound and names the flag, before any search, on
+    # a subcommand that reads it
+    command = "shadow" if flag == "--cycle-cap" else "search"
     with pytest.raises(SystemExit) as exc:
-        run("search", "corpus:golden_mean", flag, value)
+        run(command, "corpus:golden_mean", flag, value)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: invalid positive_int value: '{value}'" in err
     assert "must be positive" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("magnus", "corpus:golden_mean", "--max-degree", "4"),
+    ("analyze", "corpus:golden_mean", "--max-tower-depth", "2"),
+    ("search", "corpus:golden_mean", "--cycle-cap", "5")])
+def test_a_bound_the_subcommand_does_not_read_is_a_usage_error(capsys,
+                                                                argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[2:])}" in \
+        capsys.readouterr().err
 
 
 def test_resource_cap_is_an_error_not_a_miss():

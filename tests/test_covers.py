@@ -464,7 +464,7 @@ def _base_path_matches_dense(f):
     dense = Analysis.of(f).action.matrix
     expected = linalg.charpoly_int(dense)
     assert expected == charpoly_berkowitz(dense)
-    return orbit_polynomials(f) == ((1, expected),)
+    return Analysis.of(f).orbit_factors == ((1, expected),)
 
 
 def _rose_maps(count):
@@ -507,7 +507,7 @@ def test_base_path_uses_no_prime(corpus_maps, monkeypatch):
                             calls.append(name) or real(*args))
     for f in [*corpus_maps.values(), *map(parse_graph_map,
                                           BASE_PATH_MAPS.values())]:
-        orbit_polynomials(f)
+        Analysis.of(f).orbit_factors
     assert calls == []
     rose5 = parse_graph_map("""vertices: v
 edges: a: v -> v ; b: v -> v ; c: v -> v ; d: v -> v ; e: v -> v
@@ -518,7 +518,7 @@ map c -> d
 map d -> e
 map e -> a
 """)
-    factors = orbit_polynomials(rose5)
+    factors = Analysis.of(rose5).orbit_factors
     assert "multimodular" in calls and "crt_primes" in calls
     assert factors == ((1, linalg.charpoly_int(
         Analysis.of(rose5).action.matrix)),)
@@ -548,7 +548,7 @@ def test_base_map_reads_its_own_h1_matrix(monkeypatch):
         raise AssertionError("crt_primes called on a base map of rank 4")
 
     monkeypatch.setattr(linalg, "crt_primes", refuse)
-    assert orbit_polynomials(f) == ((1, charpoly_berkowitz(h1)),)
+    assert Analysis.of(f).orbit_factors == ((1, charpoly_berkowitz(h1)),)
 
 
 def test_base_maps_take_no_character_path(corpus_maps, multi_vertex_levels,
@@ -566,8 +566,8 @@ def test_base_maps_take_no_character_path(corpus_maps, multi_vertex_levels,
     for name in ("_vertex_cycles", "_root_bound"):
         monkeypatch.setattr(covers, name, refuse)
     for f in [*corpus_maps.values(), *_rose_maps(200)]:
-        orbit_polynomials(f)
-    assert [orbit_polynomials(f) for f in covers_read] == [
+        Analysis.of(f).orbit_factors
+    assert [Analysis.of(f).orbit_factors for f in covers_read] == [
         ((1, poly),) for poly in expected]
 
 
@@ -578,7 +578,7 @@ def test_a_tampered_row_of_a_trivial_cover_is_not_a_chain_map():
     f = parse_graph_map(BASE_PATH_MAPS["vertex_two_cycle"])
     lifted = Analysis.of(f).cover(1).lifted
     assert lcm(*lifted.cover.quotient.diag) == 1
-    assert orbit_polynomials(lifted) == orbit_polynomials(f)
+    assert orbit_polynomials(lifted) == Analysis.of(f).orbit_factors
     edge_rows, vertex_rows = lifted.rows
     c_reversed = [[(name, x, -d) for name, x, d in row] if i == 2 else row
                   for i, row in enumerate(edge_rows)]

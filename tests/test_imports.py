@@ -119,7 +119,15 @@ def test_small_charpoly_serves_only_the_block_paths():
     # base H1 matrix; the dense charpoly's body does not name it, and the
     # tests hold both paths to Berkowitz, which shares no code
     assert _functions_naming("small_charpoly") == {
-        "linalg.py:charpoly_mod", "covers.py:orbit_polynomials"}
+        "linalg.py:charpoly_mod", "search.py:orbit_factors"}
+
+
+def test_only_the_levels_analysis_forms_an_h1_matrix():
+    # a tower level's H1 matrix is its Analysis's, which serves both the
+    # base level's polynomial and its dynamical quotient; a cover's dense
+    # H1 matrix is the tests' reference
+    assert _functions_naming("homology_action") == {
+        "search.py:action", "covers.py:h1_action_on_cover"}
 
 
 def test_only_a_levels_verdict_runs_the_sieve():

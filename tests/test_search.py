@@ -3,6 +3,7 @@ import random
 import runpy
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homolift import corpus, linalg, magnus, search
-from homolift.covers import CoverCertificate, _value_mod
+from homolift.covers import (CoverCertificate, FiniteQuotient, TowerStep,
+                             _value_mod)
 from homolift.cyclotomic import Cyclotomic
 from homolift.errors import (CertificateError, ResourceLimitError,
                              ValidationError)
@@ -585,18 +587,41 @@ RUNS = {
 ])
 def test_each_level_is_built_once(corpus_maps, monkeypatch, name, run,
                                   charpolys, covers):
-    # every level's cover and characteristic polynomial is computed once;
-    # verify_certificate's replay of the tower is the only second build
-    calls = dict.fromkeys(("orbit_polynomials", "abelian_cover",
+    # every level's cover and characteristic polynomial is computed once,
+    # base or lifted; verify_certificate's replay of the tower is the only
+    # second build
+    calls = dict.fromkeys(("orbit_factors", "abelian_cover",
                            "rebuild_tower"), 0)
-    for fn in calls:
-        def counted(*args, _fn=fn, _orig=getattr(search, fn)):
-            calls[_fn] += 1
-            return _orig(*args)
-        monkeypatch.setattr(search, fn, counted)
+
+    def count(fn, orig):
+        def counted(*args):
+            calls[fn] += 1
+            return orig(*args)
+        return counted
+    for fn in ("abelian_cover", "rebuild_tower"):
+        monkeypatch.setattr(search, fn, count(fn, getattr(search, fn)))
+    factors = cached_property(count("orbit_factors",
+                                    Analysis.orbit_factors.func))
+    factors.__set_name__(Analysis, "orbit_factors")
+    monkeypatch.setattr(Analysis, "orbit_factors", factors)
     assert RUNS[run](corpus_maps[name]) is not None
-    assert calls == {"orbit_polynomials": charpolys, "abelian_cover": covers,
+    assert calls == {"orbit_factors": charpolys, "abelian_cover": covers,
                      "rebuild_tower": 1}
+
+
+def test_base_level_forms_one_h1_matrix(corpus_maps, monkeypatch):
+    # the base level's verdict and its dynamical quotient read the one H1
+    # matrix its Analysis holds
+    calls = []
+    real = search.homology_action
+    for module in ("search", "covers"):
+        monkeypatch.setattr(f"homolift.{module}.homology_action",
+                            lambda *args: calls.append(args) or real(*args))
+    for f in corpus_maps.values():
+        an = Analysis.of(f)
+        an.verdict
+        an.quotient
+    assert len(calls) == len(corpus_maps)
 
 
 def _count_graphs(monkeypatch):
@@ -716,20 +741,50 @@ def test_certificate_tamper_detected(silver):
 
 
 def test_crafted_charpoly_reaches_no_sieve(silver, monkeypatch):
-    # a random monic polynomial of degree 2000 in place of the rebuilt one
-    # is only compared: the sieve sees the rebuilt level's orbit factors
-    # and nothing longer
+    # a random monic polynomial in place of the rebuilt one is only
+    # compared: one of degree 2000 fails on its length and reaches no sieve,
+    # and for one of the level's own degree the sieve sees the rebuilt
+    # level's orbit factors and nothing longer
     level = Analysis.of(silver).cover(12)
     cert = search._certificate(level, "brute-force", None)
     rng = random.Random(5)
-    crafted = [rng.randint(-9, 9) for _ in range(2000)] + [1]
     largest = max(len(poly) for _o, poly in level.orbit_factors)
     sizes = []
     monkeypatch.setattr("homolift.covers._value_mod", lambda coeffs, w, q: (
         sizes.append(len(coeffs)) or _value_mod(coeffs, w, q)))
+    crafted = [rng.randint(-9, 9) for _ in range(2000)] + [1]
+    report = verify_certificate(replace(cert, charpoly=tuple(crafted)))
+    assert report["failures"] == [CHARPOLY_DIFFERS]
+    assert sizes == []
+    crafted = [rng.randint(-9, 9) for _ in cert.charpoly[1:]] + [1]
     report = verify_certificate(replace(cert, charpoly=tuple(crafted)))
     assert report["failures"] == [CHARPOLY_DIFFERS]
     assert sizes and max(sizes) <= largest
+
+
+def test_charpoly_of_the_wrong_degree_fails_before_the_level_is_read(
+        monkeypatch):
+    # the identity of a 4-petal rose with the step H_f/2H_f, of degree 16:
+    # the rebuilt level is a connected cover, of H1 rank 16 * (4 - 1) + 1,
+    # so a stored polynomial of degree 1 fails on its length and the
+    # level's own polynomial is never formed
+    f = parse_graph_map("vertices: v\nedges: " + " ; ".join(
+        f"{e}: v -> v" for e in "abcd") + "\nbase: v\n" + "".join(
+        f"map {e} -> {e}\n" for e in "abcd"))
+    step = TowerStep.of(FiniteQuotient.of(4, 2))
+    cert = CoverCertificate(
+        input_digest=search.input_digest(f),
+        input_text=serialize_graph_map(f), power=1, tower=(step,),
+        degree=16, charpoly=(0, 1), verdict="off_unit_circle",
+        witness_factor=(0, 1), modulus=2.0, zero_multiplicity=0,
+        method="tower")
+
+    def refuse(*args):
+        raise AssertionError("the level's polynomial was formed")
+
+    monkeypatch.setattr(search, "orbit_polynomials", refuse)
+    report = verify_certificate(cert)
+    assert report["failures"] == [CHARPOLY_DIFFERS]
 
 
 @pytest.mark.parametrize("charpoly", [(), (1, 2), (-1, 2, 3)])
