@@ -428,7 +428,11 @@ def orbit_polynomials(f):
     level, factored: one pair (o, N_O) per Galois orbit of the deck group's
     characters, the trivial orbit's first, with o the exact order of the
     orbit's characters and N_O its integer norm polynomial (ascending); the
-    N_O multiply to the charpoly (see the module docstring).  The level is
+    N_O multiply to the charpoly (see the module docstring).  When the base
+    graph has E = V, every other orbit's N_O has degree |O| (E - V) = 0 and
+    is 1, so the trivial orbit's pair is the only one: no other character
+    is listed, and as the trivial character reads no root of unity, its
+    primes need not be 1 modulo the order.  The level is
     the LiftedMap ``f``, read from its stored fiber-zero rows and
     recombined from its residues by CRT."""
     quotient, (edge_rows, vertex_rows) = f.cover.quotient, f.rows
@@ -455,7 +459,8 @@ def orbit_polynomials(f):
     sheets = [(weight(x), [(i, j, c) for (i, j), c in terms.items() if c])
               for x, terms in sheets.items()]
     cycles = [(length, weight(label)) for length, label in cycles]
-    powers = {}    # m -> [w^k mod m for k < order], shared by every orbit
+    powers = {}    # m -> [w^k mod m for k < order], or [1] until a
+                   # nontrivial character reads it; shared by every orbit
 
     def orbit_residues(o, a):
         # the exponents of chi_ua are u times chi_a's; the trivial
@@ -466,14 +471,12 @@ def orbit_polynomials(f):
         blocks = [([(u * k % order, terms) for k, terms in edges],
                    [(length, u * k % order) for length, k in vertices])
                   for u in _units(o)]
+        size = order if any(a) else 1    # the trivial one reads w^0 alone
 
         def residues(m, w):
-            if m not in powers:
-                table = [1] * order
-                for k in range(1, order):
-                    table[k] = table[k - 1] * w % m
-                powers[m] = table
-            table, out = powers[m], []
+            table, out = powers.setdefault(m, [1]), []
+            while len(table) < size:
+                table.append(table[-1] * w % m)
             for edge_terms, factors in blocks:
                 am = [[0] * len(eidx) for _ in eidx]
                 for k, terms in edge_terms:
@@ -487,15 +490,21 @@ def orbit_polynomials(f):
             return linalg.poly_product(out, m)
         return residues
 
+    rank = len(eidx) - len(vidx)
+    bound = _root_bound(edge_rows, eidx)
+    if rank == 0:
+        # E = V: every other orbit's N_O has degree |O| (E - V) = 0 and is
+        # 1, and the trivial character's blocks read no root of unity, so
+        # no character is listed and the order is never factored
+        return ((1, linalg.multimodular(
+            1, bound, orbit_residues(1, (0,) * len(diag)))),)
     # the cap, before any character is listed: the largest orbit has size
     # phi(order) >= sqrt(order / 2), so a huge order is refused before it
     # is factored
-    rank = len(eidx) - len(vidx)
     longest = max((len(row) for row in edge_rows), default=1)
     linalg.crt_primes(isqrt(order // 2) * rank, longest, order)
     linalg.crt_primes(max(linalg.totient(order) * rank, rank + 1), longest,
                       order)
-    bound = _root_bound(edge_rows, eidx)
     out = []
     for orbit in _galois_orbits(diag):
         o = character_order(orbit[0], diag)

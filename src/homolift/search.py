@@ -80,7 +80,10 @@ class Analysis:
     ``level`` is the base map ``base`` or the LiftedMap (also ``lifted``)
     that the TowerSteps in ``tower``, of total ``degree``, lead to.  A
     lifted level's verdict reads only the lift's fiber-zero rows; its
-    graph map is built when something else reads it."""
+    graph map is built when something else reads it.  A base level comes
+    from ``of`` alone, which keeps the last one it built."""
+
+    _last = None    # (canonical text, Analysis) of the last base level
 
     def __init__(self, level, base, tower):
         self.level = level
@@ -88,9 +91,18 @@ class Analysis:
         self.base = base
         self.tower = tower
 
-    @staticmethod
-    def of(f):
-        return Analysis(f, f, ())
+    @classmethod
+    def of(cls, f):
+        """The base level of the graph map ``f``.  Every product is a
+        function of f's canonical text, the one ``input_digest`` hashes, so
+        the last base level built is returned again for a map of the same
+        text: analyze, search and verify of one map in one process derive
+        it once.  Its ``level`` equals f but may be another object."""
+        text = serialize_graph_map(f)
+        last = cls._last    # read once: another thread may replace it
+        if last is None or last[0] != text:
+            last = cls._last = (text, cls(f, f, ()))
+        return last[1]
 
     @property
     def degree(self):
@@ -363,8 +375,8 @@ def _locate_character(an, finding, bound):
 
 def _certificate(level, method, finding):
     """Assemble the certificate for the tower level ``level`` held by the
-    caller, and check it with verify_certificate, the one replay of its
-    tower."""
+    caller, and check it with verify_certificate, which replays the
+    tower's cover levels on the base level ``Analysis.of`` keeps."""
     verdict = level.verdict
     if verdict.all_on_circle:
         raise CertificateError(
@@ -406,8 +418,9 @@ def _certify(an, finding, bound):
 
 
 def rebuild_tower(f, tower):
-    """Replay a tower of abelian covers from the base map ``f`` and return
-    its final level, whose ``tower`` is then the recorded one.  Each step's
+    """Replay a tower of abelian covers from the base map ``f``, whose
+    level is ``Analysis.of(f)``, and return its final level, whose
+    ``tower`` is then the recorded one.  Each step's
     quotient is taken of the current level's own dynamical quotient, and
     the step it rebuilds must equal the recorded one before its cover is
     built.
@@ -436,7 +449,10 @@ def verify_certificate(cert):
     The verdict checks read only the rebuilt level's verdict, decided one
     Galois orbit at a time.  A tower that does not rebuild, or whose
     polynomial is not the stored one, skips them and fails on that alone:
-    a stored polynomial is only checked to be monic and compared."""
+    a stored polynomial is only checked to be monic and compared.  The
+    embedded input is parsed and its digest checked every time; its base
+    level is ``Analysis.of``'s, so the process that searched for the
+    certificate rebuilds only its cover levels."""
     failures = []
     checks = []
 

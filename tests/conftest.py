@@ -16,6 +16,13 @@ def pytest_runtest_logreport(report):
             print(f"\nACCEPTANCE {int(match.group(1))} FAIL: {report.nodeid}")
 
 
+@pytest.fixture(autouse=True)
+def no_base_level():
+    # Analysis.of keeps the last base level it built; each test starts, as
+    # a new process does, with none
+    Analysis._last = None
+
+
 @pytest.fixture(scope="session")
 def corpus_maps():
     return {name: corpus.load(name) for name in corpus.names()}

@@ -472,6 +472,7 @@ def test_shadow_enumerates_cycles_and_builds_the_hull_once(monkeypatch,
     from homolift import geometry, transition
     t = Analysis.of(corpus.load("unipotent_rank2")).transition
     count = len(transition.simple_cycles(t))
+    Analysis._last = None    # the command runs as in a new process
     made, hulls = [], []
     make_cycle, hull = transition._make_cycle, geometry.hull_vertices
     monkeypatch.setattr(transition, "_make_cycle",

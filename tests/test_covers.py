@@ -626,6 +626,29 @@ def test_block_charpoly_matches_dense_with_a_transient_vertex(k):
     assert _matches_dense(level)
 
 
+EQUAL_COUNT_MAPS = {
+    "circle": "vertices: v\nedges: a: v -> v\nbase: v\nmap a -> a\n",
+    "circle_backtrack": ("vertices: v\nedges: a: v -> v\nbase: v\n"
+                         "map a -> a a A\n"),
+    "two_cycle": ("vertices: v w\nedges: a: v -> w ; b: w -> v\nbase: v\n"
+                  "map a -> a b B\nmap b -> b\n")}
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_COUNT_MAPS))
+@pytest.mark.parametrize("k", [2, 3, 6, 12])
+def test_equal_counts_give_the_trivial_orbit_alone(name, k):
+    # E = V: every nontrivial orbit factor has degree 0, so only the
+    # trivial orbit's pair is returned, and it is the dense polynomial
+    an = Analysis.of(parse_graph_map(EQUAL_COUNT_MAPS[name]))
+    assert an.quotient.rank == 1
+    level = an.cover(k)
+    dense = charpoly_berkowitz(h1_action_on_cover(level.lifted))
+    assert [o for o, _p in level.orbit_factors] == [1]
+    assert level.charpoly == dense
+    assert level.verdict == unit_circle_test(dense)
+    assert _matches_dense(level)
+
+
 @pytest.mark.parametrize("name", ["example_s3", "identity", "unipotent_rank2"])
 @pytest.mark.parametrize("basis", [[[2, 1], [0, 4]], [[3, 0], [0, 6]]])
 def test_block_charpoly_matches_dense_on_lattice_quotients(analyses, name,

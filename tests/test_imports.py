@@ -32,23 +32,26 @@ def test_numpy_is_imported_only_by_covers():
     assert importers == {"covers.py"}
 
 
-def _numpy_readers(path):
-    """The functions of the file, as ``file:Class.name``, whose code names
-    numpy; ``file:`` for a name outside any function."""
-    readers = set()
-
+def _owned_nodes(path):
+    """Every node of the file with its owner, ``file:Class.function``, the
+    innermost definition around it (``file:`` at module level)."""
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
-                visit(child, f"{owner}.{child.name}".lstrip("."))
+                yield from visit(child, f"{owner}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Name) and child.id in {"np", "numpy"}:
-                readers.add(f"{path.name}:{owner}")
-            visit(child, owner)
+            yield f"{path.name}:{owner}", child
+            yield from visit(child, owner)
 
-    visit(ast.parse(path.read_text()), "")
-    return readers
+    return visit(ast.parse(path.read_text()), "")
+
+
+def _numpy_readers(path):
+    """The functions of the file, as ``file:Class.name``, whose code names
+    numpy; ``file:`` for a name outside any function."""
+    return {owner for owner, node in _owned_nodes(path)
+            if isinstance(node, ast.Name) and node.id in {"np", "numpy"}}
 
 
 def test_numpy_only_computes_the_two_display_floats():
@@ -128,6 +131,30 @@ def test_only_the_levels_analysis_forms_an_h1_matrix():
     # H1 matrix is the tests' reference
     assert _functions_naming("homology_action") == {
         "search.py:action", "covers.py:h1_action_on_cover"}
+
+
+def test_only_analysis_of_builds_a_base_level():
+    # Analysis.of keeps the last base level it built, so nothing else may
+    # build one or touch its slot: every other Analysis constructed is a
+    # cover, its tower one step longer than the level it came from
+    builders, slot = set(), set()
+    for root in (PACKAGE, SCRIPTS, PERFBENCH):
+        for path in root.glob("*.py"):
+            for owner, node in _owned_nodes(path):
+                name = isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", None))
+                if name == "Analysis" or name == "cls" and owner.startswith(
+                        "search.py:Analysis."):
+                    builders.add((owner, ast.unparse(node.args[2])))
+                if "_last" in (getattr(node, "id", None),
+                               getattr(node, "attr", None)):
+                    slot.add(owner)
+    assert builders == {
+        ("search.py:Analysis.of", "()"),
+        ("search.py:Analysis.cover",
+         "self.tower + (TowerStep.of(cover.quotient),)")}
+    assert slot == {"search.py:Analysis", "search.py:Analysis.of"}
 
 
 def test_only_a_levels_verdict_runs_the_sieve():

@@ -1,6 +1,7 @@
 import json
 import random
 import runpy
+import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
@@ -19,6 +20,7 @@ from homolift.cyclotomic import Cyclotomic
 from homolift.errors import (CertificateError, ResourceLimitError,
                              ValidationError)
 from homolift.graphs import Graph, parse_graph_map, serialize_graph_map
+from homolift.homology import spanning_tree
 from homolift.laurent import (Lattice, LaurentElement, lattice_restriction,
                               specialize)
 from homolift.search import (GROWTH_ONE, Analysis, Finding, SearchConfig,
@@ -578,8 +580,8 @@ RUNS = {
 
 
 @pytest.mark.parametrize("name, run, charpolys, covers", [
-    ("golden_mean", "tower_search", 2, 0),
-    ("golden_mean", "oracle", 2, 0),
+    ("golden_mean", "tower_search", 1, 0),
+    ("golden_mean", "oracle", 1, 0),
     ("unipotent_silver", "tower_search", 3, 2),
     ("unipotent_silver", "oracle", 3, 2),
     ("unipotent_rank2", "oracle", 3, 2),
@@ -588,8 +590,9 @@ RUNS = {
 def test_each_level_is_built_once(corpus_maps, monkeypatch, name, run,
                                   charpolys, covers):
     # every level's cover and characteristic polynomial is computed once,
-    # base or lifted; verify_certificate's replay of the tower is the only
-    # second build
+    # base or lifted; verify_certificate's replay rebuilds only the cover
+    # levels, as its base level is the one Analysis.of already holds, and
+    # that is the only second build
     calls = dict.fromkeys(("orbit_factors", "abelian_cover",
                            "rebuild_tower"), 0)
 
@@ -622,6 +625,97 @@ def test_base_level_forms_one_h1_matrix(corpus_maps, monkeypatch):
         an.verdict
         an.quotient
     assert len(calls) == len(corpus_maps)
+
+
+@pytest.mark.parametrize("name", ["golden_mean", "unipotent_silver"])
+def test_analyze_search_and_verify_share_one_base_level(corpus_maps,
+                                                        monkeypatch, name):
+    # the base level's H1 action, polynomial and dynamical quotient are
+    # derived once for analyze, the search, its own verification and a
+    # later verify of the certificate; cover levels are rebuilt
+    f = corpus_maps[name]
+    base = []
+    action, quotient = search.homology_action, search.equivariant_quotient
+    monkeypatch.setattr(search, "homology_action", lambda g, tree: (
+        base.append("homology_action") if g.graph == f.graph else None)
+        or action(g, tree))
+    basis = spanning_tree(f.graph).h1_basis
+    monkeypatch.setattr(search, "equivariant_quotient", lambda h1, tree: (
+        base.append("equivariant_quotient") if tree.h1_basis == basis
+        else None) or quotient(h1, tree))
+    orbit_factors = Analysis.orbit_factors.func
+
+    def counted(level):
+        if not level.tower:
+            base.append("orbit_factors")
+        return orbit_factors(level)
+    factors = cached_property(counted)
+    factors.__set_name__(Analysis, "orbit_factors")
+    monkeypatch.setattr(Analysis, "orbit_factors", factors)
+
+    an = Analysis.of(parse_graph_map(serialize_graph_map(f)))
+    an.verdict
+    an.transition
+    cert = tower_search(f, CFG)
+    assert verify_certificate(cert)["ok"]
+    assert sorted(base) == ["equivariant_quotient", "homology_action",
+                            "orbit_factors"]
+
+
+def test_a_map_equal_in_value_hits_the_slot(golden):
+    twin = parse_graph_map(serialize_graph_map(golden))
+    assert twin is not golden and twin == golden
+    an = Analysis.of(golden)
+    assert Analysis.of(twin) is an and an.level is golden
+
+
+GOLDEN_B_TO_B = """vertices: v
+edges: a: v -> v ; b: v -> v
+base: v
+map a -> a b
+map b -> b
+"""
+
+
+@pytest.mark.parametrize("other", ["boundary", "edge image"])
+def test_a_map_that_differs_misses_the_slot(golden, other):
+    # one slot: a miss replaces it, so the first map misses again after
+    g = (replace(golden, boundary_count=1) if other == "boundary"
+         else parse_graph_map(GOLDEN_B_TO_B))
+    an = Analysis.of(golden)
+    other_an = Analysis.of(g)
+    assert other_an is not an and other_an.level is g
+    assert Analysis.of(golden) is not an
+    assert Analysis.of(golden).level is golden
+
+
+def test_alternating_maps_keep_their_verdicts(golden, s3):
+    # f, g, f: each call answers for the map it was given
+    for f, witness in ((golden, (-1, -1, 1)), (s3, None),
+                       (golden, (-1, -1, 1))):
+        finding = check_direct(f)
+        assert (finding and finding.witness) == witness
+        assert Analysis.of(f).verdict.all_on_circle == (witness is None)
+        assert Analysis.of(f).level == f
+
+
+@pytest.mark.parametrize("name", ["golden_mean", "unipotent_silver"])
+def test_tampering_after_the_search_is_detected(corpus_maps, name):
+    # the certificate's own base level is in the slot when it is tampered
+    f = corpus_maps[name]
+    cert = tower_search(f, CFG)
+    assert Analysis._last[0] == serialize_graph_map(f)
+    data = cert.to_json()
+    data["charpoly"][1] += 1
+    report = verify_certificate(CoverCertificate.from_json(data))
+    assert report["failures"] == [CHARPOLY_DIFFERS]
+    data = cert.to_json()
+    data["input_text"] = data["input_text"].replace("map a -> a",
+                                                    "map a -> b")
+    assert data["input_text"] != cert.input_text
+    report = verify_certificate(CoverCertificate.from_json(data))
+    assert not report["ok"] and "input-digest" in {
+        c["name"] for c in report["checks"] if not c["ok"]}
 
 
 def _count_graphs(monkeypatch):
@@ -708,6 +802,7 @@ def test_replay_skips_the_final_quotient(silver, monkeypatch):
     # the final level of a replay needs only its H1 action: the Smith form
     # of its dynamical quotient is never computed
     cert = brute_force_oracle(silver, 2000)
+    Analysis._last = None    # verify runs as in a new process
     calls = []
     quotient = search.equivariant_quotient
     monkeypatch.setattr(search, "equivariant_quotient",
@@ -785,6 +880,39 @@ def test_charpoly_of_the_wrong_degree_fails_before_the_level_is_read(
     monkeypatch.setattr(search, "orbit_polynomials", refuse)
     report = verify_certificate(cert)
     assert report["failures"] == [CHARPOLY_DIFFERS]
+
+
+@pytest.mark.parametrize("k", [1000003, 2 ** 61 - 1])
+def test_a_circle_map_lists_no_character(monkeypatch, k):
+    # on a graph with E = V every nontrivial orbit factor has degree 0, so
+    # the level's polynomial is its trivial orbit's, which needs no root of
+    # unity, and verify stays fast at any degree: the step H_f/kH_f rebuilds
+    # x - 1 with no character listed and k never factored
+    f = parse_graph_map("vertices: v\nedges: a: v -> v\nbase: v\n"
+                        "map a -> a\n")
+    cert = CoverCertificate(
+        input_digest=search.input_digest(f),
+        input_text=serialize_graph_map(f), power=1,
+        tower=(TowerStep.of(FiniteQuotient.of(1, k)),), degree=k,
+        charpoly=(-1, 1), verdict="off_unit_circle", witness_factor=(-1, 1),
+        modulus=1.0, zero_multiplicity=0, method="tower")
+
+    def refuse(*args):
+        raise AssertionError("a character was listed")
+
+    real = linalg.prime_factors
+
+    def factor(n):
+        assert n != k, "the modulus was factored"
+        return real(n)
+
+    monkeypatch.setattr("homolift.covers._galois_orbits", refuse)
+    monkeypatch.setattr(linalg, "prime_factors", factor)
+    start = time.perf_counter()
+    report = verify_certificate(cert)
+    assert time.perf_counter() - start < 1
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == [
+        "verdict", "witness"]
 
 
 @pytest.mark.parametrize("charpoly", [(), (1, 2), (-1, 2, 3)])
