@@ -50,6 +50,9 @@ def smith_normal_form(mat):
 
     The pivot strategy is fixed so the output is reproducible.  A unit
     pivot divides every later entry, so it skips the divisibility scan.
+    Each pass reduces the whole pivot column (row) by the pivot before the
+    least remainder becomes the next pivot: swapping in the first
+    remainder instead lets a dense matrix's entries grow without bound.
     """
     nr = len(mat)
     nc = len(mat[0]) if nr else 0
@@ -73,22 +76,34 @@ def smith_normal_form(mat):
             break
         d[k], d[piv[0]] = d[piv[0]], d[k]
         swap_cols(k, piv[1])
-        # clear row and column k; restart if a division leaves a remainder
+        # clear column k, then row k, each until no remainder is left; redo
+        # both while clearing the row refills the column
         while True:
-            dirty = False
-            for i in range(k + 1, nr):
-                if d[i][k]:
-                    q = d[i][k] // d[k][k]
-                    d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+            while True:
+                least = None
+                for i in range(k + 1, nr):
                     if d[i][k]:
-                        d[k], d[i] = d[i], d[k]
-                        dirty = True
-            for j in range(k + 1, nc):
-                if d[k][j]:
-                    col_op(j, k, d[k][j] // d[k][k])
+                        q = d[i][k] // d[k][k]
+                        d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+                        if d[i][k] and (least is None
+                                        or abs(d[i][k]) < abs(d[least][k])):
+                            least = i
+                if least is None:
+                    break
+                d[k], d[least] = d[least], d[k]
+            dirty = False
+            while True:
+                least = None
+                for j in range(k + 1, nc):
                     if d[k][j]:
-                        swap_cols(k, j)
-                        dirty = True
+                        col_op(j, k, d[k][j] // d[k][k])
+                        if d[k][j] and (least is None
+                                        or abs(d[k][j]) < abs(d[k][least])):
+                            least = j
+                if least is None:
+                    break
+                swap_cols(k, least)
+                dirty = True
             if not dirty:
                 break
         # divisibility: d[k][k] must divide every later entry; fold the

@@ -11,6 +11,7 @@ from homolift.graphs import (Edge, EdgePath, Graph, empty_path,
 from homolift.homology import (HomologyAction, SpanningTreeData,
                                equivariant_quotient, homology_action,
                                path_class, spanning_tree)
+from homolift.search import Analysis
 from oracles import (concat, loop_homology_action, mat_mul, mat_rank_rational,
                      section)
 
@@ -273,6 +274,24 @@ def test_projection_on_corpus_and_cover_levels(analyses, multi_vertex_levels):
     levels = list(analyses.values()) + multi_vertex_levels
     for an in levels:
         _check_projection(an.action, an.quotient)
+
+
+# a unipotent 3-rose (``perfbench/generator.unipotent_maps(5, 20)``, item
+# 2): the Smith form of its degree-16 cover's 33 x 33 I - f* did not
+# finish in minutes when the first remainder was swapped into the pivot
+U2_MAP = """vertices: v
+edges: a: v -> v ; b: v -> v ; c: v -> v
+base: v
+map a -> B B c a
+map b -> a b b b
+map c -> C A A
+"""
+
+
+def test_projection_on_a_dense_cover_level():
+    top = Analysis.of(parse_graph_map(U2_MAP)).cover(16)
+    assert top.action.rank == 33
+    _check_projection(top.action, top.quotient)
 
 
 def _random_walk(graph, rng, length, start):

@@ -98,14 +98,28 @@ def test_cyclotomic_orders_are_a_cached_tuple():
         assert cyclotomic_orders_up_to_degree(deg) is orders
 
 
-@pytest.mark.xfail(strict=True, reason="the fixed-pivot elimination grows "
-                   "entries exponentially in the size on dense matrices")
 def test_smith_transform_entries_stay_small():
     # a 5 x 5 matrix with entries below 10 and no unit: its diagonal is
-    # (1, 1, 1, 1, 30314), yet T's entries reach thousands of bits, and on
-    # dense 6 x 6 matrices the elimination does not finish in minutes
+    # (1, 1, 1, 1, 30314); swapping in the first remainder gave T entries
+    # of thousands of bits
     mat = [[-4, 0, 9, 4, 9], [-9, -8, -7, 6, 2], [-9, -7, -4, -4, 6],
            [4, -5, -5, -6, -5], [6, 4, -6, -2, -5]]
     diag, t = smith_normal_form(mat)
     assert diag == [1, 1, 1, 1, 30314]
+    assert max(abs(x) for row in t for x in row).bit_length() <= 64
+
+
+@pytest.mark.parametrize("mat", [
+    # a low-rank product that Hypothesis drew: it did not finish in minutes
+    [[29, -4, 14, 14, 4], [12, 49, -44, -15, -21], [-12, 25, -32, -7, -33],
+     [35, 33, -22, -19, -5], [-13, 20, -25, -4, -8]],
+    # 720-bit pivots by step 3 when the first remainder was swapped in
+    [[6, 6, 4, -12, -2, 7], [7, 0, 3, 6, 3, 2], [-3, 5, 2, 7, -3, -12],
+     [6, 3, 6, 3, 2, 6], [0, 2, 4, 4, -3, -2], [-2, 7, 0, 3, 2, -3]],
+], ids=["low-rank-5", "dense-6"])
+def test_smith_form_of_dense_matrices_finishes_small(mat):
+    diag, t = smith_normal_form(mat)
+    assert len(diag) == len(mat) and sum(map(bool, diag)) == \
+        mat_rank_rational(mat)
+    assert hermite_row_form(t) == identity_matrix(len(t))
     assert max(abs(x) for row in t for x in row).bit_length() <= 64
