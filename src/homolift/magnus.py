@@ -203,6 +203,9 @@ def trace_power(a, k):
     for 2k and re-keys the stored power, so no slot ever carries and no
     power is formed again.  The traces come back as LaurentElements with
     the exponent tuples of a term-by-term product.
+
+    The cache is written only once a repacking or a trace is complete, so
+    a call stopped partway (a time limit, Ctrl-C) leaves it as it was.
     """
     if k < 1:
         raise ValueError("exponent must be >= 1")
@@ -215,21 +218,22 @@ def trace_power(a, k):
     if state is None:
         state = a._cache["powers"] = _PackedPowers(a, 2 * k)
     elif k > state.capacity:
-        old, (n, entries) = state, state.power
-        state = a._cache["powers"] = _PackedPowers(a, 2 * k)
-        state.power = (n, {at: [(state.encode(n, 0, 0, old.decode(n, e)), c)
-                                for e, c in terms]
+        wider, (n, entries) = _PackedPowers(a, 2 * k), state.power
+        wider.power = (n, {at: [(wider.encode(n, 0, 0, state.decode(n, e)),
+                                 c) for e, c in terms]
                            for at, terms in entries.items()})
+        state = a._cache["powers"] = wider
     while len(traces) < k:
         m = len(traces) + 1
         lower = upper = state.power
         if m % 2:
-            upper = state.power = (lower[0] + 1, mat_mul(
-                lower[1], state.factor, state.col_bits))
+            upper = (lower[0] + 1, mat_mul(lower[1], state.factor,
+                                           state.col_bits))
         acc = _trace_of_product(upper[1], lower[1], state.col_bits)
-        traces.append(LaurentElement._raw(
-            a.dim, {state.decode(m, key): c for key, c in acc.items()
-                    if c}))
+        t = LaurentElement._raw(a.dim, {state.decode(m, key): c
+                                        for key, c in acc.items() if c})
+        state.power = upper
+        traces.append(t)
     return traces[k - 1]
 
 

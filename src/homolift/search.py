@@ -91,17 +91,17 @@ class Analysis:
         self.base = base
         self.tower = tower
 
-    @classmethod
-    def of(cls, f):
+    @staticmethod
+    def of(f):
         """The base level of the graph map ``f``.  Every product is a
         function of f's canonical text, the one ``input_digest`` hashes, so
         the last base level built is returned again for a map of the same
         text: analyze, search and verify of one map in one process derive
         it once.  Its ``level`` equals f but may be another object."""
         text = serialize_graph_map(f)
-        last = cls._last    # read once: another thread may replace it
+        last = Analysis._last    # read once: another thread may replace it
         if last is None or last[0] != text:
-            last = cls._last = (text, cls(f, f, ()))
+            last = Analysis._last = (text, Analysis(f, f, ()))
         return last[1]
 
     @property

@@ -144,8 +144,7 @@ def test_only_analysis_of_builds_a_base_level():
                 name = isinstance(node, ast.Call) and (
                     getattr(node.func, "id", None)
                     or getattr(node.func, "attr", None))
-                if name == "Analysis" or name == "cls" and owner.startswith(
-                        "search.py:Analysis."):
+                if name == "Analysis":
                     builders.add((owner, ast.unparse(node.args[2])))
                 if "_last" in (getattr(node, "id", None),
                                getattr(node, "attr", None)):

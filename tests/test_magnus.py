@@ -251,6 +251,33 @@ def test_trace_power_cache_consistency(analyses):
     _check_stored_powers(a, 3)
 
 
+@pytest.mark.parametrize("name", ["golden_mean", "unipotent_rank2"])
+def test_interrupted_trace_power_leaves_its_cache_as_it_was(analyses, name):
+    # a time limit or Ctrl-C may stop trace_power inside any trace, after
+    # a repacking or a product; the traces read after it are still A^k's
+    t = analyses[name].transition
+    expected = [None] + [magnus.trace(magnus_power(magnus.magnus_matrix(t), k))
+                         for k in range(1, 9)]
+    product = magnus._trace_of_product
+    for stop in range(1, 7):
+        a = magnus.magnus_matrix(t)
+        magnus.trace_power(a, 2)
+        calls = []
+
+        def stopped(*args):
+            calls.append(1)
+            if len(calls) == stop:
+                raise KeyboardInterrupt
+            return product(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(magnus, "_trace_of_product", stopped)
+            with pytest.raises(KeyboardInterrupt):
+                magnus.trace_power(a, 8)
+        for k in (8, 3, 7, 1):
+            assert Laurent.of(magnus.trace_power(a, k)) == expected[k]
+        _check_stored_powers(a, 8)
+
+
 @st.composite
 def magnus_matrices(draw, max_arcs=5):
     """Matrices of 1 to 6 edges over Z^d, d from 0 to 3, from at most

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import homolift
 from homolift import corpus, linalg, magnus, search
 from homolift.covers import (CoverCertificate, FiniteQuotient, TowerStep,
                              _value_mod)
@@ -667,6 +668,21 @@ def test_a_map_equal_in_value_hits_the_slot(golden):
     assert twin is not golden and twin == golden
     an = Analysis.of(golden)
     assert Analysis.of(twin) is an and an.level is golden
+
+
+def test_a_traced_run_spans_analysis_of(silver):
+    # perfbench's --trace recorder wraps Analysis.of where the class holds
+    # it, a staticmethod: the search, its own verification and a later
+    # verify each ask for the base level
+    spans = runpy.run_path(str(Path(__file__).parent.parent / "perfbench" /
+                               "spans.py"))
+    recorder = spans["Recorder"](homolift)
+    recorder.install()
+    try:
+        assert verify_certificate(tower_search(silver, CFG))["ok"]
+    finally:
+        recorder.uninstall()
+    assert recorder.layer_metrics()["search.Analysis.of.calls"] == 3
 
 
 GOLDEN_B_TO_B = """vertices: v
